@@ -5,7 +5,8 @@
 //! anything unrecognized is a usage error. Four subcommands:
 //!
 //! * `run`  — expand a grid, farm it out, print the result tables and
-//!   write the sweep document (default `BENCH_sweep.json`);
+//!   write the sweep document (`--out`; only the `paper` grid has a
+//!   default, `BENCH_sweep.json`);
 //! * `list` — show the built-in grids, or every job of one grid;
 //! * `diff` — compare a fresh run (or `--current` file) against a
 //!   committed baseline and print every drifted leaf;
@@ -44,7 +45,9 @@ COMMANDS:
 OPTIONS:
     --grid NAME        grid preset (default: paper); see `numa-lab list`
     --jobs N           worker threads (default: available parallelism)
-    --out FILE         run: where to write the report (default: BENCH_sweep.json)
+    --out FILE         run: where to write the report; required unless the
+                       grid is `paper` (default: BENCH_sweep.json), so no
+                       other grid can overwrite that committed baseline
     --path fast|slow   run/diff/gate: simulator access path (default: fast);
                        both produce byte-identical reports, slow is for
                        equivalence checks and timing comparisons
@@ -74,7 +77,7 @@ struct Opts {
     grid: String,
     grid_given: bool,
     jobs: usize,
-    out: String,
+    out: Option<String>,
     baseline: String,
     current: Option<String>,
     quiet: bool,
@@ -91,7 +94,7 @@ impl Default for Opts {
             grid: "paper".to_string(),
             grid_given: false,
             jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            out: DEFAULT_FILE.to_string(),
+            out: None,
             baseline: DEFAULT_FILE.to_string(),
             current: None,
             quiet: false,
@@ -130,7 +133,7 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                     .filter(|&n| n >= 1)
                     .ok_or(format!("--jobs wants a positive integer, got `{v}`"))?;
             }
-            "--out" => opts.out = value(&mut it, "--out")?,
+            "--out" => opts.out = Some(value(&mut it, "--out")?),
             "--baseline" => opts.baseline = value(&mut it, "--baseline")?,
             "--current" => opts.current = Some(value(&mut it, "--current")?),
             "--quiet" => opts.quiet = true,
@@ -227,8 +230,8 @@ fn run_sweep(grid: Grid, opts: &Opts) -> Result<(Sweep, f64), LabError> {
 /// `run --resume`: load the sidecar checkpoint, run only the missing
 /// cells (recording each as it finishes), and delete the sidecar once
 /// the whole grid is in hand.
-fn run_sweep_resumable(grid: Grid, opts: &Opts) -> Result<(Sweep, f64), String> {
-    let path = Checkpoint::path_for(&opts.out);
+fn run_sweep_resumable(grid: Grid, opts: &Opts, out: &str) -> Result<(Sweep, f64), String> {
+    let path = Checkpoint::path_for(out);
     let mut cp = Checkpoint::load_or_create(&path, &grid)?;
     let skipped = cp.completed_ids().len();
     if skipped > 0 && !opts.quiet {
@@ -303,16 +306,32 @@ fn write_report(sweep: &Sweep, path: &str) -> Result<usize, String> {
     Ok(text.len())
 }
 
+/// Where `run` writes its report. `BENCH_sweep.json` is the committed
+/// baseline of the `paper` grid, so it is the default for that grid
+/// alone: any other grid must say where its report goes.
+fn run_out_path(opts: &Opts) -> Result<&str, String> {
+    match &opts.out {
+        Some(path) => Ok(path),
+        None if opts.grid == "paper" => Ok(DEFAULT_FILE),
+        None => Err(format!(
+            "`run --grid {}` needs --out FILE: only the `paper` grid defaults to \
+             {DEFAULT_FILE}, which another grid's report would overwrite",
+            opts.grid
+        )),
+    }
+}
+
 fn cmd_run(opts: &Opts) -> Result<ExitCode, String> {
+    let out = run_out_path(opts)?;
     let grid = lookup_grid(opts)?;
     let (sweep, elapsed) = if opts.resume {
-        run_sweep_resumable(grid, opts)?
+        run_sweep_resumable(grid, opts, out)?
     } else {
         run_sweep(grid, opts).map_err(|e| e.to_string())?
     };
     print_sweep_tables(&sweep);
-    let bytes = write_report(&sweep, &opts.out)?;
-    println!("Wrote {} ({bytes} bytes).", opts.out);
+    let bytes = write_report(&sweep, out)?;
+    println!("Wrote {out} ({bytes} bytes).");
     eprintln!(
         "ran {} jobs on {} workers in {elapsed:.2}s wall-clock",
         sweep.results.len(),
@@ -463,10 +482,27 @@ mod tests {
         .unwrap();
         assert_eq!(o.grid, "smoke");
         assert_eq!(o.jobs, 8);
-        assert_eq!(o.out, "x.json");
+        assert_eq!(o.out.as_deref(), Some("x.json"));
         assert_eq!(o.baseline, "b.json");
         assert!(o.quiet);
         assert_eq!(o.tol.time_rel, 0.5);
+    }
+
+    #[test]
+    fn only_the_paper_grid_has_a_default_output_file() {
+        let o = parse_opts(&args(&[])).unwrap();
+        assert_eq!(run_out_path(&o), Ok(DEFAULT_FILE));
+        let o = parse_opts(&args(&["--grid", "paper"])).unwrap();
+        assert_eq!(run_out_path(&o), Ok(DEFAULT_FILE));
+        // Any other grid would overwrite the committed paper baseline:
+        // a usage error (exit 2) that names the missing flag, raised
+        // before anything runs.
+        let o = parse_opts(&args(&["--grid", "serving"])).unwrap();
+        let err = run_out_path(&o).unwrap_err();
+        assert!(err.contains("--out") && err.contains("serving"), "got: {err}");
+        assert_eq!(run(args(&["run", "--grid", "serving", "--quiet"])), ExitCode::from(2));
+        let o = parse_opts(&args(&["--grid", "serving", "--out", "s.json"])).unwrap();
+        assert_eq!(run_out_path(&o), Ok("s.json"));
     }
 
     #[test]

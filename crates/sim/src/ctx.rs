@@ -3,17 +3,17 @@
 //! A [`ThreadCtx`] is handed to each application closure. Its memory
 //! operations execute against the simulated machine (charging virtual
 //! time and driving the NUMA protocol through real page faults); its
-//! control operations rendezvous with the engine so that exactly one
-//! simulated thread runs at a time in virtual-time order.
+//! control operations hand the processor back to the scheduler so that
+//! exactly one simulated thread runs at a time in virtual-time order.
 
+use crate::engine::Shared;
 use crate::kernel::Kernel;
 use ace_machine::{Access, CpuId, Frame, Ns, PageSize};
-use crossbeam::channel::{Receiver, Sender};
 use mach_vm::VAddr;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
-/// Message from the engine granting a thread the right to run.
+/// A scheduling decision deposited in a parked thread's slot.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Grant {
     /// Run on `cpu` until its clock reaches `budget_end` (at least one
@@ -22,25 +22,27 @@ pub(crate) enum Grant {
         /// The processor to run on (may change under the global-queue
         /// scheduler).
         cpu: CpuId,
-        /// Clock value at which to re-rendezvous.
+        /// Clock value at which to yield again.
         budget_end: Ns,
     },
     /// Unwind and exit without finishing.
     Stop,
 }
 
-/// Why a thread re-rendezvoused.
-#[derive(Debug)]
-pub(crate) enum YieldReason {
+/// Why a thread hands its processor back to the scheduler.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Yield {
     /// Budget or quantum exhausted (or voluntary yield).
     Budget,
+    /// Budget exhausted inside [`ThreadCtx::wait_until`]: the scheduler
+    /// idles the processor for the thread and wakes it only once the
+    /// processor's clock has reached the given instant.
+    Parked(Ns),
     /// The closure returned.
     Done,
-    /// The closure panicked; message attached.
-    Panicked(String),
 }
 
-/// Sent through panic unwinding when the engine stops a thread early.
+/// Sent through panic unwinding when the run stops a thread early.
 pub(crate) struct StopToken;
 
 /// One cached translation: the thread's single-entry software TLB.
@@ -79,8 +81,8 @@ pub struct ThreadCtx {
     pub(crate) tid: usize,
     pub(crate) cpu: CpuId,
     pub(crate) kernel: Arc<Mutex<Kernel>>,
-    pub(crate) grant_rx: Receiver<Grant>,
-    pub(crate) yield_tx: Sender<(usize, YieldReason)>,
+    /// The scheduler and grant slots shared by the run's threads.
+    pub(crate) shared: Arc<Shared>,
     pub(crate) budget_end: Ns,
     pub(crate) over_budget: bool,
     pub(crate) compute_chunk: Ns,
@@ -116,30 +118,32 @@ impl ThreadCtx {
         self.kernel.lock().machine.n_cpus()
     }
 
-    /// Blocks until the engine grants this thread the right to run.
-    /// Called by the run wrapper before the closure starts, and by every
-    /// operation once the budget is exhausted.
-    pub(crate) fn rendezvous(&mut self) {
-        if self.yield_tx.send((self.tid, YieldReason::Budget)).is_err() {
-            // Engine is gone; unwind quietly.
-            std::panic::resume_unwind(Box::new(StopToken));
-        }
-        match self.grant_rx.recv() {
-            Ok(Grant::Run { cpu, budget_end }) => {
+    /// Hands the processor back: books this thread's yield, runs the
+    /// scheduler right here until some thread must really run, and — if
+    /// that is another thread — wakes it and parks until granted again
+    /// (one host context switch; none if the decision is for this
+    /// thread). Called by every operation once the budget is exhausted.
+    pub(crate) fn rendezvous(&mut self, why: Yield) {
+        let grant = self.shared.reschedule(self.tid, self.cpu, why);
+        self.accept(grant);
+    }
+
+    /// Takes up a grant, or unwinds quietly if the run is over.
+    pub(crate) fn accept(&mut self, grant: Grant) {
+        match grant {
+            Grant::Run { cpu, budget_end } => {
                 self.cpu = cpu;
                 self.budget_end = budget_end;
                 self.over_budget = false;
             }
-            Ok(Grant::Stop) | Err(_) => {
-                std::panic::resume_unwind(Box::new(StopToken));
-            }
+            Grant::Stop => std::panic::resume_unwind(Box::new(StopToken)),
         }
     }
 
     #[inline]
     fn pre(&mut self) {
         if self.over_budget {
-            self.rendezvous();
+            self.rendezvous(Yield::Budget);
         }
     }
 
@@ -546,24 +550,30 @@ impl ThreadCtx {
     }
 
     /// Idles until this processor's clock reaches `t`, charging pure
-    /// compute in engine-visible chunks; returns immediately when the
+    /// compute in `compute_chunk` steps; returns immediately when the
     /// clock is already past `t`. Open-loop workloads use this to pace
     /// request arrivals on the virtual-time axis: the schedule is a
     /// pure function of the arrival times, so runs are byte-identical
     /// across worker counts and access paths.
     ///
-    /// The wait is re-checked one chunk at a time because the processor
-    /// clock is shared: another thread scheduled onto the same
-    /// processor advances it too, and a single large charge would
-    /// overshoot the target by that thread's time.
+    /// The thread idles inline only while its budget lasts; then it
+    /// yields as [`Yield::Parked`] and sleeps on the host until the
+    /// clock has reached `t`. The windows in between are idled through
+    /// by the scheduler with the very charges this loop would have made
+    /// (`Kernel::idle_toward` implements both). The clock is never
+    /// jumped to `t`: it is shared with any thread scheduled onto the
+    /// same processor, and daemon ticks and hard failures key off the
+    /// clocks at every window boundary in between.
     pub fn wait_until(&mut self, t: Ns) {
         loop {
-            let now = self.now();
-            if now >= t {
+            if self.over_budget {
+                self.rendezvous(Yield::Parked(t));
+            }
+            let (cpu, chunk, end) = (self.cpu, self.compute_chunk, self.budget_end);
+            if self.kernel.lock().idle_toward(cpu, t, chunk, end) {
                 return;
             }
-            let chunk = self.compute_chunk.0.max(1);
-            self.compute(Ns((t.0 - now.0).min(chunk)));
+            self.over_budget = true;
         }
     }
 

@@ -2,18 +2,16 @@
 //! threads deterministically.
 
 use crate::config::{SchedulerKind, SimConfig};
-use crate::ctx::{Grant, StopToken, ThreadCtx, YieldReason};
+use crate::ctx::{Grant, StopToken, ThreadCtx, Yield};
 use crate::kernel::Kernel;
 use crate::report::RunReport;
 use ace_machine::{CpuId, HardFault, Machine, Ns, Prot};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use mach_vm::VAddr;
 use numa_core::{AcePmap, CachePolicy};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::{Arc, Condvar};
 
 /// A closure waiting to be run as a simulated thread.
 struct PendingThread {
@@ -67,7 +65,7 @@ pub fn run_one(
 /// assert!(report.total_user() > ace_machine::Ns::ZERO);
 /// ```
 pub struct Simulator {
-    cfg: SimConfig,
+    cfg: Arc<SimConfig>,
     kernel: Arc<Mutex<Kernel>>,
     pending: Vec<PendingThread>,
     /// Next processor for sequential affinity assignment.
@@ -99,7 +97,7 @@ impl Simulator {
         pmap.set_max_reclaim_attempts(cfg.max_reclaim_attempts);
         let kernel = Kernel::new(machine, pmap);
         Simulator {
-            cfg,
+            cfg: Arc::new(cfg),
             kernel: Arc::new(Mutex::new(kernel)),
             pending: Vec::new(),
             next_cpu: 0,
@@ -164,17 +162,102 @@ impl Simulator {
     /// Runs every queued thread to completion and reports what was
     /// measured. May be called repeatedly: kernel state (memory
     /// contents, placement, clocks) persists across runs.
+    ///
+    /// # Panics
+    ///
+    /// With `simulated thread panicked: …` if a thread body (or the
+    /// scheduler, running on a simulated thread's stack) panicked; every
+    /// host thread of the run has been stopped and joined by then.
     pub fn run(&mut self) -> RunReport {
         let pending = std::mem::take(&mut self.pending);
         if !pending.is_empty() {
-            let n_cpus = self.cfg.machine.n_cpus();
-            let mut engine = Engine::new(&self.cfg, Arc::clone(&self.kernel), n_cpus);
-            engine.next_cpu = self.next_cpu;
-            engine.run(pending);
-            self.next_cpu = engine.next_cpu;
-            self.vt_exceeded |= engine.vt_exceeded;
+            self.run_threads(pending);
         }
         self.report()
+    }
+
+    fn run_threads(&mut self, pending: Vec<PendingThread>) {
+        // Queue in spawn order and decide once before any host thread
+        // exists: the schedule cannot depend on which one starts first.
+        let mut k = self.kernel.lock();
+        let mut sched = Scheduler::new(Arc::clone(&self.cfg), &k, self.next_cpu);
+        let cpus = sched.admit(&k, pending.len());
+        let first = sched.decide(&mut k, None);
+        drop(k);
+        let shared = Arc::new(Shared {
+            kernel: Arc::clone(&self.kernel),
+            sched: Mutex::new(sched),
+            slots: pending.iter().map(|_| Slot::default()).collect(),
+            outcome: Slot::default(),
+        });
+        // No grant: an earlier run's clocks already exceed the budget.
+        let panic_msg = first.and_then(|(tid, grant)| {
+            shared.slots[tid].put(grant);
+            let handles: Vec<_> = pending
+                .into_iter()
+                .zip(cpus)
+                .enumerate()
+                .map(|(tid, (p, cpu))| self.start_thread(&shared, tid, cpu, p))
+                .collect();
+            let panic_msg = shared.outcome.take();
+            // The publisher held the only grant: every other live
+            // thread is parked on its slot by now.
+            for slot in &shared.slots {
+                slot.put(Grant::Stop);
+            }
+            for h in handles {
+                let _ = h.join();
+            }
+            panic_msg
+        });
+        let sched = shared.sched.lock();
+        self.next_cpu = sched.next_cpu;
+        self.vt_exceeded |= sched.vt_exceeded;
+        if let Some(msg) = panic_msg {
+            panic!("simulated thread panicked: {msg}");
+        }
+    }
+
+    /// Starts the host thread that carries simulated thread `tid`.
+    fn start_thread(
+        &self,
+        shared: &Arc<Shared>,
+        tid: usize,
+        cpu: CpuId,
+        p: PendingThread,
+    ) -> std::thread::JoinHandle<()> {
+        let mut ctx = ThreadCtx {
+            tid,
+            cpu,
+            kernel: Arc::clone(&self.kernel),
+            shared: Arc::clone(shared),
+            budget_end: Ns::ZERO,
+            over_budget: false,
+            compute_chunk: self.cfg.compute_chunk,
+            page: self.cfg.machine.page_size,
+            fastpath: self.cfg.fastpath,
+            tlb: [None; crate::ctx::TLB_ENTRIES],
+            tlb_next: 0,
+        };
+        let body = p.body;
+        std::thread::Builder::new()
+            .name(format!("sim-{}-{}", tid, p.name))
+            .spawn(move || {
+                // The final yield is guarded too: the scheduler it runs
+                // may panic, and that must end the run, not strand it.
+                let result = catch_unwind(AssertUnwindSafe(|| {
+                    let first = ctx.shared.slots[tid].take();
+                    ctx.accept(first);
+                    (body)(&mut ctx);
+                    ctx.shared.pass_on(tid, ctx.cpu, Yield::Done);
+                }));
+                if let Err(payload) = result {
+                    if payload.downcast_ref::<StopToken>().is_none() {
+                        ctx.shared.outcome.put(Some(panic_text(payload.as_ref())));
+                    }
+                }
+            })
+            .expect("spawning simulated thread")
     }
 
     /// A report of everything measured so far.
@@ -193,6 +276,85 @@ impl Simulator {
     }
 }
 
+/// The message a panic payload carries.
+fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "<non-string panic>".to_string())
+}
+
+/// A one-value mailbox a host thread parks on.
+struct Slot<T> {
+    value: std::sync::Mutex<Option<T>>,
+    filled: Condvar,
+}
+
+impl<T> Default for Slot<T> {
+    fn default() -> Self {
+        Slot { value: std::sync::Mutex::new(None), filled: Condvar::new() }
+    }
+}
+
+impl<T> Slot<T> {
+    /// Deposits `v` (replacing anything unread) and wakes the owner.
+    fn put(&self, v: T) {
+        *self.value.lock().expect("no panic can happen under a slot lock") = Some(v);
+        self.filled.notify_one();
+    }
+
+    /// Blocks until a value has been deposited and removes it.
+    fn take(&self) -> T {
+        let mut value = self.value.lock().expect("no panic can happen under a slot lock");
+        loop {
+            if let Some(v) = value.take() {
+                return v;
+            }
+            value = self.filled.wait(value).expect("no panic can happen under a slot lock");
+        }
+    }
+}
+
+/// What the host threads of one run share. There is no engine thread:
+/// whichever simulated thread yields runs the [`Scheduler`] itself and
+/// passes the right to run on through the grantee's slot.
+pub(crate) struct Shared {
+    kernel: Arc<Mutex<Kernel>>,
+    /// Only ever locked by the thread holding the current grant, so
+    /// never contended; taken before the kernel lock.
+    sched: Mutex<Scheduler>,
+    /// One grant slot per simulated thread, by tid.
+    slots: Vec<Slot<Grant>>,
+    /// How the run ended, for [`Simulator::run`] to wait on: `None`, or
+    /// the message of the panic that cut it short.
+    outcome: Slot<Option<String>>,
+}
+
+impl Shared {
+    /// Books the yield of thread `tid` (running on `cpu`), decides who
+    /// runs next and hands over to it. Returns the grant if that is
+    /// `tid` itself — no host thread is woken then.
+    fn pass_on(&self, tid: usize, cpu: CpuId, why: Yield) -> Option<Grant> {
+        let next = {
+            let mut sched = self.sched.lock();
+            let mut k = self.kernel.lock();
+            sched.decide(&mut k, Some((tid, cpu.index(), why)))
+        };
+        match next {
+            Some((next_tid, grant)) if next_tid == tid => return Some(grant),
+            Some((next_tid, grant)) => self.slots[next_tid].put(grant),
+            None => self.outcome.put(None),
+        }
+        None
+    }
+
+    /// [`Shared::pass_on`], then parks until `tid` is granted again.
+    pub(crate) fn reschedule(&self, tid: usize, cpu: CpuId, why: Yield) -> Grant {
+        self.pass_on(tid, cpu, why).unwrap_or_else(|| self.slots[tid].take())
+    }
+}
+
 /// Per-processor scheduler slot.
 struct CpuSlot {
     runq: VecDeque<usize>,
@@ -200,36 +362,25 @@ struct CpuSlot {
     quantum_end: Ns,
 }
 
-/// State of one simulated thread from the engine's point of view.
+/// State of one simulated thread from the scheduler's point of view.
 struct ThreadSlot {
-    grant_tx: Sender<Grant>,
-    handle: Option<JoinHandle<()>>,
-    done: bool,
     /// The processor the thread was bound to at creation (used by the
     /// affinity scheduler).
     home_cpu: usize,
+    /// Set while the thread sleeps in `wait_until`: the instant its
+    /// processor's clock must reach before it is woken.
+    parked_until: Option<Ns>,
 }
 
-struct Engine {
-    kernel: Arc<Mutex<Kernel>>,
-    scheduler: SchedulerKind,
-    quantum: Ns,
-    lookahead: Ns,
+/// The scheduling state of one [`Simulator::run`].
+struct Scheduler {
+    cfg: Arc<SimConfig>,
     cpus: Vec<CpuSlot>,
     global_q: VecDeque<usize>,
     threads: Vec<ThreadSlot>,
-    yield_rx: Receiver<(usize, YieldReason)>,
-    yield_tx: Sender<(usize, YieldReason)>,
     alive: usize,
     next_cpu: usize,
-    compute_chunk: Ns,
-    daemon_interval: Ns,
     next_daemon_tick: Ns,
-    page: ace_machine::PageSize,
-    fastpath: bool,
-    pressure_low: usize,
-    pressure_high: usize,
-    vt_budget: Option<Ns>,
     vt_exceeded: bool,
     /// Scheduled hard failures not yet fired, ascending by (vt, cpu).
     /// Fired between grants when the minimum runnable clock crosses the
@@ -238,59 +389,41 @@ struct Engine {
     pending_hard: Vec<HardFault>,
 }
 
-impl Engine {
-    fn new(cfg: &SimConfig, kernel: Arc<Mutex<Kernel>>, n_cpus: usize) -> Engine {
-        let (yield_tx, yield_rx) = unbounded();
+impl Scheduler {
+    fn new(cfg: Arc<SimConfig>, k: &Kernel, next_cpu: usize) -> Scheduler {
         // Hard failures come from the machine's fault schedule. Sorted
         // ascending so they fire in virtual-time order; already-fired
         // ones (repeated `run()` calls) no-op at the kernel layer.
-        let mut pending_hard = kernel.lock().machine.fault.config().hard_faults.clone();
+        let mut pending_hard = k.machine.fault.config().hard_faults.clone();
         pending_hard.sort_by_key(|hf| (hf.vt().0, hf.target_index()));
-        Engine {
-            kernel,
-            scheduler: cfg.scheduler,
-            quantum: cfg.quantum,
-            lookahead: cfg.lookahead,
-            cpus: (0..n_cpus)
+        Scheduler {
+            cpus: (0..cfg.machine.n_cpus())
                 .map(|_| CpuSlot { runq: VecDeque::new(), current: None, quantum_end: Ns::ZERO })
                 .collect(),
             global_q: VecDeque::new(),
             threads: Vec::new(),
-            yield_rx,
-            yield_tx,
             alive: 0,
-            next_cpu: 0,
-            compute_chunk: cfg.compute_chunk,
-            daemon_interval: cfg.daemon_interval,
+            next_cpu,
             next_daemon_tick: cfg.daemon_interval,
-            page: cfg.machine.page_size,
-            fastpath: cfg.fastpath,
-            pressure_low: cfg.pressure_low,
-            pressure_high: cfg.pressure_high,
-            vt_budget: cfg.vt_budget,
             vt_exceeded: false,
             pending_hard,
+            cfg,
         }
-    }
-
-    /// True if `cpu` was stopped by a `CpuOffline` hard failure.
-    fn cpu_dead(&self, cpu: usize) -> bool {
-        self.kernel.lock().dead_cpus[cpu]
     }
 
     /// Fires one scheduled hard failure. Runs between grants, so no
     /// thread is mid-access when the machine changes under it.
-    fn fire_hard_fault(&mut self, hf: HardFault) {
+    fn fire_hard_fault(&mut self, k: &mut Kernel, hf: HardFault) {
         match hf {
             HardFault::NodeOffline { node, .. } => {
                 // The node's processors keep executing; their local
                 // memory is gone. The kernel runs the online recovery
                 // protocol.
-                self.kernel.lock().node_offline(node);
+                k.node_offline(node);
             }
             HardFault::CpuOffline { cpu, .. } => {
                 let c = cpu.index();
-                if self.cpu_dead(c) {
+                if k.dead_cpus[c] {
                     return;
                 }
                 // Drain the dead processor's runnable threads (its
@@ -303,7 +436,6 @@ impl Engine {
                     drained.push(tid);
                 }
                 drained.extend(self.cpus[c].runq.drain(..));
-                let mut k = self.kernel.lock();
                 k.dead_cpus[c] = true;
                 let survivors: Vec<usize> =
                     (0..self.cpus.len()).filter(|&i| !k.dead_cpus[i]).collect();
@@ -311,124 +443,47 @@ impl Engine {
                     !survivors.is_empty(),
                     "a CpuOffline schedule may not kill every processor"
                 );
-                let Kernel { machine, pmap, .. } = &mut *k;
+                let Kernel { machine, pmap, .. } = k;
                 pmap.note_cpu_offline(machine, cpu, drained.len() as u32);
-                drop(k);
                 for (i, tid) in drained.into_iter().enumerate() {
-                    let dst = survivors[i % survivors.len()];
-                    self.threads[tid].home_cpu = dst;
-                    match self.scheduler {
-                        SchedulerKind::Affinity => self.cpus[dst].runq.push_back(tid),
-                        SchedulerKind::GlobalQueue => self.global_q.push_back(tid),
-                    }
+                    self.threads[tid].home_cpu = survivors[i % survivors.len()];
+                    self.enqueue(tid);
                 }
             }
         }
     }
 
-    fn clock_of(&self, cpu: usize) -> Ns {
-        self.kernel.lock().clock_of(CpuId::from(cpu))
-    }
-
-    fn run(&mut self, pending: Vec<PendingThread>) {
-        self.start_threads(pending);
-        // Every thread rendezvouses once before running its body; absorb
-        // those initial yields and queue the threads.
-        for _ in 0..self.threads.len() {
-            let (tid, reason) = self.yield_rx.recv().expect("thread vanished at startup");
-            match reason {
-                YieldReason::Budget => self.enqueue(tid),
-                YieldReason::Done | YieldReason::Panicked(_) => {
-                    unreachable!("threads rendezvous before running their body")
-                }
-            }
-        }
-        let panic_msg = self.schedule_loop();
-        self.shutdown();
-        if let Some(msg) = panic_msg {
-            panic!("simulated thread panicked: {msg}");
-        }
-    }
-
-    fn start_threads(&mut self, pending: Vec<PendingThread>) {
-        for (tid, p) in pending.into_iter().enumerate() {
-            let (grant_tx, grant_rx) = bounded::<Grant>(1);
-            let yield_tx = self.yield_tx.clone();
-            let kernel = Arc::clone(&self.kernel);
-            let cpu = self.assign_cpu();
-            let chunk = self.compute_chunk;
-            let page = self.page;
-            let fastpath = self.fastpath;
-            let body = p.body;
-            let handle = std::thread::Builder::new()
-                .name(format!("sim-{}-{}", tid, p.name))
-                .spawn(move || {
-                    let mut ctx = ThreadCtx {
-                        tid,
-                        cpu,
-                        kernel,
-                        grant_rx,
-                        yield_tx: yield_tx.clone(),
-                        budget_end: Ns::ZERO,
-                        over_budget: false,
-                        compute_chunk: chunk,
-                        page,
-                        fastpath,
-                        tlb: [None; crate::ctx::TLB_ENTRIES],
-                        tlb_next: 0,
-                    };
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        // Gate: wait for the first grant before running.
-                        ctx.rendezvous();
-                        (body)(&mut ctx);
-                    }));
-                    match result {
-                        Ok(()) => {
-                            let _ = yield_tx.send((tid, YieldReason::Done));
-                        }
-                        Err(payload) => {
-                            if payload.downcast_ref::<StopToken>().is_some() {
-                                // Engine-initiated stop: exit quietly.
-                            } else {
-                                let msg = payload
-                                    .downcast_ref::<&str>()
-                                    .map(|s| s.to_string())
-                                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                                    .unwrap_or_else(|| "<non-string panic>".to_string());
-                                let _ = yield_tx.send((tid, YieldReason::Panicked(msg)));
-                            }
-                        }
-                    }
-                })
-                .expect("spawning simulated thread");
-            self.threads.push(ThreadSlot {
-                grant_tx,
-                handle: Some(handle),
-                done: false,
-                home_cpu: cpu.index(),
-            });
-            self.alive += 1;
-        }
+    /// Admits `n` new threads in spawn (tid) order: binds each to a
+    /// processor and queues it. Returns the processors, by tid.
+    fn admit(&mut self, k: &Kernel, n: usize) -> Vec<CpuId> {
+        (0..n)
+            .map(|tid| {
+                let cpu = self.assign_cpu(k);
+                self.threads.push(ThreadSlot { home_cpu: cpu.index(), parked_until: None });
+                self.alive += 1;
+                self.enqueue(tid);
+                cpu
+            })
+            .collect()
     }
 
     /// Sequential processor assignment for new threads (the paper's
     /// affinity scheduler assigns "sequentially by processor number"),
     /// skipping processors stopped by hard failures.
-    fn assign_cpu(&mut self) -> CpuId {
-        let dead = self.kernel.lock().dead_cpus.clone();
+    fn assign_cpu(&mut self, k: &Kernel) -> CpuId {
         for _ in 0..self.cpus.len() {
             let c = self.next_cpu % self.cpus.len();
             self.next_cpu += 1;
-            if !dead[c] {
+            if !k.dead_cpus[c] {
                 return CpuId::from(c);
             }
         }
         panic!("no live processor left to assign threads to");
     }
 
-    /// Adds a parked thread to the appropriate queue.
+    /// Adds a waiting thread to the appropriate queue.
     fn enqueue(&mut self, tid: usize) {
-        match self.scheduler {
+        match self.cfg.scheduler {
             SchedulerKind::Affinity => {
                 // The thread keeps the cpu it was assigned at creation.
                 let cpu = self.threads[tid].home_cpu;
@@ -442,140 +497,140 @@ impl Engine {
 
     /// Installs queued threads on idle processors (dead ones excluded —
     /// granting a stopped processor would stall virtual time forever).
-    fn fill_cpus(&mut self) {
-        let dead = self.kernel.lock().dead_cpus.clone();
-        for (c, c_dead) in dead.iter().enumerate().take(self.cpus.len()) {
-            if *c_dead || self.cpus[c].current.is_some() {
+    fn fill_cpus(&mut self, k: &Kernel) {
+        for (c, slot) in self.cpus.iter_mut().enumerate() {
+            if k.dead_cpus[c] || slot.current.is_some() {
                 continue;
             }
-            let tid = match self.scheduler {
-                SchedulerKind::Affinity => self.cpus[c].runq.pop_front(),
+            let tid = match self.cfg.scheduler {
+                SchedulerKind::Affinity => slot.runq.pop_front(),
                 SchedulerKind::GlobalQueue => self.global_q.pop_front(),
             };
             if let Some(tid) = tid {
-                let now = self.clock_of(c);
-                self.cpus[c].current = Some(tid);
-                self.cpus[c].quantum_end = now + self.quantum;
+                slot.current = Some(tid);
+                slot.quantum_end = k.clock_of(CpuId::from(c)) + self.cfg.quantum;
             }
         }
     }
 
-    /// The heart of the engine: repeatedly grant the lowest-clock
-    /// processor's thread a budget and process its yield. Returns a
-    /// panic message if a simulated thread panicked.
-    fn schedule_loop(&mut self) -> Option<String> {
+    /// Books a budget yield of `tid` on `cpu`: rotate the thread out if
+    /// its quantum expired with competition, else extend the quantum.
+    fn budget_yield(&mut self, k: &Kernel, tid: usize, cpu: usize) {
+        let now = k.clock_of(CpuId::from(cpu));
+        if now >= self.cpus[cpu].quantum_end {
+            if self.has_waiters(cpu) {
+                self.cpus[cpu].current = None;
+                self.enqueue(tid);
+            } else {
+                self.cpus[cpu].quantum_end = now + self.cfg.quantum;
+            }
+        }
+    }
+
+    /// The heart of the engine. Books `yielded` (thread, processor,
+    /// reason: the yield that ended the previous grant), then repeatedly
+    /// picks the lowest-clock processor's thread and a budget for it
+    /// until a thread must really run, and returns it with its grant. A
+    /// thread parked in `wait_until` need not: the window it would have
+    /// idled through is charged here and booked as the budget yield it
+    /// would have ended in. `None` when the run is over (every thread
+    /// done, or the virtual-time budget exceeded).
+    fn decide(
+        &mut self,
+        k: &mut Kernel,
+        yielded: Option<(usize, usize, Yield)>,
+    ) -> Option<(usize, Grant)> {
+        if let Some((tid, cpu, why)) = yielded {
+            debug_assert_eq!(self.cpus[cpu].current, Some(tid), "only the granted thread yields");
+            match why {
+                Yield::Budget => self.budget_yield(k, tid, cpu),
+                Yield::Parked(until) => {
+                    self.threads[tid].parked_until = Some(until);
+                    self.budget_yield(k, tid, cpu);
+                }
+                Yield::Done => {
+                    self.cpus[cpu].current = None;
+                    self.alive -= 1;
+                }
+            }
+        }
         while self.alive > 0 {
-            self.fill_cpus();
-            // Pick the runnable processor with the lowest clock.
-            let mut best: Option<(Ns, usize)> = None;
-            for c in 0..self.cpus.len() {
-                if self.cpus[c].current.is_some() {
-                    let t = self.clock_of(c);
-                    if best.is_none_or(|(bt, bc)| (t, c) < (bt, bc)) {
-                        best = Some((t, c));
-                    }
-                }
-            }
-            // Fire the periodic kernel daemon when virtual time crosses
-            // its next deadline (measured on the minimum clock, so the
-            // tick happens "before" any thread passes it).
-            if let Some((t, _)) = best {
-                // Scheduled hard failures fire on the same deterministic
-                // trigger: when the minimum runnable clock crosses the
-                // failure's virtual time, between grants. A CpuOffline
-                // may drain the picked processor, so re-run selection.
-                if self.pending_hard.first().is_some_and(|hf| t >= hf.vt()) {
-                    while self.pending_hard.first().is_some_and(|hf| t >= hf.vt()) {
-                        let hf = self.pending_hard.remove(0);
-                        self.fire_hard_fault(hf);
-                    }
-                    continue;
-                }
-                if t >= self.next_daemon_tick {
-                    let mut k = self.kernel.lock();
-                    let Kernel { machine, pmap, .. } = &mut *k;
-                    pmap.timer_tick(machine);
-                    // Pressure scan rides the same tick: flush cold
-                    // replicas on processors below their low watermark.
-                    // Above the watermarks this reads one free count per
-                    // cpu and does nothing.
-                    if self.pressure_low > 0 {
-                        pmap.pressure_tick(machine, self.pressure_low, self.pressure_high);
-                    }
-                    drop(k);
-                    self.next_daemon_tick = Ns(t.0 + self.daemon_interval.0);
-                }
-                // A wedged application (spin-wait that can never be
-                // released, runaway loop) advances virtual time forever;
-                // the budget turns that into a truncated run the caller
-                // can type as an error instead of a hang.
-                if let Some(budget) = self.vt_budget {
-                    if t > budget {
-                        self.vt_exceeded = true;
-                        return None;
-                    }
-                }
-            }
-            let Some((clock, cpu)) = best else {
+            self.fill_cpus(k);
+            // Pick the runnable processor with the lowest clock (the
+            // lowest-numbered one on a tie).
+            let Some((t, cpu)) = (0..self.cpus.len())
+                .filter(|&c| self.cpus[c].current.is_some())
+                .map(|c| (k.clock_of(CpuId::from(c)), c))
+                .min()
+            else {
                 // Alive threads but nothing runnable: all must be parked
                 // in queues, which fill_cpus would have installed.
                 unreachable!("runnable threads exist but no processor has work");
             };
+            // Scheduled hard failures fire when the minimum runnable
+            // clock crosses the failure's virtual time, between grants.
+            // A CpuOffline may drain the picked processor, so re-run
+            // selection.
+            if self.pending_hard.first().is_some_and(|hf| t >= hf.vt()) {
+                while self.pending_hard.first().is_some_and(|hf| t >= hf.vt()) {
+                    let hf = self.pending_hard.remove(0);
+                    self.fire_hard_fault(k, hf);
+                }
+                continue;
+            }
+            // Fire the periodic kernel daemon when virtual time crosses
+            // its next deadline (measured on the minimum clock, so the
+            // tick happens "before" any thread passes it).
+            if t >= self.next_daemon_tick {
+                let Kernel { machine, pmap, .. } = &mut *k;
+                pmap.timer_tick(machine);
+                // Pressure scan rides the same tick: flush cold
+                // replicas on processors below their low watermark.
+                // Above the watermarks this reads one free count per
+                // cpu and does nothing.
+                if self.cfg.pressure_low > 0 {
+                    pmap.pressure_tick(machine, self.cfg.pressure_low, self.cfg.pressure_high);
+                }
+                self.next_daemon_tick = Ns(t.0 + self.cfg.daemon_interval.0);
+            }
+            // A wedged application (spin-wait that can never be
+            // released, runaway loop) advances virtual time forever;
+            // the budget turns that into a truncated run the caller
+            // can type as an error instead of a hang.
+            if self.cfg.vt_budget.is_some_and(|budget| t > budget) {
+                self.vt_exceeded = true;
+                return None;
+            }
             // Budget: up to the next other processor's clock plus the
             // lookahead window, but never past the quantum.
             let others_min = (0..self.cpus.len())
                 .filter(|&c| c != cpu && self.cpus[c].current.is_some())
-                .map(|c| self.clock_of(c))
+                .map(|c| k.clock_of(CpuId::from(c)))
                 .min();
             let mut budget_end = match others_min {
-                Some(om) => Ns(om.0.saturating_add(self.lookahead.0))
+                Some(om) => Ns(om.0.saturating_add(self.cfg.lookahead.0))
                     .min(self.cpus[cpu].quantum_end),
-                None => {
-                    if self.has_waiters(cpu) {
-                        self.cpus[cpu].quantum_end
-                    } else {
-                        Ns(u64::MAX)
-                    }
-                }
+                None if self.has_waiters(cpu) => self.cpus[cpu].quantum_end,
+                None => Ns(u64::MAX),
             };
             // Never grant past the virtual-time budget: a lone runaway
             // thread would otherwise receive an unbounded budget and
             // never yield back for the abort check above.
-            if let Some(b) = self.vt_budget {
+            if let Some(b) = self.cfg.vt_budget {
                 budget_end = budget_end.min(Ns(b.0.saturating_add(1)));
             }
-            let _ = clock;
             let tid = self.cpus[cpu].current.expect("picked a runnable cpu");
-            self.threads[tid]
-                .grant_tx
-                .send(Grant::Run { cpu: CpuId::from(cpu), budget_end })
-                .expect("granting a live thread");
-            let (ytid, reason) = self.yield_rx.recv().expect("running thread vanished");
-            debug_assert_eq!(ytid, tid, "only the granted thread can yield");
-            match reason {
-                YieldReason::Budget => {
-                    let now = self.clock_of(cpu);
-                    if now >= self.cpus[cpu].quantum_end && self.has_waiters(cpu) {
-                        // Quantum expired with competition: rotate.
-                        self.cpus[cpu].current = None;
-                        self.enqueue(tid);
-                    } else if now >= self.cpus[cpu].quantum_end {
-                        // No competition: just extend the quantum.
-                        self.cpus[cpu].quantum_end = now + self.quantum;
-                    }
+            let cpu_id = CpuId::from(cpu);
+            if let Some(until) = self.threads[tid].parked_until {
+                if !k.idle_toward(cpu_id, until, self.cfg.compute_chunk, budget_end) {
+                    self.budget_yield(k, tid, cpu);
+                    continue;
                 }
-                YieldReason::Done => {
-                    self.cpus[cpu].current = None;
-                    self.threads[tid].done = true;
-                    self.alive -= 1;
-                }
-                YieldReason::Panicked(msg) => {
-                    self.cpus[cpu].current = None;
-                    self.threads[tid].done = true;
-                    self.alive -= 1;
-                    return Some(msg);
-                }
+                // Target reached inside this window: the thread resumes
+                // with the window's budget, where it would have stopped.
+                self.threads[tid].parked_until = None;
             }
+            return Some((tid, Grant::Run { cpu: cpu_id, budget_end }));
         }
         None
     }
@@ -583,23 +638,9 @@ impl Engine {
     /// True if any other thread is waiting to run (on `cpu`'s queue or
     /// the global queue, by scheduler kind).
     fn has_waiters(&self, cpu: usize) -> bool {
-        match self.scheduler {
+        match self.cfg.scheduler {
             SchedulerKind::Affinity => !self.cpus[cpu].runq.is_empty(),
             SchedulerKind::GlobalQueue => !self.global_q.is_empty(),
-        }
-    }
-
-    /// Stops any still-parked threads and joins everything.
-    fn shutdown(&mut self) {
-        for t in &self.threads {
-            if !t.done {
-                let _ = t.grant_tx.send(Grant::Stop);
-            }
-        }
-        for t in &mut self.threads {
-            if let Some(h) = t.handle.take() {
-                let _ = h.join();
-            }
         }
     }
 }
@@ -609,6 +650,7 @@ mod tests {
     use super::*;
     use crate::config::SimConfig;
     use numa_core::MoveLimitPolicy;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn sim(n_cpus: usize) -> Simulator {
         Simulator::new(SimConfig::small(n_cpus), Box::new(MoveLimitPolicy::default()))
@@ -699,6 +741,128 @@ mod tests {
         s.spawn("bad", |_ctx| panic!("boom"));
         s.spawn("good", |ctx| ctx.compute(Ns::from_us(1)));
         let _ = s.run();
+    }
+
+    /// Runs `f` on a host thread of its own and returns how it ended;
+    /// fails if it has not ended within a minute, so a shutdown path
+    /// that strands a thread fails the test instead of stalling the
+    /// suite.
+    fn ends_within_a_minute<T: Send + 'static>(
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> Result<T, String> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(catch_unwind(AssertUnwindSafe(f)));
+        });
+        let ended = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("Simulator::run neither returned nor panicked");
+        ended.map_err(|payload| panic_text(payload.as_ref()))
+    }
+
+    /// Counts the thread bodies currently on a host stack: up when a
+    /// body starts, down when it returns or is unwound.
+    struct Live(Arc<AtomicUsize>);
+
+    impl Live {
+        fn enter(n: &Arc<AtomicUsize>) -> Live {
+            n.fetch_add(1, Ordering::SeqCst);
+            Live(Arc::clone(n))
+        }
+    }
+
+    impl Drop for Live {
+        fn drop(&mut self) {
+            self.0.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn panic_stops_siblings_parked_in_wait_until() {
+        // The panicking thread is neither the first nor the last to
+        // yield: by 300 us its three siblings have long spent their
+        // budgets and sleep as parked waiters, one of them sharing its
+        // processor. All must be unwound and joined before run() panics.
+        let live = Arc::new(AtomicUsize::new(0));
+        let started = Arc::clone(&live);
+        let err = ends_within_a_minute(move || {
+            let mut s = Simulator::new(
+                SimConfig::small(3).quantum(Ns::from_us(100)),
+                Box::new(MoveLimitPolicy::default()),
+            );
+            for t in 0..4 {
+                let live = Arc::clone(&started);
+                s.spawn(format!("t{t}"), move |ctx| {
+                    let _live = Live::enter(&live);
+                    if t == 1 {
+                        ctx.compute(Ns::from_us(300));
+                        panic!("boom at 300 us");
+                    }
+                    ctx.wait_until(Ns::from_ms(40));
+                });
+            }
+            s.run();
+        })
+        .expect_err("the body panic must surface from run()");
+        assert_eq!(err, "simulated thread panicked: boom at 300 us");
+        assert_eq!(live.load(Ordering::SeqCst), 0, "a sibling outlived run()");
+    }
+
+    #[test]
+    fn killing_every_processor_panics_out_of_run() {
+        // At vt 0 the assertion fires in the first decision, on the
+        // caller's thread; at 200 us it fires in the scheduler running
+        // on a simulated thread's stack, with the sibling parked.
+        for vt in [Ns::ZERO, Ns::from_us(200)] {
+            let live = Arc::new(AtomicUsize::new(0));
+            let started = Arc::clone(&live);
+            let err = ends_within_a_minute(move || {
+                let mut s = chaos_sim(
+                    (0..3).map(|c| ace_machine::HardFault::CpuOffline { cpu: CpuId(c), vt }).collect(),
+                );
+                for t in 0..2 {
+                    let live = Arc::clone(&started);
+                    s.spawn(format!("t{t}"), move |ctx| {
+                        let _live = Live::enter(&live);
+                        ctx.wait_until(Ns::from_ms(1));
+                    });
+                }
+                s.run();
+            })
+            .expect_err("an illegal schedule must panic out of run()");
+            assert!(err.contains("a CpuOffline schedule may not kill every processor"), "got: {err}");
+            assert_eq!(live.load(Ordering::SeqCst), 0, "a thread outlived run()");
+        }
+    }
+
+    #[test]
+    fn spawn_order_decides_the_schedule() {
+        // More threads than processors under the global queue: which
+        // thread gets which processor, and when, depends on the order
+        // the threads are queued in. That order is spawn order, never
+        // the order the host threads happened to start in.
+        let run = |_: usize| {
+            let cfg = SimConfig::small(2)
+                .scheduler(SchedulerKind::GlobalQueue)
+                .quantum(Ns::from_us(200));
+            let mut s = Simulator::new(cfg, Box::new(MoveLimitPolicy::default()));
+            let a = s.alloc(4096, Prot::READ_WRITE);
+            for t in 0..6u64 {
+                s.spawn(format!("t{t}"), move |ctx| {
+                    for i in 0..20u64 {
+                        ctx.compute(Ns::from_us(30 + t * 11));
+                        ctx.write_u32(a + t * 512 + (i % 8) * 4, i as u32);
+                        let _ = ctx.read_u32(a + ((t + 1) % 6) * 512);
+                    }
+                });
+            }
+            let r = s.run();
+            (r.cpu_times, r.refs, r.numa)
+        };
+        let first = run(0);
+        for again in 1..20 {
+            assert_eq!(run(again), first, "run {again} scheduled differently");
+        }
     }
 
     #[test]
@@ -950,6 +1114,24 @@ mod tests {
         };
         assert_eq!(run(Vec::new()), run(Vec::new()));
         assert_eq!(run(Vec::new()).2.hard_failure_actions(), 0);
+    }
+
+    #[test]
+    fn second_run_continues_processor_assignment() {
+        // Sequential assignment carries over: the second run's thread
+        // lands on the processor after the first run's, and both clocks
+        // persist.
+        let mut s = sim(2);
+        s.spawn("one", |ctx| ctx.compute(Ns::from_us(50)));
+        let r1 = s.run();
+        assert_eq!(r1.cpu_times[1].user, Ns::ZERO);
+        s.spawn("two", |ctx| {
+            assert_eq!(ctx.cpu(), CpuId(1));
+            ctx.compute(Ns::from_us(70));
+        });
+        let r2 = s.run();
+        assert_eq!(r2.cpu_times[0].user, Ns::from_us(50));
+        assert_eq!(r2.cpu_times[1].user, Ns::from_us(70));
     }
 
     #[test]

@@ -411,6 +411,26 @@ impl Kernel {
         self.machine.clocks.charge_user(cpu, t);
     }
 
+    /// Idles `cpu` toward the instant `t` within one grant: charges
+    /// `chunk`-sized steps of user time (the last one shortened to land
+    /// on `t`) and stops after the first step that drives the clock to
+    /// `budget_end`, where the idling thread must yield. True once the
+    /// clock has reached `t`, false if the grant ran out first. Shared
+    /// by `ThreadCtx::wait_until` and the scheduler's idling of a
+    /// parked thread, so the two cannot charge different sequences.
+    pub(crate) fn idle_toward(&mut self, cpu: CpuId, t: Ns, chunk: Ns, budget_end: Ns) -> bool {
+        loop {
+            let now = self.clock_of(cpu);
+            if now >= t {
+                return true;
+            }
+            self.compute(cpu, Ns((t.0 - now.0).min(chunk.0.max(1))));
+            if self.clock_of(cpu) >= budget_end {
+                return false;
+            }
+        }
+    }
+
     /// Debug read of `N` bytes of authoritative content at `addr`,
     /// without charging time or touching placement. Follows the data
     /// wherever it currently lives: a frame, a pending page-in fill, or

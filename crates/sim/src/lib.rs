@@ -11,15 +11,21 @@
 //!
 //! # Determinism
 //!
-//! Exactly one simulated thread executes at any instant. The engine
-//! always grants the runnable processor with the lowest virtual clock a
-//! bounded *lookahead budget*; within the budget the thread executes
-//! operations inline (cheap), then re-rendezvouses. With a zero
-//! lookahead the interleaving is the exact virtual-time order; larger
-//! lookaheads trade bounded re-ordering (never observable by the
-//! consistency protocol's correctness, only by its timing) for speed.
-//! Given deterministic application code, runs are bit-for-bit
-//! reproducible.
+//! Exactly one simulated thread executes at any instant, and the
+//! scheduler is not a thread at all but a function the yielding thread
+//! calls. It always grants the runnable processor with the lowest
+//! virtual clock a bounded *lookahead budget*; within the budget the
+//! thread executes operations inline (cheap), then yields and decides
+//! again — for itself at no host cost, or for another thread, which it
+//! wakes before parking. A thread idling in [`ThreadCtx::wait_until`]
+//! is not woken for windows it would only idle through: the deciding
+//! thread charges them on its behalf. Decisions read simulation state
+//! only (clocks, queues filled in spawn order, the fault schedule),
+//! never host timing. With a zero lookahead the interleaving is the
+//! exact virtual-time order; larger lookaheads trade bounded
+//! re-ordering (never observable by the consistency protocol's
+//! correctness, only by its timing) for speed. Given deterministic
+//! application code, runs are bit-for-bit reproducible.
 
 pub mod config;
 pub mod ctx;
