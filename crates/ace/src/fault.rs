@@ -12,8 +12,8 @@
 //!   an ECC scrub; once declared bad a frame stays bad forever, and the
 //!   memory allocator quarantines it (see [`PhysMem::quarantine`]).
 //! * **Silent corruption** lets a bus-crossing page copy complete but
-//!   flips one byte of the destination; only an end-to-end checksum
-//!   catches it.
+//!   flips one byte of the destination; only an end-to-end comparison
+//!   with the source catches it.
 //!
 //! Everything is driven by one seeded [SplitMix64] stream plus optional
 //! *scripted* faults (exact sequences queued by tests), so a given seed
@@ -24,10 +24,11 @@
 //! [SplitMix64]: https://prng.di.unimi.it/splitmix64.c
 //! [`PhysMem::quarantine`]: crate::mem::PhysMem::quarantine
 
+use crate::idhash::{IdHashMap, IdHashSet};
 use crate::mem::{Frame, MemRegion};
 use crate::time::Ns;
 use crate::types::CpuId;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::fmt;
 
 /// A scheduled **hard failure**: a whole component dies at a fixed
@@ -226,11 +227,14 @@ pub struct FaultInjector {
     /// Faults queued by tests, consumed before the stochastic stream on
     /// each bus-crossing copy.
     scripted_copy: VecDeque<CopyFault>,
+    /// Exact `(offset, mask)` sites queued by tests, consumed by
+    /// corrupted copies ahead of the stochastic stream.
+    scripted_sites: VecDeque<(usize, u8)>,
     /// Frames explicitly declared bad by tests.
-    scripted_bad: HashSet<Frame>,
+    scripted_bad: IdHashSet<Frame>,
     /// Memoized scrub verdicts: a frame once scrubbed keeps its verdict,
     /// so re-allocating a good frame never turns it bad mid-run.
-    verdicts: HashMap<Frame, bool>,
+    verdicts: IdHashMap<Frame, bool>,
     stats: FaultStats,
 }
 
@@ -241,8 +245,9 @@ impl FaultInjector {
             rng: cfg.seed,
             cfg,
             scripted_copy: VecDeque::new(),
-            scripted_bad: HashSet::new(),
-            verdicts: HashMap::new(),
+            scripted_sites: VecDeque::new(),
+            scripted_bad: IdHashSet::default(),
+            verdicts: IdHashMap::default(),
             stats: FaultStats::default(),
         }
     }
@@ -268,6 +273,15 @@ impl FaultInjector {
     /// (consumed in FIFO order, ahead of the stochastic stream).
     pub fn script_copy_fault(&mut self, fault: CopyFault) {
         self.scripted_copy.push_back(fault);
+    }
+
+    /// Queues the exact byte a corrupted copy flips (consumed in FIFO
+    /// order by [`corruption_site`](Self::corruption_site), ahead of the
+    /// stochastic stream). Pair it with a scripted
+    /// [`CopyFault::Corruption`].
+    pub fn script_corruption_site(&mut self, offset: usize, mask: u8) {
+        debug_assert!(mask != 0, "a zero mask corrupts nothing");
+        self.scripted_sites.push_back((offset, mask));
     }
 
     /// Declares `frame` bad: its next ECC scrub fails. Only local frames
@@ -346,6 +360,10 @@ impl FaultInjector {
     /// Picks the byte to flip for a corrupted copy: a deterministic
     /// offset within the page and a nonzero XOR mask.
     pub fn corruption_site(&mut self, page_bytes: usize) -> (usize, u8) {
+        if let Some((offset, mask)) = self.scripted_sites.pop_front() {
+            debug_assert!(offset < page_bytes, "scripted site outside the page");
+            return (offset, mask);
+        }
         let r = self.next_u64();
         let offset = (r as usize) % page_bytes;
         let mask = ((r >> 32) as u8) | 1;
@@ -445,6 +463,16 @@ mod tests {
             assert!(off < 256);
             assert_ne!(mask, 0);
         }
+    }
+
+    #[test]
+    fn scripted_sites_come_first_and_draw_nothing() {
+        let cfg = FaultConfig { seed: 11, ..FaultConfig::disabled() };
+        let mut scripted = FaultInjector::new(cfg.clone());
+        let mut plain = FaultInjector::new(cfg);
+        scripted.script_corruption_site(2047, 0x80);
+        assert_eq!(scripted.corruption_site(2048), (2047, 0x80));
+        assert_eq!(scripted.corruption_site(2048), plain.corruption_site(2048));
     }
 
     #[test]

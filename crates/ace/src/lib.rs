@@ -30,6 +30,7 @@ pub mod bus;
 pub mod clock;
 pub mod config;
 pub mod fault;
+pub mod idhash;
 pub mod machine;
 pub mod mem;
 pub mod mmu;
@@ -42,6 +43,7 @@ pub use bus::{BusQueue, BusStats};
 pub use clock::{CpuClocks, CpuTime};
 pub use config::{MachineConfig, PageSize};
 pub use fault::{BusTimeout, CopyFault, FaultConfig, FaultInjector, FaultStats, HardFault};
+pub use idhash::{IdHashMap, IdHashSet, IdHasher};
 pub use machine::{Machine, MachineEvent, MachineTap};
 pub use mem::{Frame, MemError, MemRegion, PhysMem};
 pub use mmu::{AccessKind, Mmu, MmuFault};

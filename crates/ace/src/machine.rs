@@ -304,11 +304,13 @@ impl Machine {
     /// cost is charged (no data moved, so no bus traffic is recorded),
     /// and `Err(BusTimeout)` asks the caller to retry. The copy may also
     /// complete but silently flip one byte of the destination — that
-    /// case still returns `Ok`; only a checksum over the destination can
-    /// reveal it. With fault injection inert this is byte- and
-    /// cost-identical to [`kernel_copy_page`].
+    /// case still returns `Ok`; only comparing the destination with the
+    /// source ([`PhysMem::pages_equal`]) can reveal it. With fault
+    /// injection inert this is byte- and cost-identical to
+    /// [`kernel_copy_page`].
     ///
     /// [`kernel_copy_page`]: Machine::kernel_copy_page
+    /// [`PhysMem::pages_equal`]: crate::mem::PhysMem::pages_equal
     pub fn try_kernel_copy_page(
         &mut self,
         cpu: CpuId,
@@ -524,7 +526,7 @@ mod tests {
             }
         }
         assert_eq!(diffs, 1, "silent corruption flips exactly one byte");
-        assert_ne!(m.mem.page_checksum(g), m.mem.page_checksum(l));
+        assert!(!m.mem.pages_equal(g, l));
     }
 
     #[test]

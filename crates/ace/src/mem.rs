@@ -8,7 +8,6 @@
 use crate::config::MachineConfig;
 use crate::time::Ns;
 use crate::types::NodeId;
-use std::collections::HashSet;
 use std::fmt;
 
 /// Which memory module a frame lives in.
@@ -75,6 +74,15 @@ impl fmt::Display for MemError {
 
 impl std::error::Error for MemError {}
 
+/// Where a frame is in its life: on its module's free list, handed
+/// out, or retired for good after a failed ECC scrub.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum FrameState {
+    Free,
+    Allocated,
+    Quarantined,
+}
+
 /// Storage and free-list for one memory module.
 struct Module {
     /// Frame payloads; `None` until first touched, which keeps small
@@ -82,6 +90,11 @@ struct Module {
     frames: Vec<Option<Box<[u8]>>>,
     /// Indices of free frames, popped from the back.
     free: Vec<u32>,
+    /// One state per frame; `free` lists exactly the `Free` ones (until
+    /// the module goes offline, which empties the list for good).
+    state: Vec<FrameState>,
+    /// Number of `Quarantined` frames.
+    quarantined: usize,
     /// High-water mark of simultaneously allocated frames.
     peak_used: usize,
     /// Per-frame last-touch stamp in virtual time, kept by the machine's
@@ -95,6 +108,8 @@ impl Module {
         Module {
             frames: (0..n_frames).map(|_| None).collect(),
             free: (0..n_frames as u32).rev().collect(),
+            state: vec![FrameState::Free; n_frames],
+            quarantined: 0,
             peak_used: 0,
             last_touch: vec![Ns::ZERO; n_frames],
         }
@@ -103,6 +118,13 @@ impl Module {
     fn used(&self) -> usize {
         self.frames.len() - self.free.len()
     }
+
+    /// Books frame `index`, just taken off the free list, as allocated.
+    fn note_allocated(&mut self, index: u32) {
+        self.state[index as usize] = FrameState::Allocated;
+        self.peak_used = self.peak_used.max(self.used());
+        self.last_touch[index as usize] = Ns::ZERO;
+    }
 }
 
 /// All physical memory of the machine.
@@ -110,9 +132,6 @@ pub struct PhysMem {
     page_bytes: usize,
     global: Module,
     locals: Vec<Module>,
-    /// Frames retired after failing an ECC scrub. A quarantined frame is
-    /// never returned to a free list, so it can never be re-allocated.
-    quarantined: HashSet<Frame>,
     /// Per-node flag: true once the node's local memory has gone
     /// offline (a hard failure). A dead module allocates nothing and
     /// tolerates frees of its lost frames.
@@ -127,7 +146,6 @@ impl PhysMem {
             page_bytes: cfg.page_size.bytes(),
             global: Module::new(cfg.global_frames),
             locals: cfg.topology.node_frames().iter().map(|&n| Module::new(n)).collect(),
-            quarantined: HashSet::new(),
             offline: vec![false; cfg.topology.n_nodes()],
         }
     }
@@ -157,11 +175,7 @@ impl PhysMem {
     pub fn alloc(&mut self, region: MemRegion) -> Result<Frame, MemError> {
         let m = self.module_mut(region);
         let index = m.free.pop().ok_or(MemError::OutOfFrames(region))?;
-        let used = m.used();
-        if used > m.peak_used {
-            m.peak_used = used;
-        }
-        m.last_touch[index as usize] = Ns::ZERO;
+        m.note_allocated(index);
         Ok(Frame { region, index })
     }
 
@@ -173,11 +187,7 @@ impl PhysMem {
         match m.free.iter().rposition(|&f| f == index) {
             Some(pos) => {
                 m.free.swap_remove(pos);
-                let used = m.used();
-                if used > m.peak_used {
-                    m.peak_used = used;
-                }
-                m.last_touch[index as usize] = Ns::ZERO;
+                m.note_allocated(index);
                 Ok(Frame::global(index))
             }
             None => Err(MemError::OutOfFrames(MemRegion::Global)),
@@ -192,15 +202,11 @@ impl PhysMem {
         if self.is_offline_frame(frame) {
             return;
         }
-        debug_assert!(
-            !self.quarantined.contains(&frame),
-            "freeing quarantined frame {frame:?}"
-        );
         let m = self.module_mut(frame.region);
-        debug_assert!(
-            !m.free.contains(&frame.index),
-            "double free of {frame:?}"
-        );
+        let state = &mut m.state[frame.index as usize];
+        assert!(*state != FrameState::Quarantined, "freeing quarantined frame {frame:?}");
+        assert!(*state != FrameState::Free, "double free of {frame:?}");
+        *state = FrameState::Free;
         m.free.push(frame.index);
     }
 
@@ -218,16 +224,13 @@ impl PhysMem {
         }
         self.offline[node.index()] = true;
         let m = &mut self.locals[node.index()];
-        let free: HashSet<u32> = m.free.drain(..).collect();
-        let mut lost = Vec::new();
-        for (index, payload) in m.frames.iter_mut().enumerate() {
-            *payload = None;
-            let frame = Frame::local(node, index as u32);
-            if !free.contains(&(index as u32)) && !self.quarantined.contains(&frame) {
-                lost.push(frame);
-            }
-        }
-        lost
+        m.free.clear();
+        m.frames.iter_mut().for_each(|payload| *payload = None);
+        (0u32..)
+            .zip(&m.state)
+            .filter(|(_, &state)| state == FrameState::Allocated)
+            .map(|(index, _)| Frame::local(node, index))
+            .collect()
     }
 
     /// True if `node`'s local memory module has gone offline.
@@ -247,22 +250,23 @@ impl PhysMem {
     /// The frame is never returned to its free list, so it can never be
     /// handed out again; the module's capacity shrinks by one page.
     pub fn quarantine(&mut self, frame: Frame) {
-        let m = self.module(frame.region);
-        debug_assert!(
-            !m.free.contains(&frame.index),
-            "quarantining a free frame {frame:?}"
-        );
-        self.quarantined.insert(frame);
+        let m = self.module_mut(frame.region);
+        let state = &mut m.state[frame.index as usize];
+        assert!(*state != FrameState::Free, "quarantining a free frame {frame:?}");
+        if *state == FrameState::Allocated {
+            *state = FrameState::Quarantined;
+            m.quarantined += 1;
+        }
     }
 
     /// True if `frame` has been quarantined.
     pub fn is_quarantined(&self, frame: Frame) -> bool {
-        self.quarantined.contains(&frame)
+        self.module(frame.region).state[frame.index as usize] == FrameState::Quarantined
     }
 
     /// Number of quarantined frames in `region`.
     pub fn quarantined_frames(&self, region: MemRegion) -> usize {
-        self.quarantined.iter().filter(|f| f.region == region).count()
+        self.module(region).quarantined
     }
 
     /// Number of free frames in `region`.
@@ -371,44 +375,17 @@ impl PhysMem {
         m.frames[frame.index as usize] = Some(vec![0u8; page_bytes].into_boxed_slice());
     }
 
-    /// FNV-1a checksum of the page's current contents. An untouched
-    /// (never-written) frame checksums as a page of zeros, matching what
-    /// a copy of it would contain.
-    pub fn page_checksum(&self, frame: Frame) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let m = self.module(frame.region);
-        let mut h = FNV_OFFSET;
-        match &m.frames[frame.index as usize] {
-            Some(b) => {
-                for &byte in b.iter() {
-                    h = (h ^ byte as u64).wrapping_mul(FNV_PRIME);
-                }
-            }
-            None => {
-                for _ in 0..self.page_bytes {
-                    h = h.wrapping_mul(FNV_PRIME);
-                }
-            }
+    /// True if two frames currently hold identical bytes: the end-to-end
+    /// check behind every fault-armed page copy, and the consistency
+    /// checker's test of replica coherence. A never-touched frame equals
+    /// a page of zeros, which is what a copy of it would contain.
+    pub fn pages_equal(&self, a: Frame, b: Frame) -> bool {
+        let payload = |f: Frame| self.module(f.region).frames[f.index as usize].as_deref();
+        match (payload(a), payload(b)) {
+            (Some(x), Some(y)) => x == y,
+            (Some(x), None) | (None, Some(x)) => x.iter().all(|&byte| byte == 0),
+            (None, None) => true,
         }
-        h
-    }
-
-    /// True if two frames currently hold identical bytes. Used by tests
-    /// and by the consistency checker to validate replica coherence.
-    pub fn pages_equal(&mut self, a: Frame, b: Frame) -> bool {
-        let page_bytes = self.page_bytes;
-        let abuf = {
-            let m = self.module_mut(a.region);
-            m.frames[a.index as usize]
-                .clone()
-                .unwrap_or_else(|| vec![0u8; page_bytes].into_boxed_slice())
-        };
-        let m = self.module_mut(b.region);
-        let bbuf = m.frames[b.index as usize]
-            .clone()
-            .unwrap_or_else(|| vec![0u8; page_bytes].into_boxed_slice());
-        abuf == bbuf
     }
 }
 
@@ -542,23 +519,70 @@ mod tests {
     }
 
     #[test]
-    fn page_checksum_tracks_contents() {
+    fn pages_equal_tracks_contents() {
         let mut m = mem();
         let a = m.alloc(MemRegion::Global).unwrap();
         let b = m.alloc(MemRegion::Local(NodeId(0))).unwrap();
-        // Untouched frames checksum like explicit zero pages.
-        let untouched = m.page_checksum(a);
+        let c = m.alloc(MemRegion::Local(NodeId(1))).unwrap();
+        // Never-touched frames equal each other and explicit zero pages,
+        // whichever side the payload is on.
+        assert!(m.pages_equal(a, c));
         m.zero_page(b);
-        assert_eq!(untouched, m.page_checksum(b));
+        assert!(m.pages_equal(a, b) && m.pages_equal(b, a));
+        m.write_u8(b, m.page_bytes() - 1, 1);
+        assert!(!m.pages_equal(a, b) && !m.pages_equal(b, a), "one non-zero byte, the last");
         m.write_u32(a, 12, 0xfeed);
-        assert_ne!(m.page_checksum(a), untouched);
         m.copy_page(a, b);
-        assert_eq!(m.page_checksum(a), m.page_checksum(b));
+        assert!(m.pages_equal(a, b));
         // A single flipped byte is visible.
-        let before = m.page_checksum(b);
         let byte = m.read_u8(b, 99);
         m.write_u8(b, 99, byte ^ 0x40);
-        assert_ne!(m.page_checksum(b), before);
+        assert!(!m.pages_equal(a, b));
+    }
+
+    #[test]
+    #[should_panic(expected = "double free")]
+    fn double_free_panics() {
+        let mut m = mem();
+        let f = m.alloc(MemRegion::Local(NodeId(0))).unwrap();
+        m.free(f);
+        m.free(f);
+    }
+
+    #[test]
+    #[should_panic(expected = "quarantining a free frame")]
+    fn quarantining_a_free_frame_panics() {
+        let mut m = mem();
+        let f = m.alloc(MemRegion::Local(NodeId(0))).unwrap();
+        m.free(f);
+        m.quarantine(f);
+    }
+
+    #[test]
+    #[should_panic(expected = "freeing quarantined frame")]
+    fn freeing_a_quarantined_frame_panics() {
+        let mut m = mem();
+        let f = m.alloc(MemRegion::Local(NodeId(0))).unwrap();
+        m.quarantine(f);
+        m.free(f);
+    }
+
+    #[test]
+    fn offline_local_reports_exactly_the_allocated_frames() {
+        // Free, allocated and quarantined frames interleaved, with the
+        // free list out of index order: the report is what a scan of
+        // "not free and not quarantined" gives, in index order.
+        let mut m = mem();
+        let region = MemRegion::Local(NodeId(1));
+        let frames: Vec<Frame> = (0..8).map(|_| m.alloc(region).unwrap()).collect();
+        for &i in &[6, 1, 4] {
+            m.free(frames[i]);
+        }
+        m.quarantine(frames[2]);
+        m.quarantine(frames[7]);
+        assert_eq!(m.offline_local(NodeId(1)), vec![frames[0], frames[3], frames[5]]);
+        assert_eq!(m.quarantined_frames(region), 2, "quarantine outlives the module");
+        assert!(m.is_quarantined(frames[7]) && !m.is_quarantined(frames[0]));
     }
 
     #[test]

@@ -14,10 +14,10 @@
 //! A mapping is identified by an address-space id (one per pmap/task) and
 //! a virtual page number.
 
+use crate::idhash::IdHashMap;
 use crate::mem::Frame;
 use crate::prot::Prot;
 use crate::time::Access;
-use std::collections::HashMap;
 
 /// Address-space identifier (one per pmap).
 pub type Asid = u32;
@@ -67,10 +67,10 @@ pub struct MmuStats {
 /// The translation hardware of one processor.
 pub struct Mmu {
     /// Forward map: (asid, vpn) -> mapping.
-    map: HashMap<(Asid, Vpn), Mapping>,
+    map: IdHashMap<(Asid, Vpn), Mapping>,
     /// Inverted map enforcing the Rosetta restriction:
     /// frame -> the single (asid, vpn) mapped to it on this processor.
-    by_frame: HashMap<Frame, (Asid, Vpn)>,
+    by_frame: IdHashMap<Frame, (Asid, Vpn)>,
     stats: MmuStats,
     /// Invalidation epoch: bumped on every mutation of the translation
     /// table (enter, remove, protect, reference/modified-bit clearing).
@@ -86,8 +86,8 @@ impl Mmu {
     /// An MMU with no translations.
     pub fn new() -> Mmu {
         Mmu {
-            map: HashMap::new(),
-            by_frame: HashMap::new(),
+            map: IdHashMap::default(),
+            by_frame: IdHashMap::default(),
             stats: MmuStats::default(),
             epoch: 0,
         }

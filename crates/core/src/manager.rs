@@ -15,10 +15,12 @@ use crate::policy::{CachePolicy, PinReason};
 use crate::protocol::{plan, Cleanup, Placement, TableState};
 use crate::reclaim::{LruReclaim, ReclaimCandidate, ReclaimPolicy, DEFAULT_MAX_RECLAIM_ATTEMPTS};
 use crate::stats::{FaultEvent, NumaStats};
-use ace_machine::{Access, CpuId, Distance, Frame, Machine, MemRegion, NodeId, Ns, Prot};
+use ace_machine::{
+    Access, CpuId, Distance, Frame, IdHashMap, Machine, MemRegion, NodeId, Ns, Prot,
+};
 use mach_vm::{LPageId, NumaError};
 use numa_metrics::events::{self, Event, EventKind, RecoveryAction, SharedSink};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Translates a directory state into the event schema's mirror enum.
 fn ev_state(s: StateKind) -> events::PageState {
@@ -77,8 +79,11 @@ enum Fill {
 #[derive(Debug)]
 struct PageInfo {
     state: StateKind,
-    /// Local frames holding copies (RO replicas, or the LW copy).
-    locals: HashMap<NodeId, Frame>,
+    /// Local frames holding copies (RO replicas, or the LW copy), sorted
+    /// by node. Written only by [`NumaManager::add_copy`] and
+    /// [`NumaManager::drop_copy`], which keep the residency index in
+    /// step.
+    locals: Vec<(NodeId, Frame)>,
     /// The page's reserved global frame, once materialized.
     global: Option<Frame>,
     /// True if the global frame holds current data.
@@ -99,7 +104,7 @@ impl PageInfo {
     fn new() -> PageInfo {
         PageInfo {
             state: StateKind::Fresh,
-            locals: HashMap::new(),
+            locals: Vec::new(),
             global: None,
             global_valid: false,
             fill: Fill::None,
@@ -111,6 +116,46 @@ impl PageInfo {
 
     fn fill_pending(&self) -> bool {
         self.fill != Fill::None
+    }
+
+    /// The frame holding the page's copy in `node`'s local memory.
+    fn local(&self, node: NodeId) -> Option<Frame> {
+        self.locals.iter().find(|&&(n, _)| n == node).map(|&(_, f)| f)
+    }
+}
+
+/// The page directory, indexed by logical page id. The pool mints ids
+/// densely from zero, so a slot vector is both the cheapest lookup and
+/// an ordered container: a walk visits pages in id order whatever the
+/// insertion history.
+#[derive(Default)]
+struct Directory {
+    slots: Vec<Option<PageInfo>>,
+}
+
+impl Directory {
+    fn get(&self, lpage: LPageId) -> Option<&PageInfo> {
+        self.slots.get(lpage.index())?.as_ref()
+    }
+
+    fn get_mut(&mut self, lpage: LPageId) -> Option<&mut PageInfo> {
+        self.slots.get_mut(lpage.index())?.as_mut()
+    }
+
+    /// The page's entry, created `Fresh` if the page is unknown.
+    fn entry(&mut self, lpage: LPageId) -> &mut PageInfo {
+        if self.slots.len() <= lpage.index() {
+            self.slots.resize_with(lpage.index() + 1, || None);
+        }
+        self.slots[lpage.index()].get_or_insert_with(PageInfo::new)
+    }
+
+    fn remove(&mut self, lpage: LPageId) -> Option<PageInfo> {
+        self.slots.get_mut(lpage.index())?.take()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (LPageId, &PageInfo)> {
+        (0u32..).map(LPageId).zip(&self.slots).filter_map(|(lp, slot)| Some((lp, slot.as_ref()?)))
     }
 }
 
@@ -157,7 +202,14 @@ enum LocalAlloc {
 
 /// The directory and protocol engine.
 pub struct NumaManager {
-    pages: HashMap<LPageId, PageInfo>,
+    pages: Directory,
+    /// The residency index: per node, the pages holding a frame in that
+    /// node's local memory, in page-id order — `resident[n][lp] == f`
+    /// exactly when `pages[lp].locals` holds `(n, f)`. Victim selection,
+    /// the pressure daemon and node-loss recovery walk this instead of
+    /// the whole directory. Grown on demand: the manager is built
+    /// before it sees a machine.
+    resident: Vec<BTreeMap<LPageId, Frame>>,
     stats: NumaStats,
     /// Ordered log of recovery and degradation actions (empty in a
     /// fault-free run with ample local frames).
@@ -179,7 +231,8 @@ impl NumaManager {
     /// An empty directory.
     pub fn new() -> NumaManager {
         NumaManager {
-            pages: HashMap::new(),
+            pages: Directory::default(),
+            resident: Vec::new(),
             stats: NumaStats::default(),
             events: Vec::new(),
             sink: None,
@@ -249,7 +302,7 @@ impl NumaManager {
 
     /// Directory view of one page.
     pub fn view(&self, lpage: LPageId) -> PageView {
-        match self.pages.get(&lpage) {
+        match self.pages.get(lpage) {
             None => PageView {
                 state: StateKind::Fresh,
                 copies: 0,
@@ -270,14 +323,14 @@ impl NumaManager {
     /// Marks the page as needing zero-fill (Mach's `pmap_zero_page`,
     /// evaluated lazily; section 2.3.1).
     pub fn zero_page(&mut self, lpage: LPageId) {
-        self.pages.entry(lpage).or_insert_with(PageInfo::new).fill = Fill::Zero;
+        self.pages.entry(lpage).fill = Fill::Zero;
     }
 
     /// Marks the page as needing to be filled with `data` at first
     /// placement (page-in from backing store; same laziness as
     /// zero-fill).
     pub fn load_page(&mut self, lpage: LPageId, data: Box<[u8]>) {
-        self.pages.entry(lpage).or_insert_with(PageInfo::new).fill = Fill::Data(data);
+        self.pages.entry(lpage).fill = Fill::Data(data);
     }
 
     /// Applies a pending fill to `frame`, charging `cpu` system time.
@@ -353,10 +406,7 @@ impl NumaManager {
         // allocates the same frame a late allocation would.
         let mut prealloc: Option<Frame> = None;
         if decision == Placement::Local {
-            let has_copy = self
-                .pages
-                .get(&lpage)
-                .is_some_and(|p| p.locals.contains_key(&home));
+            let has_copy = self.pages.get(lpage).is_some_and(|p| p.local(home).is_some());
             if !has_copy {
                 match self.alloc_local_scrubbed(m, home, cpu) {
                     LocalAlloc::Frame(f) => prealloc = Some(f),
@@ -399,15 +449,10 @@ impl NumaManager {
         }
         // Leaving the extension state first demotes the page to
         // global-writable; the paper's tables then apply unchanged.
-        if let StateKind::RemoteShared(host) = self
-            .pages
-            .entry(lpage)
-            .or_insert_with(PageInfo::new)
-            .state
-        {
+        if let StateKind::RemoteShared(host) = self.pages.entry(lpage).state {
             self.leave_remote(m, lpage, host, cpu)?;
         }
-        let info = self.pages.entry(lpage).or_insert_with(PageInfo::new);
+        let info = self.pages.entry(lpage);
         let table_state = match info.state {
             StateKind::Fresh | StateKind::ReadOnly => TableState::ReadOnly,
             StateKind::GlobalWritable => TableState::GlobalWritable,
@@ -448,7 +493,7 @@ impl NumaManager {
         }
         if invalidated > 0 {
             self.stats.coherence_invalidations += u64::from(invalidated);
-            let info = self.pages.get_mut(&lpage).expect("entry created above");
+            let info = self.pages.get_mut(lpage).expect("entry created above");
             info.invalidations = info.invalidations.saturating_add(invalidated);
             policy.on_invalidation(lpage, invalidated, home);
         }
@@ -468,7 +513,7 @@ impl NumaManager {
         // 3. New state (bottom line), with move accounting for
         // write-induced ownership transfers. Events are computed inside
         // the directory borrow and reported after it ends.
-        let info = self.pages.get_mut(&lpage).expect("entry created above");
+        let info = self.pages.get_mut(lpage).expect("entry created above");
         let new_state = match p.new_state {
             TableState::ReadOnly => StateKind::ReadOnly,
             TableState::GlobalWritable => StateKind::GlobalWritable,
@@ -531,18 +576,18 @@ impl NumaManager {
         // Materialize the grant.
         match new_state {
             StateKind::ReadOnly => {
-                let frame = *self
+                let frame = self
                     .pages
-                    .get(&lpage)
-                    .and_then(|p| p.locals.get(&home))
+                    .get(lpage)
+                    .and_then(|p| p.local(home))
                     .expect("copy_to_local ensured a replica");
                 Ok(Grant { frame, prot_ceiling: Prot::READ })
             }
             StateKind::LocalWritable(_) => {
-                let frame = *self
+                let frame = self
                     .pages
-                    .get(&lpage)
-                    .and_then(|p| p.locals.get(&home))
+                    .get(lpage)
+                    .and_then(|p| p.local(home))
                     .expect("copy_to_local ensured the owner copy");
                 Ok(Grant { frame, prot_ceiling: Prot::READ_WRITE })
             }
@@ -596,9 +641,10 @@ impl NumaManager {
     /// Copies `src` to `dst` for `lpage`, riding out transient bus
     /// timeouts (bounded retries, each charged a linearly growing
     /// backoff) and silent corruption (detected by comparing the
-    /// destination's checksum against the source's, re-fetching on
-    /// mismatch). In a fault-free run this is exactly one plain copy —
-    /// no checksums, no RNG draws.
+    /// destination with the source byte for byte, re-fetching on
+    /// mismatch; the comparison is the simulator's own and charges no
+    /// virtual time). In a fault-free run this is exactly one plain
+    /// copy — no comparison, no RNG draws.
     fn checked_copy(
         &mut self,
         m: &mut Machine,
@@ -611,7 +657,6 @@ impl NumaManager {
             m.kernel_copy_page(cpu, src, dst);
             return Ok(());
         }
-        let expected = m.mem.page_checksum(src);
         let max_retries = m.fault.config().max_copy_retries;
         let backoff = m.fault.config().retry_backoff;
         let mut attempt = 0u32;
@@ -619,12 +664,12 @@ impl NumaManager {
             attempt += 1;
             match m.try_kernel_copy_page(cpu, src, dst) {
                 Ok(_) => {
-                    if m.mem.page_checksum(dst) == expected {
+                    if m.mem.pages_equal(src, dst) {
                         return Ok(());
                     }
-                    // Silent corruption caught by the per-page checksum:
-                    // the replica is re-fetched from the authoritative
-                    // copy on the next loop iteration.
+                    // Silent corruption caught by the comparison: the
+                    // replica is re-fetched from the authoritative copy
+                    // on the next loop iteration.
                     self.stats.corruptions_detected += 1;
                     self.stats.replica_refetches += 1;
                     self.events.push(FaultEvent::CorruptionDetected { lpage, cpu });
@@ -662,10 +707,10 @@ impl NumaManager {
     /// a local copy private to one node — the only node whose processors
     /// may map it. `None` means any processor may map the frame (global
     /// frames, and a remote-shared page's host frame).
-    pub fn frame_owners(&self) -> HashMap<Frame, (LPageId, Option<NodeId>)> {
-        let mut owners = HashMap::new();
-        for (&lp, info) in &self.pages {
-            for (&c, &f) in &info.locals {
+    pub fn frame_owners(&self) -> IdHashMap<Frame, (LPageId, Option<NodeId>)> {
+        let mut owners = IdHashMap::default();
+        for (lp, info) in self.pages.iter() {
+            for &(c, f) in &info.locals {
                 let private = match info.state {
                     StateKind::RemoteShared(_) => None,
                     _ => Some(c),
@@ -706,19 +751,19 @@ impl NumaManager {
                     self.flush(m, lpage, host_cpu, true);
                     let frame = self.alloc_host_frame(m, lpage, host, host_cpu)?;
                     self.apply_fill(m, lpage, frame, cpu);
-                    self.page(lpage).locals.insert(host, frame);
+                    self.add_copy(lpage, host, frame);
                 } else {
                     self.ensure_global_valid(m, lpage, cpu)?;
                     self.flush(m, lpage, host_cpu, true);
                     self.unmap_global(m, lpage, cpu);
-                    if !self.page(lpage).locals.contains_key(&host) {
+                    if self.page(lpage).local(host).is_none() {
                         let frame = self.alloc_host_frame(m, lpage, host, host_cpu)?;
                         let src = self.page(lpage).global.expect("validated above");
                         if let Err(e) = self.checked_copy(m, lpage, cpu, src, frame) {
                             m.mem.free(frame);
                             return Err(e);
                         }
-                        self.page(lpage).locals.insert(host, frame);
+                        self.add_copy(lpage, host, frame);
                     }
                 }
                 let info = self.page(lpage);
@@ -736,11 +781,7 @@ impl NumaManager {
                 );
             }
         }
-        let frame = *self
-            .page(lpage)
-            .locals
-            .get(&host)
-            .expect("remote-shared page has its host copy");
+        let frame = self.page(lpage).local(host).expect("remote-shared page has its host copy");
         Ok(Grant { frame, prot_ceiling: Prot::READ_WRITE })
     }
 
@@ -764,38 +805,76 @@ impl NumaManager {
         }
     }
 
+    /// Records that `lpage` now holds `frame` in `node`'s local memory.
+    /// With [`drop_copy`](Self::drop_copy) the only code that writes
+    /// `PageInfo::locals`, so the residency index cannot drift from the
+    /// directory.
+    fn add_copy(&mut self, lpage: LPageId, node: NodeId, frame: Frame) {
+        let locals = &mut self.page(lpage).locals;
+        let at = locals.partition_point(|&(n, _)| n < node);
+        debug_assert!(locals.get(at).is_none_or(|&(n, _)| n != node), "second copy on {node}");
+        locals.insert(at, (node, frame));
+        if self.resident.len() <= node.index() {
+            self.resident.resize_with(node.index() + 1, BTreeMap::new);
+        }
+        self.resident[node.index()].insert(lpage, frame);
+    }
+
+    /// Forgets `lpage`'s copy in `node`'s local memory, returning its
+    /// frame (the caller unmaps and frees it).
+    fn drop_copy(&mut self, lpage: LPageId, node: NodeId) -> Option<Frame> {
+        let locals = &mut self.page(lpage).locals;
+        let at = locals.iter().position(|&(n, _)| n == node)?;
+        let (_, frame) = locals.remove(at);
+        self.resident[node.index()].remove(&lpage);
+        Some(frame)
+    }
+
+    /// Forgets one of `lpage`'s local copies, if it has any left (for
+    /// callers that drop them all).
+    fn pop_copy(&mut self, lpage: LPageId) -> Option<Frame> {
+        let &(node, _) = self.page(lpage).locals.last()?;
+        self.drop_copy(lpage, node)
+    }
+
+    /// The pages holding a frame in `node`'s local memory, with that
+    /// frame, in page-id order (the residency index).
+    pub fn resident_on(&self, node: NodeId) -> impl Iterator<Item = (LPageId, Frame)> + '_ {
+        self.resident.get(node.index()).into_iter().flatten().map(|(&lp, &f)| (lp, f))
+    }
+
     /// Pages that could legally lose their copy in `node`'s local memory:
     /// every page holding a frame there except the faulting page itself,
     /// a remote-shared host copy (it is the page's only data, mapped by
-    /// every processor), and — defensively — quarantined frames. Sorted
-    /// by page id so the policy sees a deterministic slice regardless of
-    /// directory hash order.
-    fn reclaim_candidates(
+    /// every processor), and — defensively — quarantined frames. Read
+    /// off the residency index, which is ordered by page id, so the
+    /// policy sees a deterministic slice without a directory walk or a
+    /// sort.
+    pub fn reclaim_candidates(
         &self,
         m: &Machine,
         node: NodeId,
         exclude: LPageId,
     ) -> Vec<ReclaimCandidate> {
-        let mut out: Vec<ReclaimCandidate> = self
-            .pages
-            .iter()
-            .filter(|(&lp, info)| {
-                lp != exclude && !matches!(info.state, StateKind::RemoteShared(_))
-            })
-            .filter_map(|(&lp, info)| {
-                let &frame = info.locals.get(&node)?;
-                if m.mem.is_quarantined(frame) {
-                    return None;
-                }
-                Some(ReclaimCandidate {
-                    lpage: lp,
-                    frame,
-                    last_touch: m.mem.last_touch(frame),
-                    writable: info.state == StateKind::LocalWritable(node),
-                })
-            })
-            .collect();
-        out.sort_by_key(|c| c.lpage.0);
+        let Some(index) = self.resident.get(node.index()) else {
+            return Vec::new();
+        };
+        let mut out = Vec::with_capacity(index.len());
+        for (&lp, &frame) in index {
+            let state = self.pages.get(lp).expect("indexed pages are in the directory").state;
+            if lp == exclude
+                || m.mem.is_quarantined(frame)
+                || matches!(state, StateKind::RemoteShared(_))
+            {
+                continue;
+            }
+            out.push(ReclaimCandidate {
+                lpage: lp,
+                frame,
+                last_touch: m.mem.last_touch(frame),
+                writable: state == StateKind::LocalWritable(node),
+            });
+        }
         out
     }
 
@@ -814,16 +893,13 @@ impl NumaManager {
         if !self.page(victim).global_valid {
             self.ensure_global_valid(m, victim, cpu)?;
         }
-        let frame = *self
-            .page(victim)
-            .locals
-            .get(&node)
+        let frame = self
+            .drop_copy(victim, node)
             .expect("candidate holds a copy on the pressured node");
         for i in 0..m.n_cpus() {
             m.mmus[i].remove_frame(frame);
         }
         m.mem.free(frame);
-        self.page(victim).locals.remove(&node);
         self.stats.flushes += 1;
         let prev = self.page(victim).state;
         if prev == StateKind::LocalWritable(node) {
@@ -904,17 +980,7 @@ impl NumaManager {
             let free = m.mem.free_frames(MemRegion::Local(c)) as u64;
             self.emit(m, CpuId(0), EventKind::PressureTick { at: c, free });
             while m.mem.free_frames(MemRegion::Local(c)) < high {
-                let victim = self
-                    .pages
-                    .iter()
-                    .filter(|(_, info)| info.state == StateKind::ReadOnly && info.global_valid)
-                    .filter_map(|(&lp, info)| {
-                        let &f = info.locals.get(&c)?;
-                        Some((m.mem.last_touch(f), lp.0))
-                    })
-                    .min()
-                    .map(|(_, lp)| LPageId(lp));
-                let Some(victim) = victim else {
+                let Some(victim) = self.pressure_victim(m, c) else {
                     break;
                 };
                 self.evict_local_copy(m, victim, c, m.config.topology.first_cpu(c))
@@ -923,6 +989,20 @@ impl NumaManager {
                 self.emit(m, CpuId(0), EventKind::VictimFlushed { lpage: victim, at: c });
             }
         }
+    }
+
+    /// The pressure daemon's next victim on `node`: the coldest read-only
+    /// replica whose global frame is valid (ties go to the lower page
+    /// id), read off the residency index.
+    pub fn pressure_victim(&self, m: &Machine, node: NodeId) -> Option<LPageId> {
+        self.resident_on(node)
+            .filter(|&(lp, _)| {
+                let info = self.pages.get(lp).expect("indexed pages are in the directory");
+                info.state == StateKind::ReadOnly && info.global_valid
+            })
+            .map(|(lp, frame)| (m.mem.last_touch(frame), lp))
+            .min()
+            .map(|(_, lp)| lp)
     }
 
     /// True if `node`'s local memory has been lost to a hard failure.
@@ -937,9 +1017,9 @@ impl NumaManager {
 
     /// The online recovery protocol for a hard node failure: `node`'s
     /// local memory goes offline mid-run, every frame in it permanently
-    /// lost. The protocol walks the directory in page-id order (so
-    /// recovery is deterministic regardless of directory hash order)
-    /// and, for each page that held a copy there:
+    /// lost. The protocol walks the node's residency index, which is in
+    /// page-id order (so recovery is deterministic regardless of
+    /// directory hash order) and, for each page that held a copy there:
     ///
     /// * shoots down every mapping of the dead frame on every MMU —
     ///   each removal bumps that MMU's epoch, so software TLBs
@@ -951,7 +1031,7 @@ impl NumaManager {
     ///   memory for the dead node's processors (possible only on
     ///   hierarchical machines), else to their valid global frame (the
     ///   page becomes Global-Writable; the next LOCAL placement
-    ///   re-fetches it through the checksummed copy path);
+    ///   re-fetches it through the checked copy path);
     /// * classifies pages whose *only* up-to-date copy died as
     ///   [`FaultEvent::PageLost`]: the page is re-materialized as
     ///   `Fresh` with a zero-fill pending, so the faulting access is
@@ -974,13 +1054,7 @@ impl NumaManager {
             CpuId(0),
             EventKind::NodeOffline { node, lost_frames: lost_frames.len() as u64 },
         );
-        let mut affected: Vec<LPageId> = self
-            .pages
-            .iter()
-            .filter(|(_, info)| info.locals.contains_key(&node))
-            .map(|(&lp, _)| lp)
-            .collect();
-        affected.sort_by_key(|lp| lp.0);
+        let affected: Vec<LPageId> = self.resident_on(node).map(|(lp, _)| lp).collect();
         for lpage in affected {
             self.recover_page(m, lpage, node);
         }
@@ -989,10 +1063,8 @@ impl NumaManager {
     /// Recovers one page that held a copy on the dead node `dead`. See
     /// [`NumaManager::node_offline`] for the protocol.
     fn recover_page(&mut self, m: &mut Machine, lpage: LPageId, dead: NodeId) {
-        let frame = *self
-            .page(lpage)
-            .locals
-            .get(&dead)
+        let frame = self
+            .drop_copy(lpage, dead)
             .expect("recover_page only visits pages with a copy on the dead node");
         // Shoot down every stale mapping of the dead frame. Each removal
         // bumps the MMU's epoch, invalidating software TLBs.
@@ -1001,7 +1073,6 @@ impl NumaManager {
                 self.stats.shootdowns += 1;
             }
         }
-        self.page(lpage).locals.remove(&dead);
         let (prev, truth_survives) = {
             let info = self.page(lpage);
             let prev = info.state;
@@ -1108,7 +1179,7 @@ impl NumaManager {
             m.mem.free(frame);
             return Err(e);
         }
-        self.page(lpage).locals.insert(host, frame);
+        self.add_copy(lpage, host, frame);
         Ok(())
     }
 
@@ -1140,15 +1211,13 @@ impl NumaManager {
         let _ = host;
         self.ensure_global_valid(m, lpage, cpu)?;
         // Drop the host frame and every mapping of it, on all cpus.
-        let frames: Vec<Frame> = self.page(lpage).locals.values().copied().collect();
-        for f in frames {
+        while let Some(f) = self.pop_copy(lpage) {
             for i in 0..m.n_cpus() {
                 m.mmus[i].remove_frame(f);
             }
             m.mem.free(f);
             self.stats.flushes += 1;
         }
-        self.page(lpage).locals.clear();
         let info = self.page(lpage);
         let prev = info.state;
         info.state = StateKind::GlobalWritable;
@@ -1166,7 +1235,7 @@ impl NumaManager {
     }
 
     fn page(&mut self, lpage: LPageId) -> &mut PageInfo {
-        self.pages.get_mut(&lpage).expect("page entry exists")
+        self.pages.get_mut(lpage).expect("page entry exists")
     }
 
     /// Materializes the page's reserved global frame (logical page `i`
@@ -1217,12 +1286,7 @@ impl NumaManager {
         }
         // Sync from any existing local copy (the LW owner's, or an RO
         // replica from a lazily zero-filled page).
-        let src = self
-            .page(lpage)
-            .locals
-            .iter()
-            .min_by_key(|(c, _)| c.index())
-            .map(|(_, &f)| f);
+        let src = self.page(lpage).locals.first().map(|&(_, f)| f);
         // An invalid global frame implies a local copy exists — unless a
         // hard failure took the copy's node down between the directory
         // update and this sync, in which case the loss is typed, not a
@@ -1254,7 +1318,7 @@ impl NumaManager {
         prealloc: &mut Option<Frame>,
     ) -> Result<(), NumaError> {
         let home = m.home_of(cpu);
-        if self.page(lpage).locals.contains_key(&home) {
+        if self.page(lpage).local(home).is_some() {
             return Ok(());
         }
         let frame = match prealloc.take() {
@@ -1291,7 +1355,7 @@ impl NumaManager {
                 self.emit(m, cpu, EventKind::Replicated { lpage, at: home });
             }
         }
-        self.page(lpage).locals.insert(home, frame);
+        self.add_copy(lpage, home, frame);
         Ok(())
     }
 
@@ -1303,16 +1367,16 @@ impl NumaManager {
     fn nearest_replica_source(&self, m: &Machine, lpage: LPageId, to: NodeId) -> Option<Frame> {
         let topo = &m.config.topology;
         let global = m.config.costs.access(Access::Fetch, Distance::Global);
-        let info = self.pages.get(&lpage)?;
+        let info = self.pages.get(lpage)?;
         if info.state != StateKind::ReadOnly {
             return None;
         }
         info.locals
             .iter()
-            .filter(|&(&n, _)| n != to && !self.dead_nodes.contains(&n))
-            .filter(|&(&n, _)| topo.access_cost(Access::Fetch, topo.hops(to, n)) < global)
-            .min_by_key(|&(&n, _)| (topo.hops(to, n), n.index()))
-            .map(|(_, &f)| f)
+            .filter(|&&(n, _)| n != to && !self.dead_nodes.contains(&n))
+            .filter(|&&(n, _)| topo.access_cost(Access::Fetch, topo.hops(to, n)) < global)
+            .min_by_key(|&&(n, _)| (topo.hops(to, n), n.index()))
+            .map(|&(_, f)| f)
     }
 
     /// Drops local copies (and their mappings): the paper's "flush". If
@@ -1332,8 +1396,8 @@ impl NumaManager {
             .page(lpage)
             .locals
             .iter()
-            .filter(|(c, _)| include_requester || **c != home)
-            .map(|(&c, &f)| (c, f))
+            .filter(|&&(c, _)| include_requester || c != home)
+            .copied()
             .collect();
         let dropped = victims.len() as u32;
         for (c, f) in victims {
@@ -1343,7 +1407,7 @@ impl NumaManager {
                 m.mmus[i].remove_frame(f);
             }
             m.mem.free(f);
-            self.page(lpage).locals.remove(&c);
+            self.drop_copy(lpage, c);
             self.stats.flushes += 1;
             if c != home {
                 m.charge_shootdown(requester);
@@ -1356,7 +1420,7 @@ impl NumaManager {
     /// Drops global-frame mappings on every processor: the paper's
     /// "unmap" (for Global-Writable pages, which have no local copies).
     fn unmap_global(&mut self, m: &mut Machine, lpage: LPageId, requester: CpuId) {
-        let Some(gf) = self.pages.get(&lpage).and_then(|p| p.global) else {
+        let Some(gf) = self.pages.get(lpage).and_then(|p| p.global) else {
             return;
         };
         for i in 0..m.n_cpus() {
@@ -1371,10 +1435,10 @@ impl NumaManager {
     /// directory state (`pmap_remove_all`, and the mechanism behind
     /// pin reconsideration).
     pub fn drop_all_mappings(&mut self, m: &mut Machine, lpage: LPageId) {
-        let Some(info) = self.pages.get(&lpage) else {
+        let Some(info) = self.pages.get(lpage) else {
             return;
         };
-        let frames: Vec<Frame> = info.locals.values().copied().chain(info.global).collect();
+        let frames: Vec<Frame> = info.locals.iter().map(|&(_, f)| f).chain(info.global).collect();
         for f in frames {
             for i in 0..m.n_cpus() {
                 m.mmus[i].remove_frame(f);
@@ -1386,26 +1450,44 @@ impl NumaManager {
     /// entry (the completion half of lazy page freeing). The page's move
     /// history dies with it: a reallocated page starts cacheable again.
     pub fn release_page(&mut self, m: &mut Machine, lpage: LPageId) {
-        self.drop_all_mappings(m, lpage);
-        if let Some(info) = self.pages.remove(&lpage) {
-            for (_, f) in info.locals {
-                m.mem.free(f);
-            }
-            if let Some(g) = info.global {
-                m.mem.free(g);
-            }
-            // Frees happen in kernel context with no requesting
-            // processor; stamp them with the master processor.
-            self.emit(m, CpuId(0), EventKind::Freed { lpage });
+        if self.pages.get(lpage).is_none() {
+            return;
         }
+        self.drop_all_mappings(m, lpage);
+        while let Some(f) = self.pop_copy(lpage) {
+            m.mem.free(f);
+        }
+        let info = self.pages.remove(lpage).expect("checked above");
+        if let Some(g) = info.global {
+            m.mem.free(g);
+        }
+        // Frees happen in kernel context with no requesting processor;
+        // stamp them with the master processor.
+        self.emit(m, CpuId(0), EventKind::Freed { lpage });
     }
 
     /// Consistency check used by tests and property harnesses: every RO
     /// replica must be byte-identical to the global frame when the global
-    /// frame is valid, and directory invariants must hold. Returns a
-    /// description of the first violation found.
+    /// frame is valid, directory invariants must hold, and each node's
+    /// residency index must say about this page exactly what its
+    /// directory entry says. Returns a description of the first
+    /// violation found.
     pub fn check_invariants(&self, m: &mut Machine, lpage: LPageId) -> Result<(), String> {
-        let Some(info) = self.pages.get(&lpage) else {
+        let info = self.pages.get(lpage);
+        // Both sides are in node order, so equal vectors is the whole
+        // invariant (and that `locals` is sorted).
+        let indexed: Vec<(NodeId, Frame)> = (0u16..)
+            .map(NodeId)
+            .zip(&self.resident)
+            .filter_map(|(node, index)| Some((node, *index.get(&lpage)?)))
+            .collect();
+        let listed = info.map_or(&[][..], |i| &i.locals[..]);
+        if indexed != listed {
+            return Err(format!(
+                "{lpage:?}: residency index holds {indexed:?}, directory lists {listed:?}"
+            ));
+        }
+        let Some(info) = info else {
             return Ok(());
         };
         match info.state {
@@ -1417,7 +1499,7 @@ impl NumaManager {
             StateKind::ReadOnly => {
                 if info.global_valid {
                     let g = info.global.ok_or("RO valid page without global frame")?;
-                    for (&c, &f) in &info.locals {
+                    for &(c, f) in &info.locals {
                         if !m.mem.pages_equal(g, f) {
                             return Err(format!(
                                 "{lpage:?}: replica on {c} differs from global"
@@ -1437,7 +1519,7 @@ impl NumaManager {
                         info.locals.len()
                     ));
                 }
-                if !info.locals.contains_key(&owner) {
+                if info.local(owner).is_none() {
                     return Err(format!("{lpage:?}: LW copy not on owner {owner}"));
                 }
             }
@@ -1450,12 +1532,35 @@ impl NumaManager {
                 }
             }
             StateKind::RemoteShared(host) => {
-                if info.locals.len() != 1 || !info.locals.contains_key(&host) {
+                if info.locals.len() != 1 || info.local(host).is_none() {
                     return Err(format!(
                         "{lpage:?}: remote-shared page must have exactly the host copy"
                     ));
                 }
             }
+        }
+        Ok(())
+    }
+
+    /// Whole-directory half of the index invariant: every residency-index
+    /// entry is a copy its page's directory entry lists, and the two
+    /// hold the same number of copies — so together with the per-page
+    /// check of [`check_invariants`](Self::check_invariants) over
+    /// [`known_pages`](Self::known_pages), index and directory are
+    /// equal as sets, with no entry left behind by a released page.
+    pub fn check_residency_index(&self) -> Result<(), String> {
+        let mut indexed = 0;
+        for (node, index) in (0u16..).map(NodeId).zip(&self.resident) {
+            for (&lp, &f) in index {
+                if self.pages.get(lp).and_then(|i| i.local(node)) != Some(f) {
+                    return Err(format!("residency index of {node} holds stale {lp:?} -> {f:?}"));
+                }
+            }
+            indexed += index.len();
+        }
+        let listed: usize = self.pages.iter().map(|(_, i)| i.locals.len()).sum();
+        if indexed != listed {
+            return Err(format!("residency index holds {indexed} copies, directory {listed}"));
         }
         Ok(())
     }
@@ -1466,7 +1571,7 @@ impl NumaManager {
     pub fn read_page(&mut self, m: &mut Machine, lpage: LPageId, buf: &mut [u8], cpu: CpuId) {
         match self.truth_frame(lpage) {
             Some(f) => m.mem.read_bytes(f, 0, buf),
-            None => match self.pages.get(&lpage) {
+            None => match self.pages.get(lpage) {
                 Some(info) => match &info.fill {
                     Fill::Data(d) => buf.copy_from_slice(d),
                     _ => buf.fill(0),
@@ -1480,10 +1585,10 @@ impl NumaManager {
     /// Harvests (reads and clears) the page's referenced bits across
     /// every mapping of any of its frames.
     pub fn clear_reference(&mut self, m: &mut Machine, lpage: LPageId) -> bool {
-        let Some(info) = self.pages.get(&lpage) else {
+        let Some(info) = self.pages.get(lpage) else {
             return false;
         };
-        let frames: Vec<Frame> = info.locals.values().copied().chain(info.global).collect();
+        let frames: Vec<Frame> = info.locals.iter().map(|&(_, f)| f).chain(info.global).collect();
         let mut referenced = false;
         for f in frames {
             for i in 0..m.n_cpus() {
@@ -1498,7 +1603,7 @@ impl NumaManager {
     /// The page's pending page-in contents, if a data fill has not been
     /// applied yet (debug/verification access).
     pub fn peek_fill(&self, lpage: LPageId) -> Option<&[u8]> {
-        match self.pages.get(&lpage).map(|p| &p.fill) {
+        match self.pages.get(lpage).map(|p| &p.fill) {
             Some(Fill::Data(d)) => Some(&d[..]),
             _ => None,
         }
@@ -1506,24 +1611,24 @@ impl NumaManager {
 
     /// Iterates over all known pages (for whole-directory checks).
     pub fn known_pages(&self) -> impl Iterator<Item = LPageId> + '_ {
-        self.pages.keys().copied()
+        self.pages.iter().map(|(lp, _)| lp)
     }
 
     /// The frame currently holding the page's authoritative data, if any
     /// frame has been materialized (`None` means the page is still
     /// all-zeros). Used by debug peeks and result verification.
     pub fn truth_frame(&self, lpage: LPageId) -> Option<Frame> {
-        let info = self.pages.get(&lpage)?;
+        let info = self.pages.get(lpage)?;
         match info.state {
             StateKind::Fresh => None,
             StateKind::GlobalWritable => info.global,
-            StateKind::LocalWritable(owner) => info.locals.get(&owner).copied(),
-            StateKind::RemoteShared(host) => info.locals.get(&host).copied(),
+            StateKind::LocalWritable(owner) => info.local(owner),
+            StateKind::RemoteShared(host) => info.local(host),
             StateKind::ReadOnly => {
                 if info.global_valid {
                     info.global
                 } else {
-                    info.locals.values().next().copied()
+                    info.locals.first().map(|&(_, f)| f)
                 }
             }
         }
@@ -2092,6 +2197,97 @@ mod tests {
         // count a pressure tick on every scan with nothing to free.
         mgr.pressure_tick(&mut m, 1, 1);
         assert_eq!(mgr.stats().pressure_ticks, 0);
+    }
+
+    #[test]
+    fn a_flipped_byte_anywhere_in_the_page_is_detected_and_refetched() {
+        // Every byte offset of a 2 KB page, three masks (low bit, high
+        // bit, all bits), both copy directions: the sync of a dirty copy
+        // back to global, and the fetch of a replica from it. Each
+        // injected corruption must be detected, refetched and logged,
+        // and the bytes handed out must be the source's.
+        use ace_machine::CopyFault;
+        let mut m = Machine::new(TopologyBuilder::flat_ace(2).config());
+        let mut mgr = NumaManager::new();
+        let mut pol = AllLocalPolicy;
+        let psize = m.config.page_size.bytes();
+        mgr.zero_page(L);
+        let (mut truth, mut got) = (vec![0u8; psize], vec![0u8; psize]);
+        let mut injected = 0u64;
+        let mut script = |m: &mut Machine, offset: usize, mask: u8| {
+            m.fault.script_copy_fault(CopyFault::Corruption);
+            m.fault.script_corruption_site(offset, mask);
+            injected += 1;
+            injected
+        };
+        for offset in 0..psize {
+            for mask in [0x01u8, 0x80, 0xFF] {
+                // CPU 0 takes the page writable and dirties it, the
+                // target byte included.
+                let w = mgr.request(&mut m, L, Access::Store, CpuId(0), &mut pol).unwrap();
+                truth[offset] = truth[offset].wrapping_add(mask | 2);
+                truth[(offset * 7 + 3) % psize] ^= 0x5a;
+                m.mem.write_bytes(w.frame, 0, &truth);
+                // CPU 1 reads: the sync local -> global is corrupted.
+                let n = script(&mut m, offset, mask);
+                let r = mgr.request(&mut m, L, Access::Fetch, CpuId(1), &mut pol).unwrap();
+                m.mem.read_bytes(r.frame, 0, &mut got);
+                assert_eq!(got, truth, "offset {offset} mask {mask:#x}: sync lost the bytes");
+                assert_eq!(mgr.stats().corruptions_detected, n, "offset {offset} mask {mask:#x}");
+                // CPU 0 reads: the fetch global -> local is corrupted.
+                let n = script(&mut m, offset, mask);
+                let r = mgr.request(&mut m, L, Access::Fetch, CpuId(0), &mut pol).unwrap();
+                m.mem.read_bytes(r.frame, 0, &mut got);
+                assert_eq!(got, truth, "offset {offset} mask {mask:#x}: fetch lost the bytes");
+                assert_eq!(mgr.stats().corruptions_detected, n, "offset {offset} mask {mask:#x}");
+                assert!(!m.fault.active(), "every scripted fault was consumed");
+            }
+        }
+        assert_eq!(injected, 2 * 3 * psize as u64);
+        assert_eq!(m.fault.stats().corruptions, injected);
+        assert_eq!(mgr.stats().replica_refetches, injected);
+        assert_eq!(mgr.stats().bus_retries, 0);
+        // The log is one detection per injection, reader by reader.
+        let log = mgr.fault_events();
+        assert_eq!(log.len() as u64, injected);
+        for (i, e) in log.iter().enumerate() {
+            let cpu = CpuId(1 - (i % 2) as u16);
+            assert_eq!(*e, FaultEvent::CorruptionDetected { lpage: L, cpu }, "event {i}");
+        }
+        mgr.check_invariants(&mut m, L).unwrap();
+    }
+
+    #[test]
+    fn checked_copy_from_a_never_touched_source_still_verifies() {
+        // A frame that was never written has no host payload and reads
+        // as zeros; a corrupted copy of it is a page with one non-zero
+        // byte, which the comparison must still catch.
+        use ace_machine::CopyFault;
+        let (mut m, mut mgr) = setup();
+        mgr.zero_page(L);
+        let src = m.mem.alloc(MemRegion::Global).unwrap();
+        let dst = m.mem.alloc(MemRegion::Local(NodeId(1))).unwrap();
+        m.fault.script_copy_fault(CopyFault::Corruption);
+        m.fault.script_corruption_site(17, 0x80);
+        mgr.checked_copy(&mut m, L, CpuId(1), src, dst).unwrap();
+        assert_eq!(mgr.stats().corruptions_detected, 1);
+        assert_eq!(mgr.stats().replica_refetches, 1);
+        assert_eq!(m.mem.read_u8(dst, 17), 0, "the refetch restored the zeros");
+        assert!(m.mem.pages_equal(src, dst));
+        // Armed by a rate that never fires: the copy is still compared,
+        // and a clean one passes first time.
+        let mut cfg = TopologyBuilder::small(2).config();
+        cfg.faults = ace_machine::FaultConfig {
+            corruption_rate: 1e-12,
+            ..ace_machine::FaultConfig::disabled()
+        };
+        let mut m = Machine::new(cfg);
+        let src = m.mem.alloc(MemRegion::Global).unwrap();
+        let dst = m.mem.alloc(MemRegion::Local(NodeId(0))).unwrap();
+        m.mem.write_u32(dst, 8, 0xdead_beef);
+        mgr.checked_copy(&mut m, L, CpuId(0), src, dst).unwrap();
+        assert_eq!(m.mem.read_u32(dst, 8), 0);
+        assert_eq!(mgr.stats().corruptions_detected, 1, "nothing new detected");
     }
 
     #[test]

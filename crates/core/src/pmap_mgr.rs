@@ -167,9 +167,12 @@ impl AcePmap {
         self.apply_reconsiderations(m);
     }
 
-    /// Completes all pending lazy frees (kernel shutdown / quiescence).
+    /// Completes all pending lazy frees (kernel shutdown / quiescence),
+    /// in the order the frees were requested: the order decides the
+    /// `Freed` event sequence and how frames stack on the free lists.
     pub fn drain_pending_frees(&mut self, m: &mut Machine) {
-        let pending: Vec<(FreeTag, LPageId)> = self.pending_free.drain().collect();
+        let mut pending: Vec<(FreeTag, LPageId)> = self.pending_free.drain().collect();
+        pending.sort_unstable_by_key(|&(tag, _)| tag.0);
         for (_, lpage) in pending {
             self.manager.release_page(m, lpage);
             self.policy.on_free(lpage);

@@ -633,12 +633,15 @@ impl CachePolicy for ReconsiderPolicy {
 
     fn on_tick(&mut self) {
         self.ticks += 1;
-        let due: Vec<LPageId> = self
+        let mut due: Vec<LPageId> = self
             .pinned_at
             .iter()
             .filter(|(_, &at)| self.ticks.saturating_sub(at) >= self.period)
             .map(|(&l, _)| l)
             .collect();
+        // Pages coming due on one tick are reconsidered (and evented) in
+        // page order, not hash order.
+        due.sort_unstable();
         for l in due {
             self.base.on_free(l);
             self.pinned_at.remove(&l);

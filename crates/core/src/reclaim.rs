@@ -41,7 +41,9 @@ pub struct ReclaimCandidate {
 
 /// A victim-selection policy.
 ///
-/// `candidates` arrives sorted by logical page id, so any deterministic
+/// `candidates` arrives in logical-page-id order — it is read off the
+/// pressured node's residency index, which is ordered by page id, not
+/// collected from the directory and sorted — so any deterministic
 /// function of the slice is a deterministic policy.
 pub trait ReclaimPolicy: Send {
     /// Human-readable policy name.

@@ -61,10 +61,10 @@ pub struct NumaStats {
     pub bus_retries: u64,
     /// Local frames retired for good after failing their ECC scrub.
     pub frame_quarantines: u64,
-    /// Page copies whose checksum did not match the source.
+    /// Page copies whose destination did not compare equal to the source.
     pub corruptions_detected: u64,
-    /// Replicas re-fetched from the authoritative copy after a checksum
-    /// mismatch.
+    /// Replicas re-fetched from the authoritative copy after a failed
+    /// comparison.
     pub replica_refetches: u64,
     /// LOCAL decisions degraded to GLOBAL because the target local
     /// memory kept producing bad frames.
@@ -155,8 +155,8 @@ pub enum FaultEvent {
         /// The node whose local memory lost the frame.
         node: NodeId,
     },
-    /// A copied replica failed its checksum and was re-fetched from the
-    /// authoritative copy.
+    /// A copied replica did not compare equal to its source and was
+    /// re-fetched from the authoritative copy.
     CorruptionDetected {
         /// The page whose replica was corrupted.
         lpage: LPageId,

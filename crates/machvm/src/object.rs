@@ -6,6 +6,7 @@
 //! its pages are *resident*, i.e. have a logical page from the pool.
 
 use crate::pool::LPageId;
+use ace_machine::IdHashMap;
 use std::collections::HashMap;
 
 /// Identifies one memory object.
@@ -21,7 +22,7 @@ pub struct VmObject {
     /// Size in pages.
     pub size_pages: u64,
     /// Resident logical pages, by page index within the object.
-    resident: HashMap<u64, LPageId>,
+    resident: IdHashMap<u64, LPageId>,
     /// Paged-out contents, by page index ("disk").
     swap: HashMap<u64, Box<[u8]>>,
     /// Number of map entries referencing the object.
@@ -34,7 +35,7 @@ impl VmObject {
         VmObject {
             id,
             size_pages,
-            resident: HashMap::new(),
+            resident: IdHashMap::default(),
             swap: HashMap::new(),
             ref_count: 1,
         }
@@ -58,9 +59,12 @@ impl VmObject {
         self.resident.remove(&index)
     }
 
-    /// All resident pages (unordered).
-    pub fn resident_pages(&self) -> impl Iterator<Item = (u64, LPageId)> + '_ {
-        self.resident.iter().map(|(&i, &l)| (i, l))
+    /// All resident pages, in page-index order: the order they are
+    /// freed in decides which logical page the pool hands out next.
+    pub fn resident_pages(&self) -> Vec<(u64, LPageId)> {
+        let mut pages: Vec<(u64, LPageId)> = self.resident.iter().map(|(&i, &l)| (i, l)).collect();
+        pages.sort_unstable_by_key(|&(i, _)| i);
+        pages
     }
 
     /// Number of resident pages.

@@ -88,7 +88,8 @@ pub enum RecoveryAction {
         /// The retired frame.
         frame: Frame,
     },
-    /// A copied replica failed its checksum and is being re-fetched.
+    /// A copied replica did not compare equal to its source and is being
+    /// re-fetched.
     CorruptionRefetched,
     /// A LOCAL placement was degraded to GLOBAL because the target
     /// local memory kept producing bad frames.

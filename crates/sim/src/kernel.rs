@@ -518,7 +518,8 @@ impl Kernel {
     }
 
     /// Verifies directory/replica invariants for every page the NUMA
-    /// layer knows about, then cross-checks the manager's directory
+    /// layer knows about (including that the per-node residency index
+    /// equals the directory), then cross-checks the manager's directory
     /// against every MMU's live mappings: no processor may map a frame
     /// the directory does not account for, a quarantined frame, or
     /// another processor's private local copy.
@@ -529,6 +530,7 @@ impl Kernel {
             // mutable borrows below do not alias.
             self.pmap.manager().check_invariants(&mut self.machine, p)?;
         }
+        self.pmap.manager().check_residency_index()?;
         // Directory <-> MMU audit.
         let owners = self.pmap.manager().frame_owners();
         for i in 0..self.machine.n_cpus() {
