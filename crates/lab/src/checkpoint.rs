@@ -152,7 +152,6 @@ fn report_to_json(id: usize, r: &RunReport) -> Json {
         .iter()
         .map(|t| Json::obj().field("user_ns", t.user.0).field("system_ns", t.system.0))
         .collect();
-    let n = &r.numa;
     let j = Json::obj()
         .field("id", id)
         .field("policy", r.policy)
@@ -164,42 +163,7 @@ fn report_to_json(id: usize, r: &RunReport) -> Json {
                 .field("global", r.refs.global)
                 .field("remote", r.refs.remote),
         )
-        .field(
-            "numa",
-            Json::obj()
-                .field("requests", n.requests)
-                .field("read_requests", n.read_requests)
-                .field("write_requests", n.write_requests)
-                .field("replications", n.replications)
-                .field("migrations", n.migrations)
-                .field("syncs", n.syncs)
-                .field("flushes", n.flushes)
-                .field("shootdowns", n.shootdowns)
-                .field("to_global", n.to_global)
-                .field("pins", n.pins)
-                .field("flush_pins", n.flush_pins)
-                .field("coherence_invalidations", n.coherence_invalidations)
-                .field("zero_fill_local", n.zero_fill_local)
-                .field("zero_fill_global", n.zero_fill_global)
-                .field("local_pressure_fallbacks", n.local_pressure_fallbacks)
-                .field("lazy_free_syncs", n.lazy_free_syncs)
-                .field("to_remote", n.to_remote)
-                .field("bus_retries", n.bus_retries)
-                .field("frame_quarantines", n.frame_quarantines)
-                .field("corruptions_detected", n.corruptions_detected)
-                .field("replica_refetches", n.replica_refetches)
-                .field("fault_global_fallbacks", n.fault_global_fallbacks)
-                .field("reclaims", n.reclaims)
-                .field("degradations", n.degradations)
-                .field("pressure_ticks", n.pressure_ticks)
-                .field("local_peak_frames", n.local_peak_frames)
-                .field("near_replications", n.near_replications)
-                .field("nodes_offlined", n.nodes_offlined)
-                .field("pages_rehomed", n.pages_rehomed)
-                .field("pages_lost", n.pages_lost)
-                .field("threads_drained", n.threads_drained)
-                .field("dead_node_fallbacks", n.dead_node_fallbacks),
-        )
+        .field("numa", r.numa.fields().fold(Json::obj(), |n, (key, v)| n.field(key, v)))
         .field(
             "bus",
             Json::obj()
@@ -219,14 +183,6 @@ fn report_to_json(id: usize, r: &RunReport) -> Json {
     // from, so a resumed sweep reports the same tail byte-for-byte.
     let j = match &r.serving {
         Some(s) => {
-            let sparse = |h: &numa_metrics::LatencyHistogram| {
-                Json::Arr(
-                    h.to_sparse()
-                        .into_iter()
-                        .map(|(i, c)| Json::Arr(vec![Json::from(i), Json::from(c)]))
-                        .collect(),
-                )
-            };
             let mut entry = Json::obj()
                 .field("requests", s.requests)
                 .field("gets", s.gets)
@@ -243,11 +199,11 @@ fn report_to_json(id: usize, r: &RunReport) -> Json {
             }
             entry = entry
                 .field("max_ns", s.latency.max_ns())
-                .field("buckets", sparse(&s.latency));
+                .field("buckets", s.latency.sparse_json());
             if s.limited {
                 entry = entry
                     .field("goodput_max_ns", s.goodput.max_ns())
-                    .field("goodput_buckets", sparse(&s.goodput));
+                    .field("goodput_buckets", s.goodput.sparse_json());
             }
             j.field("serving", entry)
         }
@@ -287,22 +243,11 @@ fn report_from_json(entry: &[(String, Json)], spec: &JobSpec) -> Result<RunRepor
             system: Ns(get_u64(t, "system_ns")?),
         });
     }
-    let refs = as_obj(
-        get(entry, "refs").ok_or_else(|| format!("job #{}: no refs", spec.id))?,
-        "refs",
-    )?;
-    let n = as_obj(
-        get(entry, "numa").ok_or_else(|| format!("job #{}: no numa", spec.id))?,
-        "numa",
-    )?;
-    let bus = as_obj(
-        get(entry, "bus").ok_or_else(|| format!("job #{}: no bus", spec.id))?,
-        "bus",
-    )?;
-    let faults = as_obj(
-        get(entry, "faults").ok_or_else(|| format!("job #{}: no faults", spec.id))?,
-        "faults",
-    )?;
+    let part = |key: &str| match get(entry, key) {
+        Some(part) => as_obj(part, key),
+        None => Err(format!("job #{}: checkpoint entry has no {key}", spec.id)),
+    };
+    let (refs, numa, bus, faults) = (part("refs")?, part("numa")?, part("bus")?, part("faults")?);
     Ok(RunReport {
         policy,
         cpu_times,
@@ -311,40 +256,7 @@ fn report_from_json(entry: &[(String, Json)], spec: &JobSpec) -> Result<RunRepor
             global: get_u64(refs, "global")?,
             remote: get_u64(refs, "remote")?,
         },
-        numa: NumaStats {
-            requests: get_u64(n, "requests")?,
-            read_requests: get_u64(n, "read_requests")?,
-            write_requests: get_u64(n, "write_requests")?,
-            replications: get_u64(n, "replications")?,
-            migrations: get_u64(n, "migrations")?,
-            syncs: get_u64(n, "syncs")?,
-            flushes: get_u64(n, "flushes")?,
-            shootdowns: get_u64(n, "shootdowns")?,
-            to_global: get_u64(n, "to_global")?,
-            pins: get_u64(n, "pins")?,
-            flush_pins: get_u64(n, "flush_pins")?,
-            coherence_invalidations: get_u64(n, "coherence_invalidations")?,
-            zero_fill_local: get_u64(n, "zero_fill_local")?,
-            zero_fill_global: get_u64(n, "zero_fill_global")?,
-            local_pressure_fallbacks: get_u64(n, "local_pressure_fallbacks")?,
-            lazy_free_syncs: get_u64(n, "lazy_free_syncs")?,
-            to_remote: get_u64(n, "to_remote")?,
-            bus_retries: get_u64(n, "bus_retries")?,
-            frame_quarantines: get_u64(n, "frame_quarantines")?,
-            corruptions_detected: get_u64(n, "corruptions_detected")?,
-            replica_refetches: get_u64(n, "replica_refetches")?,
-            fault_global_fallbacks: get_u64(n, "fault_global_fallbacks")?,
-            reclaims: get_u64(n, "reclaims")?,
-            degradations: get_u64(n, "degradations")?,
-            pressure_ticks: get_u64(n, "pressure_ticks")?,
-            local_peak_frames: get_u64(n, "local_peak_frames")?,
-            near_replications: get_u64(n, "near_replications")?,
-            nodes_offlined: get_u64(n, "nodes_offlined")?,
-            pages_rehomed: get_u64(n, "pages_rehomed")?,
-            pages_lost: get_u64(n, "pages_lost")?,
-            threads_drained: get_u64(n, "threads_drained")?,
-            dead_node_fallbacks: get_u64(n, "dead_node_fallbacks")?,
-        },
+        numa: NumaStats::from_fields(|key| get_u64(numa, key))?,
         bus: BusStats {
             global_word_transfers: get_u64(bus, "global_word_transfers")?,
             copy_word_transfers: get_u64(bus, "copy_word_transfers")?,

@@ -20,7 +20,7 @@
 use crate::checkpoint::Checkpoint;
 use crate::farm::{FarmOptions, LabError};
 use crate::gate::{diff_documents, GateTolerances};
-use crate::grid::Grid;
+use crate::grid::{Axis, Grid, JobSpec, AXES};
 use crate::sweep::Sweep;
 use numa_metrics::baseline::BaselineDiff;
 use numa_metrics::{shared, validate, Event, EventKind, EventSink, SharedSink, Table};
@@ -203,7 +203,7 @@ fn lookup_grid(opts: &Opts) -> Result<Grid, String> {
         format!(
             "unknown grid `{}` (built-in grids: {})",
             opts.grid,
-            Grid::preset_names().join(", ")
+            Grid::preset_names().collect::<Vec<_>>().join(", ")
         )
     })?;
     grid.fastpath = opts.fastpath;
@@ -340,51 +340,45 @@ fn cmd_run(opts: &Opts) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
+/// The axes `grid` sets, in grid order.
+fn set_axes(grid: &Grid) -> Vec<&'static Axis> {
+    AXES.iter().filter(|a| !(a.values)(grid).is_empty()).collect()
+}
+
+/// A job's coordinate on each of `axes`, `-` where it collapsed.
+fn axis_cells(job: &JobSpec, axes: &[&Axis]) -> Vec<String> {
+    axes.iter().map(|a| (a.get)(job).map_or("-".to_string(), |v| v.to_string())).collect()
+}
+
 fn cmd_list(opts: &Opts) -> Result<ExitCode, String> {
     if !opts.grid_given {
         let mut t = Table::new(&["grid", "scale", "jobs", "axes"]);
         for name in Grid::preset_names() {
             let g = Grid::named(name).expect("preset exists");
+            // Every axis the grid sets, so the product is the job count
+            // before inapplicable axes collapse.
+            let axes: Vec<String> = set_axes(&g)
+                .iter()
+                .map(|a| format!("{} {}", (a.values)(&g).len(), a.list_key))
+                .collect();
             t.row(vec![
                 g.name.clone(),
                 format!("{:?}", g.scale).to_lowercase(),
                 g.jobs().len().to_string(),
-                {
-                    let mut axes = format!(
-                        "{} apps x {} placements x {} cpus x {} thresholds x {} faults x {} pages",
-                        g.apps.len(),
-                        g.placements.len(),
-                        g.cpus.len(),
-                        g.thresholds.len(),
-                        g.fault_rates.len(),
-                        g.page_sizes.len()
-                    );
-                    if !g.policies.is_empty() {
-                        axes.push_str(&format!(" x {} policies", g.policies.len()));
-                    }
-                    axes
-                },
+                axes.join(" x "),
             ]);
         }
         println!("{t}");
         return Ok(ExitCode::SUCCESS);
     }
+    // One column per axis the grid sets, so no two rows read the same.
     let grid = lookup_grid(opts)?;
-    let jobs = grid.jobs();
-    let mut t =
-        Table::new(&["id", "app", "placement", "cpus", "threshold", "policy", "fault", "page"])
-            .with_title(format!("grid `{}`: {} jobs, grid order", grid.name, jobs.len()));
+    let (jobs, axes) = (grid.jobs(), set_axes(&grid));
+    let headers: Vec<&str> = std::iter::once("id").chain(axes.iter().map(|a| a.key)).collect();
+    let mut t = Table::new(&headers)
+        .with_title(format!("grid `{}`: {} jobs, grid order", grid.name, jobs.len()));
     for j in &jobs {
-        t.row(vec![
-            j.id.to_string(),
-            j.app.name().to_string(),
-            j.placement.label(),
-            j.cpus.to_string(),
-            j.threshold.map_or("-".to_string(), |x| x.to_string()),
-            j.policy.map_or("-".to_string(), |p| p.label().to_string()),
-            format!("{}", j.fault_rate),
-            j.page_size.to_string(),
-        ]);
+        t.row(std::iter::once(j.id.to_string()).chain(axis_cells(j, &axes)).collect());
     }
     println!("{t}");
     Ok(ExitCode::SUCCESS)
@@ -503,6 +497,26 @@ mod tests {
         assert_eq!(run(args(&["run", "--grid", "serving", "--quiet"])), ExitCode::from(2));
         let o = parse_opts(&args(&["--grid", "serving", "--out", "s.json"])).unwrap();
         assert_eq!(run_out_path(&o), Ok("s.json"));
+    }
+
+    #[test]
+    fn list_rows_are_pairwise_distinct_and_the_summary_explains_the_count() {
+        for name in Grid::preset_names() {
+            let grid = Grid::named(name).unwrap();
+            let (jobs, axes) = (grid.jobs(), set_axes(&grid));
+            let rows: std::collections::BTreeSet<Vec<String>> =
+                jobs.iter().map(|j| axis_cells(j, &axes)).collect();
+            assert_eq!(rows.len(), jobs.len(), "`list --grid {name}` prints indistinguishable rows");
+            // The cardinalities the summary prints multiply to the job
+            // count before collapse.
+            let product: usize = axes.iter().map(|a| (a.values)(&grid).len()).product();
+            assert!(product >= jobs.len(), "{name}: {product} < {}", jobs.len());
+        }
+        let pressure = Grid::pressure();
+        let listed: Vec<_> = set_axes(&pressure).iter().map(|a| a.list_key).collect();
+        assert!(listed.contains(&"local_frames"), "pressure's summary omits its own axis");
+        assert_eq!(run(args(&["list"])), ExitCode::SUCCESS);
+        assert_eq!(run(args(&["list", "--grid", "overload"])), ExitCode::SUCCESS);
     }
 
     #[test]

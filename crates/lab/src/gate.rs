@@ -9,6 +9,7 @@
 //! absolute window (α is meaningful near zero), protocol counters get
 //! a relative band with an absolute floor of a few events.
 
+use crate::sweep::{class_of, Class};
 use numa_metrics::baseline::{compare, BaselineDiff, Tolerance};
 use numa_metrics::{parse, Json};
 
@@ -48,27 +49,15 @@ impl GateTolerances {
         GateTolerances { time_rel: 0.0, model_abs: 0.0, count_rel: 0.0, count_abs: 0.0, bytes_rel: 0.0 }
     }
 
-    /// The tolerance applied to the leaf at `path`.
+    /// The tolerance applied to the leaf at `path`: the one its
+    /// descriptor's class names (see `sweep::JOB_LEAVES`).
     pub fn for_path(&self, path: &str) -> Tolerance {
-        let leaf = path.rsplit('.').next().unwrap_or(path);
-        match leaf {
-            "user_s" | "system_s" | "makespan_ns" | "t_local_s" | "t_global_s" | "t_numa_s"
-            | "p50_ns" | "p95_ns" | "p99_ns" | "p999_ns" | "goodput_p50_ns" | "goodput_p95_ns"
-            | "goodput_p99_ns" | "goodput_p999_ns" => Tolerance::rel(self.time_rel),
-            "alpha" | "beta" | "gamma" | "alpha_measured" => Tolerance::abs(self.model_abs),
-            // Admission outcomes hinge on virtual dequeue times, so a
-            // cost-model shift moves them like any protocol counter;
-            // the generated request count itself stays identity-exact.
-            "replications" | "migrations" | "pins" | "flush_pins" | "coherence_invalidations"
-            | "syncs" | "shootdowns" | "recovery_actions" | "reclaims" | "degradations"
-            | "pressure_ticks" | "nodes_offlined" | "pages_rehomed" | "pages_lost"
-            | "threads_drained" | "dead_node_fallbacks" | "admitted" | "shed_queue_full"
-            | "shed_deadline" | "shed_quota" => {
-                Tolerance { rel: self.count_rel, abs: self.count_abs }
-            }
-            "bus_bytes" => Tolerance::rel(self.bytes_rel),
-            // Identity: ids, axes, names, schema, paper constants.
-            _ => Tolerance::EXACT,
+        match class_of(path.rsplit('.').next().unwrap_or(path)) {
+            Class::Time => Tolerance::rel(self.time_rel),
+            Class::Factor => Tolerance::abs(self.model_abs),
+            Class::Count => Tolerance { rel: self.count_rel, abs: self.count_abs },
+            Class::Bytes => Tolerance::rel(self.bytes_rel),
+            Class::Identity => Tolerance::EXACT,
         }
     }
 }
@@ -105,8 +94,8 @@ fn check_schema(doc: &Json, what: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::Grid;
-    use crate::sweep::Sweep;
+    use crate::grid::{Grid, AXES};
+    use crate::sweep::{Sweep, JOB_LEAVES, MODEL_LEAVES};
 
     fn sweep_text() -> String {
         Sweep::run(Grid::smoke(), 2, None).unwrap().to_json().to_string_flat()
@@ -177,127 +166,91 @@ mod tests {
         diff_documents(&mk(base.into()), &mk(cur.into()), tol).unwrap()
     }
 
-    // One boundary test per tolerance class: a drift just inside the
-    // band passes, a drift just outside trips. The "just over" margins
-    // account for `Tolerance::allows` using max(|baseline|, |current|)
-    // as the relative base.
-
     #[test]
-    fn time_class_has_two_percent_relative_slack() {
+    fn every_descriptor_gates_with_the_band_of_its_class() {
+        // One boundary pair per tolerance class — a drift just inside
+        // the band passes, one just outside trips — applied to every
+        // leaf the sweep declares, so a new counter is gated the moment
+        // it gets a descriptor. The "just over" margins account for
+        // `Tolerance::allows` using max(|baseline|, |current|) as the
+        // relative base.
         let tol = GateTolerances::default();
-        for leaf in ["user_s", "system_s", "makespan_ns", "t_local_s", "t_global_s", "t_numa_s"] {
-            assert!(gate_leaf(leaf, 100.0, 101.5, &tol).passes(), "{leaf}: 1.5% tripped");
-            assert!(!gate_leaf(leaf, 100.0, 103.0, &tol).passes(), "{leaf}: 3% passed");
+        let job = JOB_LEAVES.iter().map(|l| (l.key, l.class));
+        for (key, class) in job.chain(MODEL_LEAVES.iter().map(|l| (l.key, l.class))) {
+            assert_eq!(class_of(key), class, "{key} is declared twice with different classes");
+            let passes = |base: f64, cur: f64| gate_leaf(key, base, cur, &tol).passes();
+            match class {
+                // Virtual times and bus bytes: 2% relative.
+                Class::Time | Class::Bytes => {
+                    assert!(passes(1e6, 1.015e6), "{key}: 1.5% tripped");
+                    assert!(!passes(1e6, 1.03e6), "{key}: 3% passed");
+                }
+                // An absolute window, precisely so factors near zero
+                // get headroom a relative band would deny them.
+                Class::Factor => {
+                    assert!(passes(0.5, 0.515), "{key}: +0.015 tripped");
+                    assert!(!passes(0.5, 0.525), "{key}: +0.025 passed");
+                    assert!(passes(0.0, 0.015), "{key}: near-zero tripped");
+                    assert!(!passes(0.0, 0.025), "{key}: near-zero passed");
+                }
+                // 10% relative, with a floor: 3 -> 5 is a 67% jump but
+                // only two events; one more event is out.
+                Class::Count => {
+                    assert!(passes(1000.0, 1080.0), "{key}: 8% tripped");
+                    assert!(!passes(1000.0, 1130.0), "{key}: 13% passed");
+                    assert!(passes(3.0, 5.0), "{key}: floor did not absorb 2 events");
+                    assert!(!passes(3.0, 6.0), "{key}: 3 events slipped under the floor");
+                }
+                Class::Identity => assert!(!passes(1000.0, 1001.0), "{key}: not exact"),
+            }
         }
-    }
-
-    #[test]
-    fn latency_percentiles_share_the_time_class() {
-        // Tail latencies are virtual times, so they drift (if at all)
-        // with the same cost-model shifts that move user_s — they get
-        // the same relative band. Request counts stay identity-exact:
-        // a served-request delta is a different workload, not drift.
-        let tol = GateTolerances::default();
-        for leaf in ["p50_ns", "p95_ns", "p99_ns", "p999_ns"] {
-            assert!(gate_leaf(leaf, 1_000_000u64, 1_015_000u64, &tol).passes(), "{leaf}: 1.5% tripped");
-            assert!(!gate_leaf(leaf, 1_000_000u64, 1_030_000u64, &tol).passes(), "{leaf}: 3% passed");
+        // Coordinates are identities: a different queue depth or pinning
+        // rule is a different experiment, not drift.
+        for axis in AXES.iter() {
+            assert!(!gate_leaf(axis.key, 8u64, 9u64, &tol).passes(), "{}: not exact", axis.key);
         }
-        for leaf in ["requests_served", "gets", "puts"] {
-            assert!(!gate_leaf(leaf, 1000u64, 1001u64, &tol).passes(), "{leaf}: not exact");
-        }
-    }
-
-    #[test]
-    fn model_class_has_an_absolute_window() {
-        let tol = GateTolerances::default();
-        for leaf in ["alpha", "beta", "gamma", "alpha_measured"] {
-            assert!(gate_leaf(leaf, 0.5, 0.515, &tol).passes(), "{leaf}: +0.015 tripped");
-            assert!(!gate_leaf(leaf, 0.5, 0.525, &tol).passes(), "{leaf}: +0.025 passed");
-            // The window is absolute precisely so factors near zero get
-            // headroom a relative band would deny them.
-            assert!(gate_leaf(leaf, 0.0, 0.015, &tol).passes(), "{leaf}: near-zero tripped");
-            assert!(!gate_leaf(leaf, 0.0, 0.025, &tol).passes(), "{leaf}: near-zero passed");
-        }
-    }
-
-    #[test]
-    fn counter_class_has_ten_percent_relative_slack() {
-        let tol = GateTolerances::default();
-        for leaf in [
-            "replications",
-            "migrations",
-            "pins",
-            "flush_pins",
-            "coherence_invalidations",
-            "syncs",
-            "shootdowns",
-            "reclaims",
-            "degradations",
-            "pressure_ticks",
-        ] {
-            assert!(gate_leaf(leaf, 1000u64, 1080u64, &tol).passes(), "{leaf}: 8% tripped");
-            assert!(!gate_leaf(leaf, 1000u64, 1130u64, &tol).passes(), "{leaf}: 13% passed");
-        }
-    }
-
-    #[test]
-    fn flush_pin_counters_share_the_counter_floor_and_policy_stays_exact() {
-        // A handful of flush pins may wobble by the floor's two events;
-        // the policy label on a model row is identity, never drift.
-        let tol = GateTolerances::default();
-        assert!(gate_leaf("flush_pins", 3u64, 5u64, &tol).passes());
-        assert!(!gate_leaf("flush_pins", 3u64, 6u64, &tol).passes());
         assert!(!gate_leaf("policy", "flush-limit", "move-limit", &tol).passes());
     }
 
     #[test]
-    fn counter_class_has_an_absolute_floor_for_tiny_counts() {
-        // 3 -> 5 is a 67% relative jump but only two events: the floor
-        // absorbs it. One more event is out.
-        let tol = GateTolerances::default();
-        assert!(gate_leaf("pins", 3u64, 5u64, &tol).passes(), "floor did not absorb 2 events");
-        assert!(!gate_leaf("pins", 3u64, 6u64, &tol).passes(), "3 events slipped under the floor");
-    }
-
-    #[test]
-    fn overload_ledger_counters_share_the_counter_class() {
-        // Shed counts wobble with the same cost-model shifts that move
-        // any protocol counter; the floor absorbs a couple of requests
-        // on near-empty ledgers.
-        let tol = GateTolerances::default();
-        for leaf in ["admitted", "shed_queue_full", "shed_deadline", "shed_quota"] {
-            assert!(gate_leaf(leaf, 1000u64, 1080u64, &tol).passes(), "{leaf}: 8% tripped");
-            assert!(!gate_leaf(leaf, 1000u64, 1130u64, &tol).passes(), "{leaf}: 13% passed");
-            assert!(gate_leaf(leaf, 3u64, 5u64, &tol).passes(), "{leaf}: floor missing");
-            assert!(!gate_leaf(leaf, 3u64, 6u64, &tol).passes(), "{leaf}: floor too wide");
+    fn every_leaf_a_preset_emits_is_a_coordinate_or_a_declared_metric() {
+        // Looks only at the keys of emitted rows: a leaf some sweep
+        // writes without a descriptor would gate identity-exact by
+        // accident, and a descriptor no sweep emits is dead.
+        use std::collections::BTreeSet;
+        let coordinates: BTreeSet<&str> =
+            AXES.iter().map(|a| a.key).chain(["id", "workers", "scale"]).collect();
+        let mut emitted = [BTreeSet::new(), BTreeSet::new()];
+        for name in Grid::preset_names() {
+            let mut grid = Grid::named(name).unwrap();
+            grid.scale = numa_apps::Scale::Test;
+            let doc = Sweep::run(grid, 8, None).unwrap().to_json();
+            let Json::Obj(top) = &doc else { panic!("sweep document is an object") };
+            for (rows, seen) in ["jobs", "model"].iter().zip(&mut emitted) {
+                let Some((_, Json::Arr(rows))) = top.iter().find(|(k, _)| k == rows) else {
+                    panic!("{name}: no {rows} array")
+                };
+                for row in rows {
+                    let Json::Obj(members) = row else { panic!("{name}: row is not an object") };
+                    seen.extend(members.iter().map(|(k, _)| k.clone()));
+                }
+            }
         }
-    }
-
-    #[test]
-    fn goodput_percentiles_share_the_time_class() {
-        let tol = GateTolerances::default();
-        for leaf in ["goodput_p50_ns", "goodput_p95_ns", "goodput_p99_ns", "goodput_p999_ns"] {
-            assert!(
-                gate_leaf(leaf, 1_000_000u64, 1_015_000u64, &tol).passes(),
-                "{leaf}: 1.5% tripped"
-            );
-            assert!(
-                !gate_leaf(leaf, 1_000_000u64, 1_030_000u64, &tol).passes(),
-                "{leaf}: 3% passed"
-            );
+        let declared = [
+            JOB_LEAVES.iter().map(|l| l.key).collect::<BTreeSet<_>>(),
+            MODEL_LEAVES.iter().map(|l| l.key).collect::<BTreeSet<_>>(),
+        ];
+        for (seen, declared) in emitted.iter().zip(&declared) {
+            for key in seen {
+                assert!(
+                    declared.contains(key.as_str()) || coordinates.contains(key.as_str()),
+                    "a row emits `{key}` with no descriptor"
+                );
+            }
+            for key in declared {
+                assert!(seen.contains(*key), "no preset emits the declared leaf `{key}`");
+            }
         }
-        // The knob axes themselves are identity: a different queue
-        // depth or deadline is a different experiment, not drift.
-        for leaf in ["queue_depth", "deadline_ns", "tenant_quota"] {
-            assert!(!gate_leaf(leaf, 8u64, 9u64, &tol).passes(), "{leaf}: not exact");
-        }
-    }
-
-    #[test]
-    fn bus_bytes_class_has_two_percent_relative_slack() {
-        let tol = GateTolerances::default();
-        assert!(gate_leaf("bus_bytes", 1_000_000u64, 1_015_000u64, &tol).passes());
-        assert!(!gate_leaf("bus_bytes", 1_000_000u64, 1_030_000u64, &tol).passes());
     }
 
     #[test]

@@ -1,13 +1,20 @@
 //! Declarative sweep grids.
 //!
-//! A [`Grid`] names one value set per experiment axis — application,
-//! placement, processor count, move-limit threshold, fault rate, page
-//! size — and [`Grid::jobs`] expands the cross product into independent
-//! [`JobSpec`]s in a fixed *grid order* (nested loops, axes in the
-//! order above). Axes that do not apply to a cell (a threshold under
-//! the all-global placement, the processor axis under the
-//! single-processor `local` baseline) are collapsed during expansion,
-//! so the job list contains no duplicate work.
+//! A [`Grid`] names one value set per experiment axis and
+//! [`Grid::jobs`] expands the cross product into independent
+//! [`JobSpec`]s in a fixed *grid order*. Everything the lab knows about
+//! an axis — its keys in the grid and job documents, its label tag, how
+//! the grid's list becomes a cell's coordinate, when it collapses, and
+//! whether documents mention it at all — is one row of the `AXES` table
+//! below, in grid order (first row outermost). Expansion, both
+//! serializations, the labels, the model-companion key and the
+//! `numa-lab list` tables are loops over that table; `Grid` and
+//! `JobSpec` stay plain typed structs that the table describes.
+//!
+//! Axes that do not apply to a cell (a threshold under the all-global
+//! placement, the processor axis under the single-processor `local`
+//! baseline, the serving axes under a batch application) collapse
+//! during expansion, so the job list contains no duplicate work.
 //!
 //! Every job is a complete, self-contained description of one
 //! deterministic simulation: the worker farm can run the list in any
@@ -266,7 +273,6 @@ fn scale_label(scale: Scale) -> &'static str {
         Scale::Bench => "bench",
     }
 }
-
 /// One declarative sweep: a value set per axis.
 #[derive(Clone, Debug)]
 pub struct Grid {
@@ -351,10 +357,240 @@ pub struct Grid {
     pub fastpath: bool,
 }
 
+/// One coordinate value of any axis. Reals are held as their IEEE bit
+/// pattern so that cells compare, hash and deduplicate exactly.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub(crate) enum Value {
+    App(AppId),
+    Placement(Placement),
+    Int(u64),
+    Real(u64),
+    Policy(PolicyAxis),
+    Topology(TopologyAxis),
+}
+
+impl std::fmt::Display for Value {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Value::App(a) => f.write_str(a.name()),
+            Value::Placement(p) => f.write_str(&p.label()),
+            Value::Int(n) => write!(f, "{n}"),
+            Value::Real(bits) => write!(f, "{}", f64::from_bits(bits)),
+            Value::Policy(p) => f.write_str(p.label()),
+            Value::Topology(t) => f.write_str(&t.label()),
+        }
+    }
+}
+
+impl From<Value> for Json {
+    fn from(v: Value) -> Json {
+        match v {
+            Value::Int(n) => n.into(),
+            Value::Real(bits) => Json::Num(f64::from_bits(bits)),
+            named => named.to_string().into(),
+        }
+    }
+}
+
+/// A type some axis takes its values from.
+trait Atom: Copy {
+    fn pack(self) -> Value;
+    fn unpack(v: Value) -> Self;
+}
+
+macro_rules! atoms {
+    ($($t:ty => $variant:ident($pack:expr, $unpack:expr);)*) => {$(
+        impl Atom for $t {
+            fn pack(self) -> Value {
+                Value::$variant($pack(self))
+            }
+            fn unpack(v: Value) -> $t {
+                match v {
+                    Value::$variant(x) => $unpack(x),
+                    other => panic!("axis value {other:?} is not a {}", stringify!($t)),
+                }
+            }
+        }
+    )*};
+}
+
+atoms! {
+    AppId => App(|a| a, |a| a);
+    Placement => Placement(|p| p, |p| p);
+    PolicyAxis => Policy(|p| p, |p| p);
+    TopologyAxis => Topology(|t| t, |t| t);
+    f64 => Real(f64::to_bits, f64::from_bits);
+    u64 => Int(|n| n, |n| n);
+    usize => Int(|n| n as u64, |n| n as usize);
+    u32 => Int(u64::from, |n| n as u32);
+}
+
+/// How an axis shows up in [`JobSpec::label`].
+pub(crate) enum Tag {
+    /// Not at all (the application and placement head the label).
+    None,
+    /// ` tag=value`, directly after the placement it qualifies and
+    /// ahead of every other tag (`numa t=4 pol=flush-limit p=7`).
+    Qualifier(&'static str),
+    /// ` tag=value` when the coordinate is set.
+    Eq(&'static str),
+    /// A piece with a rule of its own.
+    With(fn(&JobSpec) -> Option<String>),
+}
+
+/// One sweep axis: everything the lab knows about it.
+pub(crate) struct Axis {
+    /// Key of the value list in the grid document.
+    pub(crate) list_key: &'static str,
+    /// Key of the coordinate in job documents and model rows.
+    pub(crate) key: &'static str,
+    pub(crate) tag: Tag,
+    /// Emit-only-when-set: a grid that leaves the list empty, and every
+    /// cell whose coordinate is unset, serializes exactly as it did
+    /// before the axis existed. Optional keys follow the mandatory ones
+    /// in every document; an empty optional list still yields one cell
+    /// per combination of the others, with the coordinate unset.
+    pub(crate) optional: bool,
+    /// Whether solved model rows name the coordinate.
+    pub(crate) in_model: bool,
+    /// The grid's value list.
+    pub(crate) values: fn(&Grid) -> Vec<Value>,
+    pub(crate) get: fn(&JobSpec) -> Option<Value>,
+    set: fn(&mut JobSpec, Option<Value>),
+    /// The collapse rule: the coordinate a cell takes for a listed
+    /// value, given the cell's outer coordinates (every earlier row's,
+    /// already fitted). Cells that collapse to equal coordinates are
+    /// one job.
+    fit: fn(&JobSpec, Option<Value>) -> Option<Value>,
+}
+
+fn always(_: &JobSpec, v: Option<Value>) -> Option<Value> {
+    v
+}
+
+/// The T_local baseline is single-processor by definition (section 3.1).
+fn one_cpu_if_local(cell: &JobSpec, v: Option<Value>) -> Option<Value> {
+    if cell.placement == Placement::Local { Some(Value::Int(1)) } else { v }
+}
+
+fn threshold_bearing(cell: &JobSpec, v: Option<Value>) -> Option<Value> {
+    v.filter(|_| cell.placement.uses_threshold())
+}
+
+/// The baselines and wrappers fix their own policy.
+fn numa_only(cell: &JobSpec, v: Option<Value>) -> Option<Value> {
+    v.filter(|_| cell.placement == Placement::Numa)
+}
+
+/// A `0` entry is the healthy sentinel: that cell schedules no failure,
+/// exactly as if the axis were empty.
+fn zero_is_healthy(_: &JobSpec, v: Option<Value>) -> Option<Value> {
+    v.filter(|&at| at != Value::Int(0))
+}
+
+/// A failure kills one node unless the extent axis says otherwise, and
+/// never the last one (a single-processor cell has no node to spare).
+fn when_failing(cell: &JobSpec, v: Option<Value>) -> Option<Value> {
+    let n: usize = v.map_or(1, Atom::unpack);
+    cell.offline_at.map(|_| n.min(cell.cpus.saturating_sub(1)).pack())
+}
+
+/// The serving axes only shape the serving workload.
+fn serving_only(cell: &JobSpec, v: Option<Value>) -> Option<Value> {
+    v.filter(|_| cell.app == AppId::KvServe)
+}
+
+/// An axis row for grid list `$list` and cell coordinate `$coord` (a
+/// plain `val` field or an `opt`ional one); the fields named after the
+/// arrow differ from the defaults.
+macro_rules! axis {
+    (@get val $coord:ident) => { |c| Some(c.$coord.pack()) };
+    (@get opt $coord:ident) => { |c| c.$coord.map(Atom::pack) };
+    (@set val $coord:ident) => {
+        |c, v| c.$coord = Atom::unpack(v.expect("every cell has this coordinate"))
+    };
+    (@set opt $coord:ident) => { |c, v| c.$coord = v.map(Atom::unpack) };
+    ($slot:ident $list:ident => $coord:ident $(, $field:ident: $value:expr)*) => {
+        Axis {
+            $($field: $value,)*
+            ..Axis {
+                list_key: stringify!($list),
+                key: stringify!($coord),
+                tag: Tag::None,
+                optional: true,
+                in_model: false,
+                values: |g| g.$list.iter().map(|&x| x.pack()).collect(),
+                get: axis!(@get $slot $coord),
+                set: axis!(@set $slot $coord),
+                fit: always,
+            }
+        }
+    };
+}
+
+/// Every axis, in grid order: [`Grid::jobs`] varies the last row
+/// fastest, and a row's collapse rule sees the rows above it.
+pub(crate) static AXES: [Axis; 17] = [
+    axis!(val apps => app, optional: false, in_model: true),
+    axis!(val placements => placement, optional: false),
+    axis!(val cpus => cpus, optional: false, in_model: true, tag: Tag::Eq("p"),
+          fit: one_cpu_if_local),
+    axis!(opt thresholds => threshold, optional: false, in_model: true,
+          tag: Tag::Qualifier("t"), fit: threshold_bearing),
+    axis!(opt policies => policy, in_model: true, tag: Tag::Qualifier("pol"), fit: numa_only),
+    axis!(val fault_rates => fault_rate, optional: false, in_model: true,
+          tag: Tag::With(|c| (c.fault_rate > 0.0).then(|| format!("f={}", c.fault_rate)))),
+    axis!(val page_sizes => page_size, optional: false, in_model: true,
+          tag: Tag::With(|c| (c.page_size != 2048).then(|| format!("pg={}", c.page_size)))),
+    axis!(opt local_frames => local_frames, tag: Tag::Eq("lf")),
+    axis!(opt offline_at => offline_at, list_key: "offline_at_ns", key: "offline_at_ns",
+          fit: zero_is_healthy),
+    // An extent without a time has nothing to schedule: the list reads
+    // as empty. The pair prints as one piece, `off=N@Tns`.
+    axis!(opt offline_nodes => offline_nodes, fit: when_failing,
+          values: |g| if g.offline_at.is_empty() { vec![] } else {
+              g.offline_nodes.iter().map(|&n| n.pack()).collect()
+          },
+          tag: Tag::With(|c| Some(format!("off={}@{}ns", c.offline_nodes?, c.offline_at?)))),
+    axis!(opt topologies => topology, tag: Tag::Eq("topo")),
+    axis!(opt req_rates => req_rate, in_model: true, tag: Tag::Eq("r"), fit: serving_only),
+    axis!(opt zipf_exponents => zipf_s, in_model: true, tag: Tag::Eq("zs"), fit: serving_only),
+    axis!(opt tenant_counts => tenants, in_model: true, tag: Tag::Eq("ten"), fit: serving_only),
+    axis!(opt queue_depths => queue_depth, in_model: true, tag: Tag::Eq("qd"), fit: serving_only),
+    axis!(opt deadlines_ns => deadline_ns, in_model: true, tag: Tag::Eq("dl"), fit: serving_only),
+    axis!(opt tenant_quotas => tenant_quota, in_model: true, tag: Tag::Eq("tq"), fit: serving_only),
+];
+
+impl Axis {
+    /// The order documents name axes in: the mandatory ones, then the
+    /// emit-only-when-set ones, each group in grid order.
+    pub(crate) fn doc_order() -> impl Iterator<Item = &'static Axis> {
+        AXES.iter().filter(|a| !a.optional).chain(AXES.iter().filter(|a| a.optional))
+    }
+}
+
+type Preset = (&'static str, fn() -> Grid);
+
+/// Every built-in preset, in `numa-lab list` order.
+const PRESETS: [Preset; 11] = [
+    ("paper", Grid::paper),
+    ("paper-bench", Grid::paper_bench),
+    ("smoke", Grid::smoke),
+    ("threshold", Grid::threshold),
+    ("page-size", Grid::page_size),
+    ("faults", Grid::faults),
+    ("pressure", Grid::pressure),
+    ("chaos", Grid::chaos),
+    ("topology", Grid::topology),
+    ("serving", Grid::serving),
+    ("overload", Grid::overload),
+];
+
 impl Grid {
     /// The paper's evaluation grid: all eight applications under the
     /// three placements of section 3.1, on the evaluation machine.
-    /// This is the grid behind the committed `BENCH_sweep.json`.
+    /// This is the grid behind the committed `BENCH_sweep.json`, and
+    /// the base every other preset spells its differences from.
     pub fn paper() -> Grid {
         Grid {
             name: "paper".to_string(),
@@ -392,26 +628,9 @@ impl Grid {
     pub fn smoke() -> Grid {
         Grid {
             name: "smoke".to_string(),
-            scale: Scale::Test,
             apps: vec![AppId::IMatMult, AppId::Gfetch],
-            placements: vec![Placement::Local, Placement::Global, Placement::Numa],
             cpus: vec![4],
-            thresholds: vec![MoveLimitPolicy::DEFAULT_THRESHOLD],
-            policies: vec![],
-            fault_rates: vec![0.0],
-            page_sizes: vec![2048],
-            local_frames: vec![],
-            offline_at: vec![],
-            offline_nodes: vec![],
-            topologies: vec![],
-            req_rates: vec![],
-            zipf_exponents: vec![],
-            tenant_counts: vec![],
-            queue_depths: vec![],
-            deadlines_ns: vec![],
-            tenant_quotas: vec![],
-            vt_budget: None,
-            fastpath: true,
+            ..Grid::paper()
         }
     }
 
@@ -420,26 +639,10 @@ impl Grid {
     pub fn threshold() -> Grid {
         Grid {
             name: "threshold".to_string(),
-            scale: Scale::Test,
             apps: vec![AppId::IMatMult, AppId::Primes3],
             placements: vec![Placement::Numa],
-            cpus: vec![EVAL_CPUS],
             thresholds: vec![0, 1, 2, 4, 8, 16],
-            policies: vec![],
-            fault_rates: vec![0.0],
-            page_sizes: vec![2048],
-            local_frames: vec![],
-            offline_at: vec![],
-            offline_nodes: vec![],
-            topologies: vec![],
-            req_rates: vec![],
-            zipf_exponents: vec![],
-            tenant_counts: vec![],
-            queue_depths: vec![],
-            deadlines_ns: vec![],
-            tenant_quotas: vec![],
-            vt_budget: None,
-            fastpath: true,
+            ..Grid::paper()
         }
     }
 
@@ -447,26 +650,10 @@ impl Grid {
     pub fn page_size() -> Grid {
         Grid {
             name: "page-size".to_string(),
-            scale: Scale::Test,
             apps: vec![AppId::Primes3],
             placements: vec![Placement::Numa],
-            cpus: vec![EVAL_CPUS],
-            thresholds: vec![MoveLimitPolicy::DEFAULT_THRESHOLD],
-            policies: vec![],
-            fault_rates: vec![0.0],
             page_sizes: vec![256, 512, 2048, 8192],
-            local_frames: vec![],
-            offline_at: vec![],
-            offline_nodes: vec![],
-            topologies: vec![],
-            req_rates: vec![],
-            zipf_exponents: vec![],
-            tenant_counts: vec![],
-            queue_depths: vec![],
-            deadlines_ns: vec![],
-            tenant_quotas: vec![],
-            vt_budget: None,
-            fastpath: true,
+            ..Grid::paper()
         }
     }
 
@@ -475,26 +662,10 @@ impl Grid {
     pub fn faults() -> Grid {
         Grid {
             name: "faults".to_string(),
-            scale: Scale::Test,
             apps: vec![AppId::IMatMult],
             placements: vec![Placement::Numa],
-            cpus: vec![EVAL_CPUS],
-            thresholds: vec![MoveLimitPolicy::DEFAULT_THRESHOLD],
-            policies: vec![],
             fault_rates: vec![0.0, 0.001, 0.01],
-            page_sizes: vec![2048],
-            local_frames: vec![],
-            offline_at: vec![],
-            offline_nodes: vec![],
-            topologies: vec![],
-            req_rates: vec![],
-            zipf_exponents: vec![],
-            tenant_counts: vec![],
-            queue_depths: vec![],
-            deadlines_ns: vec![],
-            tenant_quotas: vec![],
-            vt_budget: None,
-            fastpath: true,
+            ..Grid::paper()
         }
     }
 
@@ -506,26 +677,13 @@ impl Grid {
     pub fn pressure() -> Grid {
         Grid {
             name: "pressure".to_string(),
-            scale: Scale::Test,
             apps: vec![AppId::IMatMult],
             placements: vec![Placement::Numa, Placement::NeverPin],
             cpus: vec![4],
-            thresholds: vec![MoveLimitPolicy::DEFAULT_THRESHOLD],
-            policies: vec![],
             fault_rates: vec![0.0, 0.01],
-            page_sizes: vec![2048],
             local_frames: vec![64, 16, 4],
-            offline_at: vec![],
-            offline_nodes: vec![],
-            topologies: vec![],
-            req_rates: vec![],
-            zipf_exponents: vec![],
-            tenant_counts: vec![],
-            queue_depths: vec![],
-            deadlines_ns: vec![],
-            tenant_quotas: vec![],
             vt_budget: Some(Ns::from_ms(60_000).0),
-            fastpath: true,
+            ..Grid::paper()
         }
     }
 
@@ -538,26 +696,14 @@ impl Grid {
     pub fn chaos() -> Grid {
         Grid {
             name: "chaos".to_string(),
-            scale: Scale::Test,
             apps: vec![AppId::Gfetch, AppId::Primes3],
             placements: vec![Placement::Numa],
             cpus: vec![4],
-            thresholds: vec![MoveLimitPolicy::DEFAULT_THRESHOLD],
-            policies: vec![],
             fault_rates: vec![0.0, 0.01],
-            page_sizes: vec![2048],
-            local_frames: vec![],
             offline_at: vec![Ns::from_ms(1).0, Ns::from_ms(5).0],
             offline_nodes: vec![1, 2],
-            topologies: vec![],
-            req_rates: vec![],
-            zipf_exponents: vec![],
-            tenant_counts: vec![],
-            queue_depths: vec![],
-            deadlines_ns: vec![],
-            tenant_quotas: vec![],
             vt_budget: Some(Ns::from_ms(60_000).0),
-            fastpath: true,
+            ..Grid::paper()
         }
     }
 
@@ -568,26 +714,9 @@ impl Grid {
     pub fn topology() -> Grid {
         Grid {
             name: "topology".to_string(),
-            scale: Scale::Test,
-            apps: vec![AppId::IMatMult, AppId::Gfetch],
             placements: vec![Placement::Global, Placement::Numa],
-            cpus: vec![4],
-            thresholds: vec![MoveLimitPolicy::DEFAULT_THRESHOLD],
-            policies: vec![],
-            fault_rates: vec![0.0],
-            page_sizes: vec![2048],
-            local_frames: vec![],
-            offline_at: vec![],
-            offline_nodes: vec![],
             topologies: vec![TopologyAxis::TwoSocket, TopologyAxis::Mesh { nodes: 4 }],
-            req_rates: vec![],
-            zipf_exponents: vec![],
-            tenant_counts: vec![],
-            queue_depths: vec![],
-            deadlines_ns: vec![],
-            tenant_quotas: vec![],
-            vt_budget: None,
-            fastpath: true,
+            ..Grid::smoke()
         }
     }
 
@@ -606,26 +735,15 @@ impl Grid {
     pub fn serving() -> Grid {
         Grid {
             name: "serving".to_string(),
-            scale: Scale::Test,
             apps: vec![AppId::KvServe],
-            placements: vec![Placement::Local, Placement::Global, Placement::Numa],
             cpus: vec![4],
-            thresholds: vec![MoveLimitPolicy::DEFAULT_THRESHOLD],
             policies: vec![PolicyAxis::MoveLimit, PolicyAxis::FlushLimit, PolicyAxis::MoveOrFlush],
-            fault_rates: vec![0.0],
-            page_sizes: vec![2048],
             local_frames: vec![12],
-            offline_at: vec![],
-            offline_nodes: vec![],
-            topologies: vec![],
             req_rates: vec![500, 2_000],
             zipf_exponents: vec![0.5, 1.5],
             tenant_counts: vec![1, 3],
-            queue_depths: vec![],
-            deadlines_ns: vec![],
-            tenant_quotas: vec![],
             vt_budget: Some(Ns::from_ms(60_000).0),
-            fastpath: true,
+            ..Grid::paper()
         }
     }
 
@@ -642,344 +760,106 @@ impl Grid {
     pub fn overload() -> Grid {
         Grid {
             name: "overload".to_string(),
-            scale: Scale::Test,
-            apps: vec![AppId::KvServe],
             placements: vec![Placement::Numa],
-            cpus: vec![4],
-            thresholds: vec![MoveLimitPolicy::DEFAULT_THRESHOLD],
             policies: vec![PolicyAxis::MoveLimit, PolicyAxis::FlushLimit],
-            fault_rates: vec![0.0],
-            page_sizes: vec![2048],
-            local_frames: vec![12],
             offline_at: vec![0, Ns::from_ms(2).0],
             offline_nodes: vec![1],
-            topologies: vec![],
             req_rates: vec![2_000, 32_000],
             zipf_exponents: vec![1.0],
             tenant_counts: vec![3],
             queue_depths: vec![0, 8],
             deadlines_ns: vec![0, 400_000],
             tenant_quotas: vec![0, 800],
-            vt_budget: Some(Ns::from_ms(60_000).0),
-            fastpath: true,
+            ..Grid::serving()
         }
     }
 
     /// Names of all built-in presets.
-    pub fn preset_names() -> &'static [&'static str] {
-        &[
-            "paper",
-            "paper-bench",
-            "smoke",
-            "threshold",
-            "page-size",
-            "faults",
-            "pressure",
-            "chaos",
-            "topology",
-            "serving",
-            "overload",
-        ]
+    pub fn preset_names() -> impl Iterator<Item = &'static str> {
+        PRESETS.iter().map(|&(name, _)| name)
     }
 
     /// Looks up a preset by name.
     pub fn named(name: &str) -> Option<Grid> {
-        match name {
-            "paper" => Some(Grid::paper()),
-            "paper-bench" => Some(Grid::paper_bench()),
-            "smoke" => Some(Grid::smoke()),
-            "threshold" => Some(Grid::threshold()),
-            "page-size" => Some(Grid::page_size()),
-            "faults" => Some(Grid::faults()),
-            "pressure" => Some(Grid::pressure()),
-            "chaos" => Some(Grid::chaos()),
-            "topology" => Some(Grid::topology()),
-            "serving" => Some(Grid::serving()),
-            "overload" => Some(Grid::overload()),
-            _ => None,
-        }
+        PRESETS.iter().find(|(n, _)| *n == name).map(|(_, make)| make())
     }
 
     /// Expands the grid into jobs, in grid order, with inapplicable
     /// axes collapsed (no duplicate cells).
     pub fn jobs(&self) -> Vec<JobSpec> {
-        // An empty local-frames axis collapses to one "machine default"
-        // value so the cross product stays non-empty.
-        let local_frames: Vec<Option<usize>> = if self.local_frames.is_empty() {
-            vec![None]
-        } else {
-            self.local_frames.iter().map(|&f| Some(f)).collect()
-        };
-        // An empty policy axis collapses to the default move-limit rule.
-        let policies: Vec<Option<PolicyAxis>> = if self.policies.is_empty() {
-            vec![None]
-        } else {
-            self.policies.iter().map(|&p| Some(p)).collect()
-        };
-        // The chaos axes collapse the same way; an extent axis without a
-        // time axis has nothing to schedule and collapses entirely, and
-        // a time axis without an extent kills one node per failure. A
-        // zero entry is the healthy sentinel: that cell schedules no
-        // failure, exactly as if the axis were empty.
-        let offline_at: Vec<Option<u64>> = if self.offline_at.is_empty() {
-            vec![None]
-        } else {
-            self.offline_at.iter().map(|&t| (t > 0).then_some(t)).collect()
-        };
-        let offline_nodes: Vec<usize> =
-            if self.offline_nodes.is_empty() { vec![1] } else { self.offline_nodes.clone() };
-        // An empty topology axis collapses to the flat default.
-        let topologies: Vec<Option<TopologyAxis>> = if self.topologies.is_empty() {
-            vec![None]
-        } else {
-            self.topologies.iter().map(|&t| Some(t)).collect()
-        };
-        // The serving axes collapse to the scale default; they are
-        // further collapsed per cell for non-serving applications.
-        let req_rates: Vec<Option<u64>> = if self.req_rates.is_empty() {
-            vec![None]
-        } else {
-            self.req_rates.iter().map(|&r| Some(r)).collect()
-        };
-        let zipf_exponents: Vec<Option<f64>> = if self.zipf_exponents.is_empty() {
-            vec![None]
-        } else {
-            self.zipf_exponents.iter().map(|&s| Some(s)).collect()
-        };
-        let tenant_counts: Vec<Option<usize>> = if self.tenant_counts.is_empty() {
-            vec![None]
-        } else {
-            self.tenant_counts.iter().map(|&t| Some(t)).collect()
-        };
-        let queue_depths: Vec<Option<usize>> = if self.queue_depths.is_empty() {
-            vec![None]
-        } else {
-            self.queue_depths.iter().map(|&d| Some(d)).collect()
-        };
-        let deadlines_ns: Vec<Option<u64>> = if self.deadlines_ns.is_empty() {
-            vec![None]
-        } else {
-            self.deadlines_ns.iter().map(|&d| Some(d)).collect()
-        };
-        let tenant_quotas: Vec<Option<u64>> = if self.tenant_quotas.is_empty() {
-            vec![None]
-        } else {
-            self.tenant_quotas.iter().map(|&q| Some(q)).collect()
+        let lists: Vec<Vec<Option<Value>>> = AXES
+            .iter()
+            .map(|axis| {
+                let listed = (axis.values)(self);
+                if listed.is_empty() && axis.optional {
+                    vec![None]
+                } else {
+                    listed.into_iter().map(Some).collect()
+                }
+            })
+            .collect();
+        let blank = JobSpec {
+            id: 0,
+            app: AppId::ParMult,
+            placement: Placement::Numa,
+            cpus: 0,
+            workers: 0,
+            threshold: None,
+            policy: None,
+            fault_rate: 0.0,
+            page_size: 0,
+            local_frames: None,
+            offline_at: None,
+            offline_nodes: None,
+            topology: None,
+            req_rate: None,
+            zipf_s: None,
+            tenants: None,
+            queue_depth: None,
+            deadline_ns: None,
+            tenant_quota: None,
+            scale: self.scale,
+            vt_budget: self.vt_budget,
+            fastpath: self.fastpath,
         };
         let mut out = Vec::new();
-        let mut seen = HashSet::new();
-        for &app in &self.apps {
-            for &placement in &self.placements {
-                for &cpus in &self.cpus {
-                    for &threshold in &self.thresholds {
-                      for &policy in &policies {
-                        for &fault_rate in &self.fault_rates {
-                            for &page_size in &self.page_sizes {
-                                for &local_frames in &local_frames {
-                                    for &offline_at in &offline_at {
-                                        for &n_offline in &offline_nodes {
-                                          for &topology in &topologies {
-                                           for &req_rate in &req_rates {
-                                            for &zipf_s in &zipf_exponents {
-                                             for &tenants in &tenant_counts {
-                                              for &queue_depth in &queue_depths {
-                                               for &deadline_ns in &deadlines_ns {
-                                                for &tenant_quota in &tenant_quotas {
-                                            let (cpus, workers) = match placement {
-                                                Placement::Local => (1, 1),
-                                                _ => (cpus, cpus),
-                                            };
-                                            let threshold =
-                                                placement.uses_threshold().then_some(threshold);
-                                            // The policy axis only distinguishes NUMA
-                                            // cells; the baselines and wrappers fix
-                                            // their own policy and collapse it.
-                                            let policy = (placement == Placement::Numa)
-                                                .then_some(policy)
-                                                .flatten();
-                                            // A single-processor cell has no node to
-                                            // spare; the extent axis collapses there.
-                                            let offline_nodes = offline_at
-                                                .is_some()
-                                                .then_some(n_offline.min(cpus.saturating_sub(1)));
-                                            // The serving axes only shape the serving
-                                            // workload; other apps collapse them.
-                                            let (req_rate, zipf_s, tenants) =
-                                                if app == AppId::KvServe {
-                                                    (req_rate, zipf_s, tenants)
-                                                } else {
-                                                    (None, None, None)
-                                                };
-                                            let (queue_depth, deadline_ns, tenant_quota) =
-                                                if app == AppId::KvServe {
-                                                    (queue_depth, deadline_ns, tenant_quota)
-                                                } else {
-                                                    (None, None, None)
-                                                };
-                                            let key = (
-                                                app,
-                                                placement,
-                                                cpus,
-                                                threshold,
-                                                policy,
-                                                fault_rate.to_bits(),
-                                                page_size,
-                                                local_frames,
-                                                offline_at,
-                                                offline_nodes,
-                                                topology,
-                                                (req_rate, zipf_s.map(f64::to_bits), tenants,
-                                                 queue_depth, deadline_ns, tenant_quota),
-                                            );
-                                            if !seen.insert(key) {
-                                                continue;
-                                            }
-                                            out.push(JobSpec {
-                                                id: out.len(),
-                                                app,
-                                                placement,
-                                                cpus,
-                                                workers,
-                                                threshold,
-                                                policy,
-                                                fault_rate,
-                                                page_size,
-                                                local_frames,
-                                                offline_at,
-                                                offline_nodes,
-                                                topology,
-                                                req_rate,
-                                                zipf_s,
-                                                tenants,
-                                                queue_depth,
-                                                deadline_ns,
-                                                tenant_quota,
-                                                scale: self.scale,
-                                                vt_budget: self.vt_budget,
-                                                fastpath: self.fastpath,
-                                            });
-                                                }
-                                               }
-                                              }
-                                             }
-                                            }
-                                           }
-                                          }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                      }
-                    }
-                }
-            }
+        // Sized for the presets (at most 64 cells), so their keys are
+        // hashed once; a larger product grows the set as it goes.
+        let raw: usize = lists.iter().map(Vec::len).product();
+        let mut seen = HashSet::with_capacity(raw.min(64));
+        if raw == 0 {
+            return out;
         }
-        out
+        // An odometer over the lists, last axis fastest.
+        let mut digits = [0; AXES.len()];
+        loop {
+            let mut cell = blank.clone();
+            let mut coordinates = [None; AXES.len()];
+            for (i, axis) in AXES.iter().enumerate() {
+                coordinates[i] = (axis.fit)(&cell, lists[i][digits[i]]);
+                (axis.set)(&mut cell, coordinates[i]);
+            }
+            if seen.insert(coordinates) {
+                out.push(JobSpec { id: out.len(), workers: cell.cpus, ..cell });
+            }
+            let Some(i) = (0..AXES.len()).rfind(|&i| digits[i] + 1 < lists[i].len()) else {
+                return out;
+            };
+            digits[i] += 1;
+            digits[i + 1..].fill(0);
+        }
     }
 
     /// The grid's axes as one deterministic JSON object.
     pub fn to_json(&self) -> Json {
-        let mut g = Json::obj()
-            .field("name", self.name.as_str())
-            .field("scale", scale_label(self.scale))
-            .field(
-                "apps",
-                Json::Arr(self.apps.iter().map(|a| Json::Str(a.name().to_string())).collect()),
-            )
-            .field(
-                "placements",
-                Json::Arr(self.placements.iter().map(|p| Json::Str(p.label())).collect()),
-            )
-            .field("cpus", Json::Arr(self.cpus.iter().map(|&c| Json::from(c)).collect()))
-            .field(
-                "thresholds",
-                Json::Arr(self.thresholds.iter().map(|&t| Json::from(u64::from(t))).collect()),
-            )
-            .field(
-                "fault_rates",
-                Json::Arr(self.fault_rates.iter().map(|&r| Json::Num(r)).collect()),
-            )
-            .field(
-                "page_sizes",
-                Json::Arr(self.page_sizes.iter().map(|&p| Json::from(p)).collect()),
-            );
-        // The policy axis appears only when set, keeping pre-policy
-        // grid documents byte-identical.
-        if !self.policies.is_empty() {
-            g = g.field(
-                "policies",
-                Json::Arr(
-                    self.policies.iter().map(|p| Json::Str(p.label().to_string())).collect(),
-                ),
-            );
-        }
-        // The pressure axis and budget appear only when set, so grids
-        // that predate them serialize byte-identically.
-        if !self.local_frames.is_empty() {
-            g = g.field(
-                "local_frames",
-                Json::Arr(self.local_frames.iter().map(|&f| Json::from(f)).collect()),
-            );
-        }
-        if !self.offline_at.is_empty() {
-            g = g.field(
-                "offline_at_ns",
-                Json::Arr(self.offline_at.iter().map(|&t| Json::from(t)).collect()),
-            );
-            if !self.offline_nodes.is_empty() {
-                g = g.field(
-                    "offline_nodes",
-                    Json::Arr(self.offline_nodes.iter().map(|&n| Json::from(n)).collect()),
-                );
+        let mut g = Json::obj().field("name", self.name.as_str()).field("scale", scale_label(self.scale));
+        for axis in Axis::doc_order() {
+            let listed = (axis.values)(self);
+            if !(axis.optional && listed.is_empty()) {
+                g = g.field(axis.list_key, Json::Arr(listed.into_iter().map(Json::from).collect()));
             }
         }
-        if !self.topologies.is_empty() {
-            g = g.field(
-                "topologies",
-                Json::Arr(self.topologies.iter().map(|t| Json::Str(t.label())).collect()),
-            );
-        }
-        // The serving axes appear only when set, keeping pre-serving
-        // grid documents byte-identical.
-        if !self.req_rates.is_empty() {
-            g = g.field(
-                "req_rates",
-                Json::Arr(self.req_rates.iter().map(|&r| Json::from(r)).collect()),
-            );
-        }
-        if !self.zipf_exponents.is_empty() {
-            g = g.field(
-                "zipf_exponents",
-                Json::Arr(self.zipf_exponents.iter().map(|&s| Json::Num(s)).collect()),
-            );
-        }
-        if !self.tenant_counts.is_empty() {
-            g = g.field(
-                "tenant_counts",
-                Json::Arr(self.tenant_counts.iter().map(|&t| Json::from(t)).collect()),
-            );
-        }
-        // The overload axes appear only when set, keeping pre-overload
-        // grid documents byte-identical.
-        if !self.queue_depths.is_empty() {
-            g = g.field(
-                "queue_depths",
-                Json::Arr(self.queue_depths.iter().map(|&d| Json::from(d)).collect()),
-            );
-        }
-        if !self.deadlines_ns.is_empty() {
-            g = g.field(
-                "deadlines_ns",
-                Json::Arr(self.deadlines_ns.iter().map(|&d| Json::from(d)).collect()),
-            );
-        }
-        if !self.tenant_quotas.is_empty() {
-            g = g.field(
-                "tenant_quotas",
-                Json::Arr(self.tenant_quotas.iter().map(|&q| Json::from(q)).collect()),
-            );
-        }
+        // The budget likewise appears only when set.
         if let Some(b) = self.vt_budget {
             g = g.field("vt_budget_ns", b);
         }
@@ -1056,75 +936,73 @@ impl JobSpec {
     /// Short human label, e.g. `IMatMult/numa t=4 p=7`.
     pub fn label(&self) -> String {
         let mut s = format!("{}/{}", self.app.name(), self.placement.label());
-        if let Some(t) = self.threshold {
-            s.push_str(&format!(" t={t}"));
-        }
-        if let Some(p) = self.policy {
-            s.push_str(&format!(" pol={}", p.label()));
-        }
-        s.push_str(&format!(" p={}", self.cpus));
-        if self.fault_rate > 0.0 {
-            s.push_str(&format!(" f={}", self.fault_rate));
-        }
-        if self.page_size != 2048 {
-            s.push_str(&format!(" pg={}", self.page_size));
-        }
-        if let Some(lf) = self.local_frames {
-            s.push_str(&format!(" lf={lf}"));
-        }
-        if let (Some(at), Some(n)) = (self.offline_at, self.offline_nodes) {
-            s.push_str(&format!(" off={n}@{at}ns"));
-        }
-        if let Some(t) = self.topology {
-            s.push_str(&format!(" topo={}", t.label()));
-        }
-        if let Some(r) = self.req_rate {
-            s.push_str(&format!(" r={r}"));
-        }
-        if let Some(z) = self.zipf_s {
-            s.push_str(&format!(" zs={z}"));
-        }
-        if let Some(t) = self.tenants {
-            s.push_str(&format!(" ten={t}"));
-        }
-        if let Some(d) = self.queue_depth {
-            s.push_str(&format!(" qd={d}"));
-        }
-        if let Some(d) = self.deadline_ns {
-            s.push_str(&format!(" dl={d}"));
-        }
-        if let Some(q) = self.tenant_quota {
-            s.push_str(&format!(" tq={q}"));
+        let qualifies = |a: &&Axis| matches!(a.tag, Tag::Qualifier(_));
+        for axis in AXES.iter().filter(qualifies).chain(AXES.iter().filter(|a| !qualifies(a))) {
+            let piece = match axis.tag {
+                Tag::None => None,
+                Tag::Qualifier(tag) | Tag::Eq(tag) => {
+                    (axis.get)(self).map(|v| format!("{tag}={v}"))
+                }
+                Tag::With(piece) => piece(self),
+            };
+            if let Some(piece) = piece {
+                s.push(' ');
+                s.push_str(&piece);
+            }
         }
         s
+    }
+
+    /// Appends the cell's coordinates to `j` in document order — all of
+    /// them for a job document, or the ones a `model` row names.
+    pub(crate) fn coordinates(&self, mut j: Json, model: bool) -> Json {
+        for axis in Axis::doc_order().filter(|a| a.in_model || !model) {
+            let v = (axis.get)(self);
+            if v.is_some() || !axis.optional {
+                j = j.field(axis.key, v);
+            }
+            // The worker count follows the processor count it is derived from.
+            if axis.key == "cpus" && !model {
+                j = j.field("workers", self.workers);
+            }
+        }
+        j
+    }
+
+    /// The cell at the same coordinates under another placement, with
+    /// the axes that placement does not take collapsed exactly as
+    /// [`Grid::jobs`] collapses them: the key a model companion is
+    /// found by.
+    pub(crate) fn under(&self, placement: Placement) -> JobSpec {
+        let mut cell = JobSpec { placement, ..self.clone() };
+        for axis in &AXES {
+            let fitted = (axis.fit)(&cell, (axis.get)(&cell));
+            (axis.set)(&mut cell, fitted);
+        }
+        cell
+    }
+
+    /// Whether `other` sits at the same coordinates on every axis.
+    pub(crate) fn same_cell(&self, other: &JobSpec) -> bool {
+        AXES.iter().all(|axis| (axis.get)(self) == (axis.get)(other))
     }
 
     /// Instantiates the cell's application, applying the serving-axis
     /// overrides to the serving workload's scale defaults.
     pub fn make_app(&self) -> Box<dyn App> {
-        if self.app == AppId::KvServe {
-            let mut p = ServeParams::for_scale(self.scale);
-            if let Some(r) = self.req_rate {
-                p.rate = r;
-            }
-            if let Some(s) = self.zipf_s {
-                p.zipf_s = s;
-            }
-            if let Some(t) = self.tenants {
-                p.tenants = t;
-            }
-            if let Some(d) = self.queue_depth {
-                p.queue_depth = d;
-            }
-            if let Some(d) = self.deadline_ns {
-                p.deadline_ns = d;
-            }
-            if let Some(q) = self.tenant_quota {
-                p.tenant_quota = q;
-            }
-            return Box::new(KvServe::new(p));
+        if self.app != AppId::KvServe {
+            return self.app.make(self.scale);
         }
-        self.app.make(self.scale)
+        let default = ServeParams::for_scale(self.scale);
+        Box::new(KvServe::new(ServeParams {
+            rate: self.req_rate.unwrap_or(default.rate),
+            zipf_s: self.zipf_s.unwrap_or(default.zipf_s),
+            tenants: self.tenants.unwrap_or(default.tenants),
+            queue_depth: self.queue_depth.unwrap_or(default.queue_depth),
+            deadline_ns: self.deadline_ns.unwrap_or(default.deadline_ns),
+            tenant_quota: self.tenant_quota.unwrap_or(default.tenant_quota),
+            ..default
+        }))
     }
 
     /// Memory-node count of the cell's machine.
@@ -1250,54 +1128,8 @@ impl JobSpec {
     /// The cell's coordinates as one deterministic JSON object (the
     /// metrics of a finished run are appended by the sweep layer).
     pub fn to_json(&self) -> Json {
-        let mut j = Json::obj()
-            .field("id", self.id)
-            .field("app", self.app.name())
-            .field("placement", self.placement.label())
-            .field("cpus", self.cpus)
-            .field("workers", self.workers)
-            .field("threshold", self.threshold.map(u64::from))
-            .field("fault_rate", Json::Num(self.fault_rate))
-            .field("page_size", self.page_size);
-        // Present only when the grid sets the policy axis, so jobs from
-        // pre-policy grids serialize byte-identically.
-        if let Some(p) = self.policy {
-            j = j.field("policy", p.label());
-        }
-        // Present only when the grid sets the pressure axis, so jobs
-        // from pre-pressure grids serialize byte-identically.
-        if let Some(lf) = self.local_frames {
-            j = j.field("local_frames", lf);
-        }
-        // Likewise the chaos axes: only chaos cells mention them.
-        if let (Some(at), Some(n)) = (self.offline_at, self.offline_nodes) {
-            j = j.field("offline_at_ns", at).field("offline_nodes", n);
-        }
-        // And the topology axis: only topology cells mention it.
-        if let Some(t) = self.topology {
-            j = j.field("topology", t.label());
-        }
-        // And the serving axes: only serving cells mention them.
-        if let Some(r) = self.req_rate {
-            j = j.field("req_rate", r);
-        }
-        if let Some(z) = self.zipf_s {
-            j = j.field("zipf_s", Json::Num(z));
-        }
-        if let Some(t) = self.tenants {
-            j = j.field("tenants", t);
-        }
-        // And the overload axes: only overload sweeps mention them.
-        if let Some(d) = self.queue_depth {
-            j = j.field("queue_depth", d);
-        }
-        if let Some(d) = self.deadline_ns {
-            j = j.field("deadline_ns", d);
-        }
-        if let Some(q) = self.tenant_quota {
-            j = j.field("tenant_quota", q);
-        }
-        j.field("scale", scale_label(self.scale))
+        self.coordinates(Json::obj().field("id", self.id), false)
+            .field("scale", scale_label(self.scale))
     }
 }
 
@@ -1397,23 +1229,6 @@ mod tests {
     }
 
     #[test]
-    fn default_grids_do_not_mention_the_pressure_axis() {
-        // Byte-compatibility: grids that leave the axis empty must
-        // serialize exactly as they did before the axis existed.
-        for name in ["paper", "smoke", "threshold", "page-size", "faults"] {
-            let g = Grid::named(name).unwrap();
-            let s = g.to_json().to_string_flat();
-            assert!(!s.contains("local_frames"), "{name} grid mentions local_frames");
-            assert!(!s.contains("vt_budget"), "{name} grid mentions vt_budget");
-            for j in g.jobs() {
-                assert_eq!(j.local_frames, None);
-                assert_eq!(j.vt_budget, None);
-                assert!(!j.to_json().to_string_flat().contains("local_frames"));
-            }
-        }
-    }
-
-    #[test]
     fn chaos_preset_schedules_node_loss() {
         let g = Grid::chaos();
         let jobs = g.jobs();
@@ -1490,20 +1305,6 @@ mod tests {
     }
 
     #[test]
-    fn default_grids_do_not_mention_the_topology_axis() {
-        // Byte-compatibility: grids that leave the axis empty must
-        // serialize exactly as they did before the axis existed.
-        for name in ["paper", "smoke", "threshold", "page-size", "faults", "pressure", "chaos"] {
-            let g = Grid::named(name).unwrap();
-            assert!(!g.to_json().to_string_flat().contains("topolog"), "{name} grid");
-            for j in g.jobs() {
-                assert_eq!(j.topology, None);
-                assert!(!j.to_json().to_string_flat().contains("topolog"));
-            }
-        }
-    }
-
-    #[test]
     fn serving_preset_sweeps_rate_skew_and_tenants() {
         let g = Grid::serving();
         let jobs = g.jobs();
@@ -1574,23 +1375,6 @@ mod tests {
     }
 
     #[test]
-    fn default_grids_do_not_mention_the_policy_axis() {
-        // Byte-compatibility: grids that leave the policy axis empty
-        // must serialize exactly as they did before the axis existed.
-        for name in
-            ["paper", "smoke", "threshold", "page-size", "faults", "pressure", "chaos", "topology"]
-        {
-            let g = Grid::named(name).unwrap();
-            assert!(!g.to_json().to_string_flat().contains("polic"), "{name} grid");
-            for j in g.jobs() {
-                assert_eq!(j.policy, None);
-                assert!(!j.to_json().to_string_flat().contains("\"policy\""));
-                assert!(!j.label().contains("pol="));
-            }
-        }
-    }
-
-    #[test]
     fn serving_axes_collapse_for_batch_apps() {
         // A grid mixing a batch app into the serving axes must not
         // multiply the batch app's cells.
@@ -1622,28 +1406,6 @@ mod tests {
         assert_eq!(j.make_app().name(), "KvServe");
         let paper = &Grid::paper().jobs()[0];
         assert_eq!(paper.make_app().name(), paper.app.name());
-    }
-
-    #[test]
-    fn default_grids_do_not_mention_the_serving_axes() {
-        // Byte-compatibility: grids that leave the serving axes empty
-        // must serialize exactly as they did before the axes existed.
-        for name in
-            ["paper", "smoke", "threshold", "page-size", "faults", "pressure", "chaos", "topology"]
-        {
-            let g = Grid::named(name).unwrap();
-            let s = g.to_json().to_string_flat();
-            assert!(!s.contains("req_rate"), "{name} grid mentions req_rates");
-            assert!(!s.contains("zipf"), "{name} grid mentions zipf_exponents");
-            assert!(!s.contains("tenant"), "{name} grid mentions tenant_counts");
-            for j in g.jobs() {
-                assert_eq!(j.req_rate, None);
-                assert_eq!(j.zipf_s, None);
-                assert_eq!(j.tenants, None);
-                let jj = j.to_json().to_string_flat();
-                assert!(!jj.contains("req_rate") && !jj.contains("zipf") && !jj.contains("tenant"));
-            }
-        }
     }
 
     #[test]
@@ -1709,43 +1471,81 @@ mod tests {
     }
 
     #[test]
-    fn default_grids_do_not_mention_the_overload_axes() {
-        // Byte-compatibility: grids that leave the overload axes empty
-        // must serialize exactly as they did before the axes existed —
-        // including the serving preset, whose baseline predates them.
-        for name in Grid::preset_names().iter().filter(|&&n| n != "overload") {
+    fn an_axis_a_preset_leaves_empty_is_mentioned_nowhere() {
+        // Byte-compatibility, for every (preset, emit-only-when-set axis)
+        // pair at once: a grid that leaves the axis empty serializes
+        // exactly as it did before the axis existed — the axis is in
+        // neither the grid document, nor any job document, nor any label.
+        let quoted = |key: &str| format!("\"{key}\"");
+        for name in Grid::preset_names() {
             let g = Grid::named(name).unwrap();
-            let s = g.to_json().to_string_flat();
-            assert!(!s.contains("queue_depth"), "{name} grid mentions queue_depths");
-            assert!(!s.contains("deadline"), "{name} grid mentions deadlines_ns");
-            assert!(!s.contains("quota"), "{name} grid mentions tenant_quotas");
-            for j in g.jobs() {
-                assert_eq!(j.queue_depth, None);
-                assert_eq!(j.deadline_ns, None);
-                assert_eq!(j.tenant_quota, None);
-                let jj = j.to_json().to_string_flat();
-                assert!(!jj.contains("queue_depth") && !jj.contains("deadline"));
-                assert!(!jj.contains("quota"));
-                let l = j.label();
-                assert!(!l.contains("qd=") && !l.contains("dl=") && !l.contains("tq="));
+            let grid_doc = g.to_json().to_string_flat();
+            let jobs = g.jobs();
+            assert_eq!(grid_doc.contains("vt_budget"), g.vt_budget.is_some(), "{name}");
+            assert!(jobs.iter().all(|j| j.vt_budget == g.vt_budget), "{name}");
+            for axis in AXES.iter().filter(|a| a.optional && (a.values)(&g).is_empty()) {
+                let what = format!("{name} grid, {} axis", axis.list_key);
+                assert!(!grid_doc.contains(&quoted(axis.list_key)), "{what}: grid document");
+                let tag = match axis.tag {
+                    Tag::Qualifier(tag) | Tag::Eq(tag) => format!(" {tag}="),
+                    // The failure pair, the only optional axes without a
+                    // tag of their own, prints as one `off=N@Tns` piece.
+                    Tag::With(_) | Tag::None => " off=".to_string(),
+                };
+                for j in &jobs {
+                    assert_eq!((axis.get)(j), None, "{what}: {}", j.label());
+                    assert!(!j.to_json().to_string_flat().contains(&quoted(axis.key)), "{what}");
+                    assert!(!j.label().contains(&tag), "{what}: label {}", j.label());
+                }
+            }
+            if g.offline_at.is_empty() {
+                assert!(jobs.iter().all(|j| j.hard_schedule().is_empty()), "{name}");
             }
         }
     }
 
+    /// FNV-1a over the `label()` sequence of a grid's jobs.
+    fn label_digest(jobs: &[JobSpec]) -> u64 {
+        let bytes = jobs.iter().flat_map(|j| j.label().into_bytes().into_iter().chain([b'\n']));
+        bytes.fold(0xcbf2_9ce4_8422_2325, |d, b| (d ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+    }
+
     #[test]
-    fn default_grids_do_not_mention_the_offline_axis() {
-        // Byte-compatibility: runs with no hard-failure schedule must
-        // serialize exactly as they did before the axis existed.
-        for name in ["paper", "smoke", "threshold", "page-size", "faults", "pressure"] {
-            let g = Grid::named(name).unwrap();
-            let s = g.to_json().to_string_flat();
-            assert!(!s.contains("offline"), "{name} grid mentions the offline axis");
-            for j in g.jobs() {
-                assert_eq!(j.offline_at, None);
-                assert_eq!(j.offline_nodes, None);
-                assert!(j.hard_schedule().is_empty());
-                assert!(!j.to_json().to_string_flat().contains("offline"));
-            }
+    fn grid_order_is_the_order_the_nested_loops_produced() {
+        // Job count and label-sequence digest of every preset and of the
+        // three mixed grids the tests above build, recorded at the parent
+        // commit, where `Grid::jobs` was an 18-deep `for` nest: the
+        // table-driven expansion must yield the same cells in the same
+        // order. Four of the presets have no committed document to pin
+        // them otherwise.
+        let mixed = |mut g: Grid| {
+            g.apps = vec![AppId::Gfetch, AppId::KvServe];
+            g
+        };
+        let mut clamp = Grid::chaos();
+        clamp.cpus = vec![2];
+        clamp.offline_nodes = vec![1, 8];
+        let at_parent: [(Grid, usize, u64); 14] = [
+            (Grid::paper(), 24, 17769952996750020396),
+            (Grid::paper_bench(), 24, 17769952996750020396),
+            (Grid::smoke(), 6, 1756335651542545867),
+            (Grid::threshold(), 12, 18289404879006876961),
+            (Grid::page_size(), 4, 13285574285430139626),
+            (Grid::faults(), 3, 1012550219534599443),
+            (Grid::pressure(), 12, 1334399404626712183),
+            (Grid::chaos(), 16, 15468458493555459293),
+            (Grid::topology(), 8, 2632981857153913757),
+            (Grid::serving(), 40, 11381513688381529107),
+            (Grid::overload(), 64, 15375696813615916421),
+            (mixed(Grid::serving()), 45, 549914756728308496),
+            (mixed(Grid::overload()), 68, 13846669724640078089),
+            (clamp, 8, 12117045100425698781),
+        ];
+        assert_eq!(at_parent.len(), Grid::preset_names().count() + 3);
+        for (grid, count, digest) in at_parent {
+            let jobs = grid.jobs();
+            assert_eq!((jobs.len(), label_digest(&jobs)), (count, digest), "grid {}", grid.name);
+            assert!(jobs.iter().enumerate().all(|(i, j)| j.id == i && j.workers == j.cpus));
         }
     }
 }

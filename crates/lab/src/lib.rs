@@ -5,10 +5,11 @@
 //! cell is an independent, deterministic simulation. This crate treats
 //! that structure as a first-class object:
 //!
-//! * [`grid`] — declare a sweep ([`Grid`]) over six axes (application,
-//!   placement, processor count, move-limit threshold, fault rate, page
-//!   size) and expand it into self-contained [`JobSpec`]s in a fixed
-//!   grid order;
+//! * [`grid`] — declare a sweep ([`Grid`]) as one value list per axis
+//!   and expand it into self-contained [`JobSpec`]s in a fixed grid
+//!   order; every axis, from application and placement to the serving
+//!   and overload knobs, is one row of the table that expansion,
+//!   serialization, labels and listings all iterate;
 //! * [`farm`] — run the jobs on a farm of OS threads (`std::thread` +
 //!   channels, nothing else) and merge results back **in grid order**,
 //!   so the output is byte-identical whatever `--jobs` is; worker
@@ -19,9 +20,11 @@
 //!   restarts where it stopped and still emits byte-identical output;
 //! * [`sweep`] — aggregate a finished grid into one deterministic JSON
 //!   document (`BENCH_sweep.json`), solving the paper's analytic model
-//!   for every cell that has its baselines in-grid;
+//!   for every cell that has its baselines in-grid; every metric leaf
+//!   of a row is one descriptor (key, gate class, value);
 //! * [`gate`] — diff a fresh sweep against the committed baseline with
-//!   per-metric tolerances: the perf-regression gate CI runs;
+//!   the tolerance each leaf's descriptor class names: the
+//!   perf-regression gate CI runs;
 //! * [`cli`] — the `numa-lab` binary (`run` / `list` / `diff` /
 //!   `gate`), with hand-rolled, offline-friendly argument parsing.
 //!

@@ -16,6 +16,7 @@ use crate::farm::{self, FarmOptions, JobResult, LabError};
 use crate::grid::{Grid, JobSpec, Placement};
 use numa_metrics::paper::{paper_alpha, paper_beta_gamma};
 use numa_metrics::{Json, Model, ServingReport, SharedSink};
+use Class::{Bytes, Count, Factor, Identity, Time};
 
 /// Schema tag of the sweep document.
 pub const SCHEMA: &str = "numa-repro/lab-sweep/v1";
@@ -110,27 +111,13 @@ impl Sweep {
         Ok(Sweep { grid, results })
     }
 
-    /// Solves the analytic model for every `numa` cell with `local` and
-    /// `global` companions at the same fault rate and page size (the
-    /// `global` companion additionally on the same processor count).
+    /// Solves the analytic model for every `numa` cell whose `local` and
+    /// `global` companions — the cells at the same coordinates on every
+    /// axis those placements take — are in the grid.
     pub fn model_rows(&self) -> Vec<ModelRow> {
-        let find = |placement: Placement, spec: &JobSpec, same_cpus: bool| {
-            self.results.iter().find(|r| {
-                r.spec.placement == placement
-                    && r.spec.app == spec.app
-                    && r.spec.fault_rate.to_bits() == spec.fault_rate.to_bits()
-                    && r.spec.page_size == spec.page_size
-                    && r.spec.local_frames == spec.local_frames
-                    && r.spec.offline_at == spec.offline_at
-                    && r.spec.offline_nodes == spec.offline_nodes
-                    && r.spec.req_rate == spec.req_rate
-                    && r.spec.zipf_s.map(f64::to_bits) == spec.zipf_s.map(f64::to_bits)
-                    && r.spec.tenants == spec.tenants
-                    && r.spec.queue_depth == spec.queue_depth
-                    && r.spec.deadline_ns == spec.deadline_ns
-                    && r.spec.tenant_quota == spec.tenant_quota
-                    && (!same_cpus || r.spec.cpus == spec.cpus)
-            })
+        let find = |placement: Placement, spec: &JobSpec| {
+            let companion = spec.under(placement);
+            self.results.iter().find(|r| r.spec.same_cell(&companion))
         };
         let mut rows = Vec::new();
         for result in &self.results {
@@ -138,8 +125,8 @@ impl Sweep {
                 continue;
             }
             let (Some(local), Some(global)) = (
-                find(Placement::Local, &result.spec, false),
-                find(Placement::Global, &result.spec, true),
+                find(Placement::Local, &result.spec),
+                find(Placement::Global, &result.spec),
             ) else {
                 continue;
             };
@@ -170,154 +157,11 @@ impl Sweep {
 
     /// The whole sweep as one deterministic JSON document.
     pub fn to_json(&self) -> Json {
-        let jobs: Vec<Json> = self
-            .results
-            .iter()
-            .map(|r| {
-                let mut j = r
-                    .spec
-                    .to_json()
-                    .field("user_s", r.report.user_secs())
-                    .field("system_s", r.report.system_secs())
-                    .field("makespan_ns", r.report.makespan().0)
-                    .field("alpha_measured", r.report.alpha_measured())
-                    .field("replications", r.report.numa.replications)
-                    .field("migrations", r.report.numa.migrations)
-                    .field("pins", r.report.numa.pins)
-                    .field("syncs", r.report.numa.syncs)
-                    .field("shootdowns", r.report.numa.shootdowns)
-                    .field("recovery_actions", r.report.numa.recovery_actions());
-                // Flush-pin counters ride along only on cells that
-                // sweep the policy axis (the spec drives the shape, so
-                // the column set is uniform across a policy sweep);
-                // every other document's bytes are unchanged.
-                if r.spec.policy.is_some() {
-                    j = j
-                        .field("flush_pins", r.report.numa.flush_pins)
-                        .field(
-                            "coherence_invalidations",
-                            r.report.numa.coherence_invalidations,
-                        );
-                }
-                // Pressure counters ride along only on cells that sweep
-                // the local-frames axis; every other document's bytes
-                // are unchanged.
-                if r.spec.local_frames.is_some() {
-                    j = j
-                        .field("reclaims", r.report.numa.reclaims)
-                        .field("degradations", r.report.numa.degradations)
-                        .field("pressure_ticks", r.report.numa.pressure_ticks);
-                }
-                // Hard-failure counters ride along only on chaos cells;
-                // a degraded cell additionally carries its typed reason
-                // (deterministic, so it gates as an identity leaf).
-                if r.spec.offline_at.is_some() {
-                    j = j
-                        .field("nodes_offlined", r.report.numa.nodes_offlined)
-                        .field("pages_rehomed", r.report.numa.pages_rehomed)
-                        .field("pages_lost", r.report.numa.pages_lost)
-                        .field("dead_node_fallbacks", r.report.numa.dead_node_fallbacks);
-                    if let Some(d) = &r.report.degraded {
-                        j = j.field("degraded", d.as_str());
-                    }
-                }
-                // The nearest-replica counter rides along only on cells
-                // that sweep the topology axis; flat documents keep
-                // their exact pre-topology bytes.
-                if r.spec.topology.is_some() {
-                    j = j.field("near_replications", r.report.numa.near_replications);
-                }
-                // Serving cells carry the request ledger and the
-                // virtual-time latency tail; batch documents keep
-                // their exact pre-serving bytes.
-                if let Some(s) = &r.report.serving {
-                    j = j
-                        .field("requests_served", s.requests)
-                        .field("gets", s.gets)
-                        .field("puts", s.puts)
-                        .field("p50_ns", s.latency.p50())
-                        .field("p95_ns", s.latency.p95())
-                        .field("p99_ns", s.latency.p99())
-                        .field("p999_ns", s.latency.p999());
-                    // The admission ledger and goodput tail ride along
-                    // only on cells that engage an overload knob; the
-                    // serving baseline keeps its exact pre-overload
-                    // bytes.
-                    if s.limited {
-                        j = j
-                            .field("admitted", s.admitted)
-                            .field("shed_queue_full", s.shed_queue_full)
-                            .field("shed_deadline", s.shed_deadline)
-                            .field("shed_quota", s.shed_quota)
-                            .field("goodput_p50_ns", s.goodput.p50())
-                            .field("goodput_p95_ns", s.goodput.p95())
-                            .field("goodput_p99_ns", s.goodput.p99())
-                            .field("goodput_p999_ns", s.goodput.p999());
-                    }
-                }
-                j.field("bus_bytes", r.report.bus.total_bytes())
-            })
-            .collect();
-        let model: Vec<Json> = self
+        let jobs = self.results.iter().map(|r| leaves(r.spec.to_json(), JOB_LEAVES, r)).collect();
+        let model = self
             .model_rows()
             .iter()
-            .map(|m| {
-                let (paper_beta, paper_gamma) = paper_beta_gamma(m.spec.app.name());
-                let mut j = Json::obj()
-                    .field("app", m.spec.app.name())
-                    .field("cpus", m.spec.cpus)
-                    .field("threshold", m.spec.threshold.map(u64::from))
-                    .field("fault_rate", Json::Num(m.spec.fault_rate))
-                    .field("page_size", m.spec.page_size);
-                // Policy-sweep model rows name the pinning rule, so the
-                // three numa rows of one load point stay distinct.
-                if let Some(p) = m.spec.policy {
-                    j = j.field("policy", p.label());
-                }
-                // Serving model rows name the cell's load point, so
-                // rows stay distinguishable across the serving axes.
-                if let Some(r) = m.spec.req_rate {
-                    j = j.field("req_rate", r);
-                }
-                if let Some(z) = m.spec.zipf_s {
-                    j = j.field("zipf_s", Json::Num(z));
-                }
-                if let Some(t) = m.spec.tenants {
-                    j = j.field("tenants", t);
-                }
-                // Overload model rows name the protection knobs, so
-                // rows stay distinguishable across an overload sweep.
-                if let Some(d) = m.spec.queue_depth {
-                    j = j.field("queue_depth", d);
-                }
-                if let Some(d) = m.spec.deadline_ns {
-                    j = j.field("deadline_ns", d);
-                }
-                if let Some(q) = m.spec.tenant_quota {
-                    j = j.field("tenant_quota", q);
-                }
-                j = j
-                    .field("t_local_s", m.t_local)
-                    .field("t_global_s", m.t_global)
-                    .field("t_numa_s", m.t_numa)
-                    .field("alpha", m.alpha)
-                    .field("beta", m.beta)
-                    .field("gamma", m.gamma)
-                    .field("alpha_measured", m.alpha_measured)
-                    .field("paper_alpha", paper_alpha(m.spec.app.name()))
-                    .field("paper_beta", paper_beta)
-                    .field("paper_gamma", paper_gamma);
-                // The tail of the numa cell rides alongside alpha/beta/
-                // gamma on serving rows; batch documents are unchanged.
-                if let Some(s) = &m.serving {
-                    j = j
-                        .field("p50_ns", s.latency.p50())
-                        .field("p95_ns", s.latency.p95())
-                        .field("p99_ns", s.latency.p99())
-                        .field("p999_ns", s.latency.p999());
-                }
-                j
-            })
+            .map(|m| leaves(m.spec.coordinates(Json::obj(), true), MODEL_LEAVES, m))
             .collect();
         Json::obj()
             .field("schema", SCHEMA)
@@ -325,6 +169,137 @@ impl Sweep {
             .field("jobs", Json::Arr(jobs))
             .field("model", Json::Arr(model))
     }
+}
+
+/// How far a leaf may drift before the gate calls it a regression.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Class {
+    /// A virtual time: relative slack.
+    Time,
+    /// A model factor (α, β, γ, measured α): a small absolute window,
+    /// because α is meaningful near zero.
+    Factor,
+    /// A protocol counter: a relative band with a floor of a few events.
+    Count,
+    /// Bus traffic: relative slack.
+    Bytes,
+    /// Ids, coordinates, names, generated-request counts, paper
+    /// constants: exact, a difference is a different experiment.
+    Identity,
+}
+
+/// One metric leaf of a job or model row: its key, its gate class, and
+/// its value — `None` when the row does not carry the leaf.
+pub(crate) struct Leaf<T> {
+    pub(crate) key: &'static str,
+    pub(crate) class: Class,
+    get: fn(&T) -> Option<Json>,
+}
+
+const fn leaf<T>(key: &'static str, class: Class, get: fn(&T) -> Option<Json>) -> Leaf<T> {
+    Leaf { key, class, get }
+}
+
+fn leaves<T>(row: Json, table: &[Leaf<T>], of: &T) -> Json {
+    table.iter().fold(row, |row, l| match (l.get)(of) {
+        Some(v) => row.field(l.key, v),
+        None => row,
+    })
+}
+
+/// `v` on cells that sweep the axis behind `set`. The *spec* decides,
+/// not the value, so the column set is uniform across a sweep of that
+/// axis and every other document keeps its exact bytes.
+fn on<A>(set: Option<A>, v: u64) -> Option<Json> {
+    set.map(|_| v.into())
+}
+
+fn serving(r: &JobResult, v: fn(&ServingReport) -> u64) -> Option<Json> {
+    r.report.serving.as_ref().map(|s| v(s).into())
+}
+
+/// Only on cells that engage an overload knob.
+fn limited(r: &JobResult, v: fn(&ServingReport) -> u64) -> Option<Json> {
+    r.report.serving.as_ref().filter(|s| s.limited).map(|s| v(s).into())
+}
+
+/// The measurements appended to a job's coordinates, in row order.
+pub(crate) const JOB_LEAVES: &[Leaf<JobResult>] = &[
+    leaf("user_s", Time, |r| Some(r.report.user_secs().into())),
+    leaf("system_s", Time, |r| Some(r.report.system_secs().into())),
+    leaf("makespan_ns", Time, |r| Some(r.report.makespan().0.into())),
+    leaf("alpha_measured", Factor, |r| Some(r.report.alpha_measured().into())),
+    leaf("replications", Count, |r| Some(r.report.numa.replications.into())),
+    leaf("migrations", Count, |r| Some(r.report.numa.migrations.into())),
+    leaf("pins", Count, |r| Some(r.report.numa.pins.into())),
+    leaf("syncs", Count, |r| Some(r.report.numa.syncs.into())),
+    leaf("shootdowns", Count, |r| Some(r.report.numa.shootdowns.into())),
+    leaf("recovery_actions", Count, |r| Some(r.report.numa.recovery_actions().into())),
+    leaf("flush_pins", Count, |r| on(r.spec.policy, r.report.numa.flush_pins)),
+    leaf("coherence_invalidations", Count, |r| {
+        on(r.spec.policy, r.report.numa.coherence_invalidations)
+    }),
+    leaf("reclaims", Count, |r| on(r.spec.local_frames, r.report.numa.reclaims)),
+    leaf("degradations", Count, |r| on(r.spec.local_frames, r.report.numa.degradations)),
+    leaf("pressure_ticks", Count, |r| on(r.spec.local_frames, r.report.numa.pressure_ticks)),
+    leaf("nodes_offlined", Count, |r| on(r.spec.offline_at, r.report.numa.nodes_offlined)),
+    leaf("pages_rehomed", Count, |r| on(r.spec.offline_at, r.report.numa.pages_rehomed)),
+    leaf("pages_lost", Count, |r| on(r.spec.offline_at, r.report.numa.pages_lost)),
+    leaf("dead_node_fallbacks", Count, |r| on(r.spec.offline_at, r.report.numa.dead_node_fallbacks)),
+    // A degraded chaos cell carries its typed reason (deterministic).
+    leaf("degraded", Identity, |r| {
+        r.spec.offline_at.and(r.report.degraded.as_deref()).map(Json::from)
+    }),
+    leaf("near_replications", Count, |r| on(r.spec.topology, r.report.numa.near_replications)),
+    // The request ledger and the virtual-time latency tail: the report
+    // decides (serving cells attach one). A generated-request delta is
+    // a changed workload, not drift.
+    leaf("requests_served", Identity, |r| serving(r, |s| s.requests)),
+    leaf("gets", Identity, |r| serving(r, |s| s.gets)),
+    leaf("puts", Identity, |r| serving(r, |s| s.puts)),
+    leaf("p50_ns", Time, |r| serving(r, |s| s.latency.p50())),
+    leaf("p95_ns", Time, |r| serving(r, |s| s.latency.p95())),
+    leaf("p99_ns", Time, |r| serving(r, |s| s.latency.p99())),
+    leaf("p999_ns", Time, |r| serving(r, |s| s.latency.p999())),
+    // Admission outcomes hinge on virtual dequeue times, so a
+    // cost-model shift moves them like any protocol counter.
+    leaf("admitted", Count, |r| limited(r, |s| s.admitted)),
+    leaf("shed_queue_full", Count, |r| limited(r, |s| s.shed_queue_full)),
+    leaf("shed_deadline", Count, |r| limited(r, |s| s.shed_deadline)),
+    leaf("shed_quota", Count, |r| limited(r, |s| s.shed_quota)),
+    leaf("goodput_p50_ns", Time, |r| limited(r, |s| s.goodput.p50())),
+    leaf("goodput_p95_ns", Time, |r| limited(r, |s| s.goodput.p95())),
+    leaf("goodput_p99_ns", Time, |r| limited(r, |s| s.goodput.p99())),
+    leaf("goodput_p999_ns", Time, |r| limited(r, |s| s.goodput.p999())),
+    leaf("bus_bytes", Bytes, |r| Some(r.report.bus.total_bytes().into())),
+];
+
+/// The solved columns appended to a model row's coordinates: the
+/// paper's published values ride beside ours, and serving rows carry
+/// the tail of their `numa` cell.
+pub(crate) const MODEL_LEAVES: &[Leaf<ModelRow>] = &[
+    leaf("t_local_s", Time, |m| Some(m.t_local.into())),
+    leaf("t_global_s", Time, |m| Some(m.t_global.into())),
+    leaf("t_numa_s", Time, |m| Some(m.t_numa.into())),
+    leaf("alpha", Factor, |m| Some(m.alpha.into())),
+    leaf("beta", Factor, |m| Some(m.beta.into())),
+    leaf("gamma", Factor, |m| Some(m.gamma.into())),
+    leaf("alpha_measured", Factor, |m| Some(m.alpha_measured.into())),
+    leaf("paper_alpha", Identity, |m| Some(paper_alpha(m.spec.app.name()).into())),
+    leaf("paper_beta", Identity, |m| Some(paper_beta_gamma(m.spec.app.name()).0.into())),
+    leaf("paper_gamma", Identity, |m| Some(paper_beta_gamma(m.spec.app.name()).1.into())),
+    leaf("p50_ns", Time, |m| m.serving.as_ref().map(|s| s.latency.p50().into())),
+    leaf("p95_ns", Time, |m| m.serving.as_ref().map(|s| s.latency.p95().into())),
+    leaf("p99_ns", Time, |m| m.serving.as_ref().map(|s| s.latency.p99().into())),
+    leaf("p999_ns", Time, |m| m.serving.as_ref().map(|s| s.latency.p999().into())),
+];
+
+/// The gate class of the leaf called `key`; anything that is not a
+/// metric is an identity.
+pub(crate) fn class_of(key: &str) -> Class {
+    let job = JOB_LEAVES.iter().map(|l| (l.key, l.class));
+    let model = MODEL_LEAVES.iter().map(|l| (l.key, l.class));
+    job.chain(model).find(|&(k, _)| k == key).map_or(Identity, |(_, class)| class)
 }
 
 #[cfg(test)]
@@ -348,6 +323,55 @@ mod tests {
         assert!(text.contains("\"schema\":\"numa-repro/lab-sweep/v1\""));
         assert!(text.contains("\"model\":[{"));
         assert!(text.contains("\"paper_alpha\""));
+    }
+
+    #[test]
+    fn model_companions_are_found_on_the_cell_s_own_machine_shape() {
+        // The real `global` cells of two shapes have equal user times
+        // (global access cost is uniform), so a companion taken from the
+        // wrong shape would go unnoticed: fabricate results whose user
+        // time encodes the cell instead.
+        use crate::grid::TopologyAxis;
+        use ace_machine::{BusStats, CpuTime, FaultStats, Ns};
+        use ace_sim::{RefCounters, RunReport};
+        let mut grid = Grid::topology();
+        grid.apps.truncate(1);
+        grid.placements = vec![Placement::Local, Placement::Global, Placement::Numa];
+        let results: Vec<JobResult> = grid
+            .jobs()
+            .into_iter()
+            .map(|spec| {
+                let report = RunReport {
+                    policy: spec.policy().name(),
+                    cpu_times: vec![CpuTime { user: Ns(1_000_000 * (spec.id as u64 + 1)), system: Ns(0) }],
+                    refs: RefCounters { local: 1, global: 1, remote: 0 },
+                    numa: Default::default(),
+                    bus: BusStats::default(),
+                    faults: FaultStats::default(),
+                    serving: None,
+                    degraded: None,
+                };
+                JobResult { spec, report }
+            })
+            .collect();
+        let sweep = Sweep { grid, results };
+        let user_of = |placement, topology| {
+            let r = sweep
+                .results
+                .iter()
+                .find(|r| r.spec.placement == placement && r.spec.topology == topology)
+                .expect("cell in grid");
+            r.report.user_secs()
+        };
+        let rows = sweep.model_rows();
+        let shapes = [Some(TopologyAxis::TwoSocket), Some(TopologyAxis::Mesh { nodes: 4 })];
+        assert_eq!(rows.len(), shapes.len(), "one model row per shape");
+        assert_ne!(user_of(Placement::Global, shapes[0]), user_of(Placement::Global, shapes[1]));
+        for (row, shape) in rows.iter().zip(shapes) {
+            assert_eq!(row.spec.topology, shape);
+            assert_eq!(row.t_global, user_of(Placement::Global, shape), "{}", row.spec.label());
+            assert_eq!(row.t_local, user_of(Placement::Local, shape), "{}", row.spec.label());
+        }
     }
 
     #[test]

@@ -149,6 +149,13 @@ impl LatencyHistogram {
         self.counts.iter().enumerate().filter(|(_, &c)| c > 0).map(|(i, &c)| (i, c)).collect()
     }
 
+    /// [`Self::to_sparse`] as JSON: `[[index, count], ...]`, the form
+    /// reports and checkpoints store.
+    pub fn sparse_json(&self) -> Json {
+        let pair = |(i, c): (usize, u64)| Json::Arr(vec![Json::from(i), Json::from(c)]);
+        Json::Arr(self.to_sparse().into_iter().map(pair).collect())
+    }
+
     /// Rebuilds a histogram from its sparse form and exact maximum.
     /// Out-of-range bucket indices are typed errors (a corrupt
     /// checkpoint, not a panic).
@@ -304,46 +311,39 @@ impl ServingReport {
     /// appear too; when clear the layout is byte-identical to reports
     /// that predate admission control.
     pub fn to_json(&self) -> Json {
-        let sparse = |h: &LatencyHistogram| {
-            Json::Arr(
-                h.to_sparse()
-                    .into_iter()
-                    .map(|(i, c)| Json::Arr(vec![Json::from(i), Json::from(c)]))
-                    .collect(),
-            )
-        };
-        let mut j = Json::obj()
-            .field("requests", self.requests)
-            .field("gets", self.gets)
-            .field("puts", self.puts);
-        if self.limited {
-            j = j
-                .field("admitted", self.admitted)
-                .field("shed_queue_full", self.shed_queue_full)
-                .field("shed_deadline", self.shed_deadline)
-                .field("shed_quota", self.shed_quota);
-        }
-        j = j
-            .field("p50_ns", self.latency.p50())
-            .field("p95_ns", self.latency.p95())
-            .field("p99_ns", self.latency.p99())
-            .field("p999_ns", self.latency.p999())
-            .field("max_ns", self.latency.max_ns());
-        if self.limited {
-            j = j
-                .field("goodput_p50_ns", self.goodput.p50())
-                .field("goodput_p95_ns", self.goodput.p95())
-                .field("goodput_p99_ns", self.goodput.p99())
-                .field("goodput_p999_ns", self.goodput.p999())
-                .field("goodput_max_ns", self.goodput.max_ns());
-        }
-        j = j.field("buckets", sparse(&self.latency));
-        if self.limited {
-            j = j.field("goodput_buckets", sparse(&self.goodput));
-        }
-        j
+        SERVING_BLOCK
+            .iter()
+            .filter(|(_, overload, _)| self.limited || !overload)
+            .fold(Json::obj(), |j, (key, _, value)| j.field(key, value(self)))
     }
 }
+
+type ServingLeaf = (&'static str, bool, fn(&ServingReport) -> Json);
+
+/// [`ServingReport::to_json`] in serialization order: key, whether the
+/// leaf belongs to the overload ledger (serialized only on `limited`
+/// reports), and value.
+const SERVING_BLOCK: [ServingLeaf; 19] = [
+    ("requests", false, |s| s.requests.into()),
+    ("gets", false, |s| s.gets.into()),
+    ("puts", false, |s| s.puts.into()),
+    ("admitted", true, |s| s.admitted.into()),
+    ("shed_queue_full", true, |s| s.shed_queue_full.into()),
+    ("shed_deadline", true, |s| s.shed_deadline.into()),
+    ("shed_quota", true, |s| s.shed_quota.into()),
+    ("p50_ns", false, |s| s.latency.p50().into()),
+    ("p95_ns", false, |s| s.latency.p95().into()),
+    ("p99_ns", false, |s| s.latency.p99().into()),
+    ("p999_ns", false, |s| s.latency.p999().into()),
+    ("max_ns", false, |s| s.latency.max_ns().into()),
+    ("goodput_p50_ns", true, |s| s.goodput.p50().into()),
+    ("goodput_p95_ns", true, |s| s.goodput.p95().into()),
+    ("goodput_p99_ns", true, |s| s.goodput.p99().into()),
+    ("goodput_p999_ns", true, |s| s.goodput.p999().into()),
+    ("goodput_max_ns", true, |s| s.goodput.max_ns().into()),
+    ("buckets", false, |s| s.latency.sparse_json()),
+    ("goodput_buckets", true, |s| s.goodput.sparse_json()),
+];
 
 #[cfg(test)]
 mod tests {

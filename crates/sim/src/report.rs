@@ -33,6 +33,35 @@ pub struct RunReport {
     pub degraded: Option<String>,
 }
 
+/// The `numa` block of [`RunReport::to_json`], in serialization order
+/// (names as [`NumaStats::value`] knows them): first the counters every
+/// report carries...
+const NUMA_ALWAYS: [&str; 15] = [
+    "requests", "read_requests", "write_requests", "replications", "migrations", "syncs",
+    "flushes", "shootdowns", "to_global", "to_remote", "pins", "zero_fill_local",
+    "zero_fill_global", "local_pressure_fallbacks", "recovery_actions",
+];
+
+/// ...then the counters that postdate a committed baseline, each with
+/// the quantity that must be nonzero for it to appear: a run whose
+/// pressure, flush-aware policy, hierarchy or hard-failure machinery
+/// never acted serializes byte-identically to reports that predate it.
+/// (Invalidations happen under every policy; only a flush *pin* shows
+/// them. A flat machine can never replicate from a sibling node.)
+const NUMA_WHEN_NONZERO: [(&str, &str); 11] = [
+    ("reclaims", "reclaims"),
+    ("degradations", "degradations"),
+    ("pressure_ticks", "pressure_ticks"),
+    ("flush_pins", "flush_pins"),
+    ("coherence_invalidations", "flush_pins"),
+    ("near_replications", "near_replications"),
+    ("nodes_offlined", "hard_failure_actions"),
+    ("pages_rehomed", "hard_failure_actions"),
+    ("pages_lost", "hard_failure_actions"),
+    ("threads_drained", "hard_failure_actions"),
+    ("dead_node_fallbacks", "hard_failure_actions"),
+];
+
 impl RunReport {
     /// Total user time across all processors (the paper's T measure).
     pub fn total_user(&self) -> Ns {
@@ -95,61 +124,12 @@ impl RunReport {
                     .field("remote", self.refs.remote),
             )
             .field("numa", {
-                let mut numa = Json::obj()
-                    .field("requests", self.numa.requests)
-                    .field("read_requests", self.numa.read_requests)
-                    .field("write_requests", self.numa.write_requests)
-                    .field("replications", self.numa.replications)
-                    .field("migrations", self.numa.migrations)
-                    .field("syncs", self.numa.syncs)
-                    .field("flushes", self.numa.flushes)
-                    .field("shootdowns", self.numa.shootdowns)
-                    .field("to_global", self.numa.to_global)
-                    .field("to_remote", self.numa.to_remote)
-                    .field("pins", self.numa.pins)
-                    .field("zero_fill_local", self.numa.zero_fill_local)
-                    .field("zero_fill_global", self.numa.zero_fill_global)
-                    .field("local_pressure_fallbacks", self.numa.local_pressure_fallbacks)
-                    .field("recovery_actions", self.numa.recovery_actions());
-                // Pressure counters appear only when pressure actually
-                // happened, so reports from runs with ample local frames
-                // serialize byte-identically to pre-reclaim reports.
-                if self.numa.reclaims > 0 {
-                    numa = numa.field("reclaims", self.numa.reclaims);
-                }
-                if self.numa.degradations > 0 {
-                    numa = numa.field("degradations", self.numa.degradations);
-                }
-                if self.numa.pressure_ticks > 0 {
-                    numa = numa.field("pressure_ticks", self.numa.pressure_ticks);
-                }
-                // Flush-pin counters appear only when a flush-aware
-                // policy actually pinned something; the paper's
-                // move-limit policy never does, so every pre-existing
-                // baseline keeps its exact bytes.
-                if self.numa.flush_pins > 0 {
-                    numa = numa
-                        .field("flush_pins", self.numa.flush_pins)
-                        .field("coherence_invalidations", self.numa.coherence_invalidations);
-                }
-                // Likewise the hierarchical counter: a flat machine can
-                // never replicate from a sibling node, so flat reports
-                // serialize byte-identically to pre-topology baselines.
-                if self.numa.near_replications > 0 {
-                    numa = numa.field("near_replications", self.numa.near_replications);
-                }
-                // Hard-failure counters follow the same discipline: a run
-                // with no node or processor loss serializes byte-identically
-                // to every pre-chaos baseline.
-                if self.numa.hard_failure_actions() > 0 {
-                    numa = numa
-                        .field("nodes_offlined", self.numa.nodes_offlined)
-                        .field("pages_rehomed", self.numa.pages_rehomed)
-                        .field("pages_lost", self.numa.pages_lost)
-                        .field("threads_drained", self.numa.threads_drained)
-                        .field("dead_node_fallbacks", self.numa.dead_node_fallbacks);
-                }
-                numa
+                let value = |name| self.numa.value(name).expect("a NumaStats quantity");
+                let shown = NUMA_WHEN_NONZERO.iter().filter(|(_, guard)| value(guard) > 0);
+                NUMA_ALWAYS
+                    .iter()
+                    .chain(shown.map(|(key, _)| key))
+                    .fold(Json::obj(), |numa, key| numa.field(key, value(key)))
             })
             .field(
                 "bus",
