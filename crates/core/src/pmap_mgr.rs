@@ -128,12 +128,6 @@ impl AcePmap {
         self.manager.set_reclaim_policy(policy);
     }
 
-    /// Sets the per-request reclaim budget (see
-    /// [`NumaManager::set_max_reclaim_attempts`]).
-    pub fn set_max_reclaim_attempts(&mut self, attempts: u32) {
-        self.manager.set_max_reclaim_attempts(attempts);
-    }
-
     /// One scan of the background pressure daemon (see
     /// [`NumaManager::pressure_tick`]).
     pub fn pressure_tick(&mut self, m: &mut Machine, low: usize, high: usize) {

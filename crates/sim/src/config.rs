@@ -50,9 +50,6 @@ pub struct SimConfig {
     /// the apps' lock and barrier hold times, where the paper-model
     /// numbers are indistinguishable from exact interleaving.
     pub lookahead: Ns,
-    /// Upper bound on a single inline `compute` charge; larger computes
-    /// are split so budget boundaries stay tight.
-    pub compute_chunk: Ns,
     /// Interval of the kernel's periodic daemon tick (policy aging /
     /// pin reconsideration), in virtual time.
     pub daemon_interval: Ns,
@@ -61,7 +58,7 @@ pub struct SimConfig {
     pub events: Option<SharedSink>,
     /// Whether application threads may use the batched-access fast path
     /// (a per-thread software TLB that charges whole same-page runs in
-    /// one critical section). Observationally equivalent to the slow
+    /// one step). Observationally equivalent to the slow
     /// per-reference path; `false` forces every reference through the
     /// per-reference path (differential testing, debugging).
     pub fastpath: bool,
@@ -72,10 +69,6 @@ pub struct SimConfig {
     /// Pressure-daemon high watermark: flushing stops once the free list
     /// reaches this many frames (clamped up to `pressure_low`).
     pub pressure_high: usize,
-    /// Victim evictions allowed per request when a LOCAL placement finds
-    /// the free list empty, before the request degrades to a
-    /// global-writable mapping. Zero disables synchronous reclaim.
-    pub max_reclaim_attempts: u32,
     /// Virtual-time budget: the kernel stops scheduling once every
     /// runnable thread's clock is past this bound and the run fails with
     /// a typed error instead of spinning forever. `None` — the default —
@@ -91,13 +84,11 @@ impl SimConfig {
             scheduler: SchedulerKind::Affinity,
             quantum: Ns::from_ms(10),
             lookahead: Ns::from_us(500),
-            compute_chunk: Ns::from_us(20),
             daemon_interval: Ns::from_ms(5),
             events: None,
             fastpath: true,
             pressure_low: 2,
             pressure_high: 4,
-            max_reclaim_attempts: numa_core::DEFAULT_MAX_RECLAIM_ATTEMPTS,
             vt_budget: None,
         }
     }
@@ -109,13 +100,11 @@ impl SimConfig {
             scheduler: SchedulerKind::Affinity,
             quantum: Ns::from_ms(1),
             lookahead: Ns::ZERO,
-            compute_chunk: Ns::from_us(20),
             daemon_interval: Ns::from_ms(1),
             events: None,
             fastpath: true,
             pressure_low: 2,
             pressure_high: 4,
-            max_reclaim_attempts: numa_core::DEFAULT_MAX_RECLAIM_ATTEMPTS,
             vt_budget: None,
         }
     }
@@ -161,12 +150,6 @@ impl SimConfig {
         self
     }
 
-    /// Sets the inline compute chunk bound.
-    pub fn compute_chunk(mut self, chunk: Ns) -> SimConfig {
-        self.compute_chunk = chunk;
-        self
-    }
-
     /// Sets the daemon tick interval.
     pub fn daemon_interval(mut self, interval: Ns) -> SimConfig {
         self.daemon_interval = interval;
@@ -199,12 +182,6 @@ impl SimConfig {
         self
     }
 
-    /// Sets the per-request reclaim budget (0 disables reclaim).
-    pub fn max_reclaim_attempts(mut self, attempts: u32) -> SimConfig {
-        self.max_reclaim_attempts = attempts;
-        self
-    }
-
     /// Bounds the run in virtual time (`None` = unbounded).
     pub fn vt_budget(mut self, budget: Option<Ns>) -> SimConfig {
         self.vt_budget = budget;
@@ -219,13 +196,11 @@ impl fmt::Debug for SimConfig {
             .field("scheduler", &self.scheduler)
             .field("quantum", &self.quantum)
             .field("lookahead", &self.lookahead)
-            .field("compute_chunk", &self.compute_chunk)
             .field("daemon_interval", &self.daemon_interval)
             .field("events", &self.events.as_ref().map(|_| "<sink>"))
             .field("fastpath", &self.fastpath)
             .field("pressure_low", &self.pressure_low)
             .field("pressure_high", &self.pressure_high)
-            .field("max_reclaim_attempts", &self.max_reclaim_attempts)
             .field("vt_budget", &self.vt_budget)
             .finish()
     }
@@ -250,13 +225,11 @@ mod tests {
             .scheduler(SchedulerKind::GlobalQueue)
             .quantum(Ns::from_ms(2))
             .lookahead(Ns::from_us(5))
-            .compute_chunk(Ns::from_us(10))
             .daemon_interval(Ns::from_ms(7))
             .faults(FaultConfig { seed: 42, ..FaultConfig::default() });
         assert_eq!(cfg.scheduler, SchedulerKind::GlobalQueue);
         assert_eq!(cfg.quantum, Ns::from_ms(2));
         assert_eq!(cfg.lookahead, Ns::from_us(5));
-        assert_eq!(cfg.compute_chunk, Ns::from_us(10));
         assert_eq!(cfg.daemon_interval, Ns::from_ms(7));
         assert_eq!(cfg.machine.faults.seed, 42);
         assert!(cfg.events.is_none());

@@ -6,19 +6,21 @@
 //! control operations hand the processor back to the scheduler so that
 //! exactly one simulated thread runs at a time in virtual-time order.
 
-use crate::engine::Shared;
-use crate::kernel::Kernel;
+use crate::engine::{Ended, Next, Shared, World};
+use crate::kernel::{Kernel, COMPUTE_CHUNK};
 use ace_machine::{Access, CpuId, Frame, Ns, PageSize};
 use mach_vm::VAddr;
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// A scheduling decision deposited in a parked thread's slot.
-#[derive(Clone, Copy, Debug)]
 pub(crate) enum Grant {
     /// Run on `cpu` until its clock reaches `budget_end` (at least one
-    /// operation is always allowed).
+    /// operation is always allowed). The right to run is the run's
+    /// state itself: whoever has the world may touch it, nobody else
+    /// can.
     Run {
+        /// The kernel and the scheduler, handed over.
+        world: Box<World>,
         /// The processor to run on (may change under the global-queue
         /// scheduler).
         cpu: CpuId,
@@ -47,11 +49,11 @@ pub(crate) struct StopToken;
 
 /// One cached translation: the thread's single-entry software TLB.
 ///
-/// Filled from the final (successful) critical section of a slow-path
+/// Filled from the final (successful) step of a slow-path
 /// reference, so the recorded epoch is the MMU's epoch *after* any
 /// `pmap_enter` the fault path performed. The entry is usable only
-/// while all of the following hold, the first two checked lock-free and
-/// the epoch re-checked under the kernel lock:
+/// while all of the following hold ([`ThreadCtx::tlb_lookup`] is the
+/// one place that checks them):
 ///
 /// * the thread still runs on the processor the entry was filled on
 ///   (translations are per-processor);
@@ -80,12 +82,13 @@ pub(crate) struct TlbEntry {
 pub struct ThreadCtx {
     pub(crate) tid: usize,
     pub(crate) cpu: CpuId,
-    pub(crate) kernel: Arc<Mutex<Kernel>>,
-    /// The scheduler and grant slots shared by the run's threads.
+    /// The run's kernel and scheduler: `Some` exactly while this thread
+    /// holds the grant, which is whenever its body is executing.
+    pub(crate) world: Option<Box<World>>,
+    /// The grant slots shared by the run's threads.
     pub(crate) shared: Arc<Shared>,
     pub(crate) budget_end: Ns,
     pub(crate) over_budget: bool,
-    pub(crate) compute_chunk: Ns,
     /// Page geometry of the simulated machine (for run splitting).
     pub(crate) page: PageSize,
     /// Whether the batched fast path is enabled for this run.
@@ -102,6 +105,16 @@ pub struct ThreadCtx {
 /// Software-TLB capacity per thread.
 pub(crate) const TLB_ENTRIES: usize = 4;
 
+/// Why a `ThreadCtx::world` is there whenever the thread looks.
+const HOLDS_GRANT: &str = "a simulated thread executes only while it holds the grant";
+
+/// The kernel of the world a running thread holds. Takes the field, not
+/// the context, so the caller keeps the use of its other fields.
+#[inline]
+fn kernel(world: &mut Option<Box<World>>) -> &mut Kernel {
+    &mut world.as_mut().expect(HOLDS_GRANT).kernel
+}
+
 impl ThreadCtx {
     /// This thread's id (its index in spawn order).
     pub fn tid(&self) -> usize {
@@ -115,23 +128,43 @@ impl ThreadCtx {
 
     /// Number of processors in the machine.
     pub fn n_cpus(&self) -> usize {
-        self.kernel.lock().machine.n_cpus()
+        self.world.as_ref().expect(HOLDS_GRANT).kernel.machine.n_cpus()
     }
 
     /// Hands the processor back: books this thread's yield, runs the
     /// scheduler right here until some thread must really run, and — if
-    /// that is another thread — wakes it and parks until granted again
-    /// (one host context switch; none if the decision is for this
-    /// thread). Called by every operation once the budget is exhausted.
+    /// that is another thread — sends it the world and parks until
+    /// granted again (one host context switch; none if the decision is
+    /// for this thread). Called by every operation once the budget is
+    /// exhausted, and with [`Yield::Done`] when the body has returned
+    /// (there is nothing to park for then).
     pub(crate) fn rendezvous(&mut self, why: Yield) {
-        let grant = self.shared.reschedule(self.tid, self.cpu, why);
-        self.accept(grant);
+        // The world stays in `self` while the scheduler runs, so the
+        // thread's panic handler finds it if the scheduler panics.
+        let w = self.world.as_mut().expect(HOLDS_GRANT);
+        let next = w.sched.decide(&mut w.kernel, Some((self.tid, self.cpu.index(), why)));
+        let world = self.world.take();
+        match next {
+            Some(Next { tid, cpu, budget_end }) => {
+                let grant = Grant::Run { world: world.expect(HOLDS_GRANT), cpu, budget_end };
+                if tid == self.tid {
+                    return self.accept(grant);
+                }
+                self.shared.slots[tid].put(grant);
+            }
+            None => self.shared.end.put(Ended { world, panic: None }),
+        }
+        if !matches!(why, Yield::Done) {
+            let grant = self.shared.slots[self.tid].take();
+            self.accept(grant);
+        }
     }
 
     /// Takes up a grant, or unwinds quietly if the run is over.
     pub(crate) fn accept(&mut self, grant: Grant) {
         match grant {
-            Grant::Run { cpu, budget_end } => {
+            Grant::Run { world, cpu, budget_end } => {
+                self.world = Some(world);
                 self.cpu = cpu;
                 self.budget_end = budget_end;
                 self.over_budget = false;
@@ -154,14 +187,23 @@ impl ThreadCtx {
         }
     }
 
-    /// Looks up a usable TLB entry for `vpn` under access `kind` on the
-    /// current processor (lock-free part of the validity check; the
-    /// caller re-checks the epoch under the kernel lock).
+    /// The cached translation usable right now for `vpn` under access
+    /// `kind`: filled on the current processor, for this page, with
+    /// enough permission, at the MMU's current epoch. Finding one whose
+    /// epoch has passed drops every entry (all entries for this MMU
+    /// share its fate, and entries for other processors are unusable
+    /// here anyway).
     #[inline]
-    fn tlb_lookup(&self, vpn: u64, kind: Access) -> Option<TlbEntry> {
-        self.tlb.iter().flatten().copied().find(|e| {
-            e.cpu == self.cpu && e.vpn == vpn && (kind == Access::Fetch || e.wrote)
-        })
+    fn tlb_lookup(&mut self, vpn: u64, kind: Access) -> Option<TlbEntry> {
+        let cpu = self.cpu;
+        let entry = self.tlb.iter().flatten().copied().find(|e| {
+            e.cpu == cpu && e.vpn == vpn && (kind == Access::Fetch || e.wrote)
+        })?;
+        if kernel(&mut self.world).machine.mmus[cpu.index()].epoch() != entry.epoch {
+            self.tlb = [None; TLB_ENTRIES];
+            return None;
+        }
+        Some(entry)
     }
 
     /// Installs `entry`, replacing any entry for the same page on the
@@ -178,14 +220,6 @@ impl ThreadCtx {
         }
         self.tlb[self.tlb_next] = Some(entry);
         self.tlb_next = (self.tlb_next + 1) % TLB_ENTRIES;
-    }
-
-    /// Drops every cached translation (a stale epoch was observed; all
-    /// entries for this MMU share its fate, and entries for other
-    /// processors are already unusable here).
-    #[inline]
-    fn tlb_clear(&mut self) {
-        self.tlb = [None; TLB_ENTRIES];
     }
 
     /// Voluntarily gives up the processor (the engine may reschedule).
@@ -216,14 +250,12 @@ impl ThreadCtx {
         for _ in 0..SEPARATE_FAULT_STEPS {
             self.pre();
             let cpu = self.cpu;
-            let (res, clock) = {
-                let mut k = self.kernel.lock();
-                let step = k
-                    .access_step(cpu, addr, kind, words)
-                    .unwrap_or_else(|e| panic!("thread {}: {e}", self.tid));
-                let r = step.map(|(frame, off)| f(&mut k, cpu, frame, off));
-                (r, k.clock_of(cpu))
-            };
+            let k = kernel(&mut self.world);
+            let step = k
+                .access_step(cpu, addr, kind, words)
+                .unwrap_or_else(|e| panic!("thread {}: {e}", self.tid));
+            let res = step.map(|(frame, off)| f(k, cpu, frame, off));
+            let clock = k.clock_of(cpu);
             self.post(clock);
             if let Some(v) = res {
                 return v;
@@ -232,13 +264,12 @@ impl ThreadCtx {
         // Forward-progress fallback: complete atomically.
         self.pre();
         let cpu = self.cpu;
-        let (v, clock) = {
-            let mut k = self.kernel.lock();
-            let (frame, off) = k
-                .resolve_for(cpu, addr, kind, words)
-                .unwrap_or_else(|e| panic!("thread {}: {e}", self.tid));
-            (f(&mut k, cpu, frame, off), k.clock_of(cpu))
-        };
+        let k = kernel(&mut self.world);
+        let (frame, off) = k
+            .resolve(cpu, addr, kind, words)
+            .unwrap_or_else(|e| panic!("thread {}: {e}", self.tid));
+        let v = f(k, cpu, frame, off);
+        let clock = k.clock_of(cpu);
         self.post(clock);
         v
     }
@@ -264,17 +295,12 @@ impl ThreadCtx {
         let vpn = self.page.page_of(addr.0);
         if let Some(entry) = self.tlb_lookup(vpn, kind) {
             let cpu = self.cpu;
-            let mut k = self.kernel.lock();
-            if k.machine.mmus[cpu.index()].epoch() == entry.epoch {
-                k.charge_run(cpu, kind, entry.frame, addr, 0, words, 1, self.budget_end);
-                let v = f(&mut k, cpu, entry.frame, self.page.offset_of(addr.0));
-                let clock = k.clock_of(cpu);
-                drop(k);
-                self.post(clock);
-                return v;
-            }
-            drop(k);
-            self.tlb_clear();
+            let k = kernel(&mut self.world);
+            k.charge_run(cpu, kind, entry.frame, addr, 0, words, 1, self.budget_end);
+            let v = f(k, cpu, entry.frame, self.page.offset_of(addr.0));
+            let clock = k.clock_of(cpu);
+            self.post(clock);
+            return v;
         }
         let (v, entry) = self.data_op(addr, kind, words, |k, cpu, frame, off| {
             let epoch = k.machine.mmus[cpu.index()].epoch();
@@ -293,7 +319,7 @@ impl ThreadCtx {
     ///
     /// With the fast path enabled, maximal same-page extents whose
     /// translation is cached in the thread's TLB are charged through
-    /// [`Kernel::charge_run`] in one critical section; the first element
+    /// one [`Kernel::charge_run`] call; the first element
     /// on each page — and every element when the TLB misses, the epoch
     /// moved, the access kind outruns the cached permission, or the fast
     /// path is off — goes through [`ThreadCtx::data_op`], taking the
@@ -323,57 +349,51 @@ impl ThreadCtx {
                 self.pre();
                 if let Some(entry) = self.tlb_lookup(self.page.page_of(addr.0), kind) {
                     let cpu = self.cpu;
-                    let mut k = self.kernel.lock();
-                    if k.machine.mmus[cpu.index()].epoch() == entry.epoch {
-                        // Maximal extent of elements on the cached page.
-                        let mut m = 1usize;
-                        while i + m < n {
-                            let a = base.0 + (i + m) as u64 * stride;
-                            if self.page.page_of(a) == entry.vpn
-                                && self.page.page_of(a + elem_bytes - 1) == entry.vpn
-                            {
-                                m += 1;
-                            } else {
-                                break;
-                            }
-                        }
-                        let charged = k.charge_run(
-                            cpu,
-                            kind,
-                            entry.frame,
-                            addr,
-                            stride,
-                            words,
-                            m,
-                            self.budget_end,
-                        );
-                        if stride == 0 && charged > 1 {
-                            // Every element aliases one location, and no
-                            // other thread can run between the elements
-                            // of one charged extent (budget boundaries
-                            // are the only interleaving points, on both
-                            // paths) — so the extent's memory effect is
-                            // one read, replicated, or its last write.
-                            let off = self.page.offset_of(addr.0);
-                            let last = i + charged - 1;
-                            let idx = if kind == Access::Fetch { i } else { last };
-                            let v = mem(&mut k, entry.frame, off, idx);
-                            out.extend(std::iter::repeat_n(v, charged));
+                    // Maximal extent of elements on the cached page.
+                    let mut m = 1usize;
+                    while i + m < n {
+                        let a = base.0 + (i + m) as u64 * stride;
+                        if self.page.page_of(a) == entry.vpn
+                            && self.page.page_of(a + elem_bytes - 1) == entry.vpn
+                        {
+                            m += 1;
                         } else {
-                            for j in 0..charged {
-                                let off =
-                                    self.page.offset_of(addr.0 + j as u64 * stride);
-                                out.push(mem(&mut k, entry.frame, off, i + j));
-                            }
+                            break;
                         }
-                        let clock = k.clock_of(cpu);
-                        drop(k);
-                        self.post(clock);
-                        i += charged;
-                        continue;
                     }
-                    drop(k);
-                    self.tlb_clear();
+                    let k = kernel(&mut self.world);
+                    let charged = k.charge_run(
+                        cpu,
+                        kind,
+                        entry.frame,
+                        addr,
+                        stride,
+                        words,
+                        m,
+                        self.budget_end,
+                    );
+                    if stride == 0 && charged > 1 {
+                        // Every element aliases one location, and no
+                        // other thread can run between the elements of
+                        // one charged extent (budget boundaries are the
+                        // only interleaving points, on both paths) — so
+                        // the extent's memory effect is one read,
+                        // replicated, or its last write.
+                        let off = self.page.offset_of(addr.0);
+                        let last = i + charged - 1;
+                        let idx = if kind == Access::Fetch { i } else { last };
+                        let v = mem(k, entry.frame, off, idx);
+                        out.extend(std::iter::repeat_n(v, charged));
+                    } else {
+                        for j in 0..charged {
+                            let off = self.page.offset_of(addr.0 + j as u64 * stride);
+                            out.push(mem(k, entry.frame, off, i + j));
+                        }
+                    }
+                    let clock = k.clock_of(cpu);
+                    self.post(clock);
+                    i += charged;
+                    continue;
                 }
             }
             let vpn = self.page.page_of(addr.0);
@@ -514,25 +534,20 @@ impl ThreadCtx {
     ///
     /// The chunk sequence and the clock at every rendezvous are the same
     /// on both paths; the fast path merely charges consecutive chunks
-    /// that fit within the current budget inside one critical section,
-    /// where the slow path takes the kernel lock once per chunk.
+    /// that fit within the current budget in one inner loop, where the
+    /// slow path goes round the outer one once per chunk.
     pub fn compute(&mut self, t: Ns) {
         let mut remaining = t;
         while remaining > Ns::ZERO {
             self.pre();
-            let clock = {
-                let mut k = self.kernel.lock();
-                loop {
-                    let step = Ns(remaining.0.min(self.compute_chunk.0.max(1)));
-                    k.compute(self.cpu, step);
-                    remaining -= step;
-                    let clock = k.clock_of(self.cpu);
-                    if remaining == Ns::ZERO
-                        || clock >= self.budget_end
-                        || !self.fastpath
-                    {
-                        break clock;
-                    }
+            let k = kernel(&mut self.world);
+            let clock = loop {
+                let step = remaining.min(COMPUTE_CHUNK);
+                k.compute(self.cpu, step);
+                remaining -= step;
+                let clock = k.clock_of(self.cpu);
+                if remaining == Ns::ZERO || clock >= self.budget_end || !self.fastpath {
+                    break clock;
                 }
             };
             self.post(clock);
@@ -545,12 +560,11 @@ impl ThreadCtx {
     /// the answer is the instant it would next be allowed to run at.
     pub fn now(&mut self) -> Ns {
         self.pre();
-        let cpu = self.cpu;
-        self.kernel.lock().clock_of(cpu)
+        kernel(&mut self.world).clock_of(self.cpu)
     }
 
     /// Idles until this processor's clock reaches `t`, charging pure
-    /// compute in `compute_chunk` steps; returns immediately when the
+    /// compute in `COMPUTE_CHUNK` steps; returns immediately when the
     /// clock is already past `t`. Open-loop workloads use this to pace
     /// request arrivals on the virtual-time axis: the schedule is a
     /// pure function of the arrival times, so runs are byte-identical
@@ -569,8 +583,7 @@ impl ThreadCtx {
             if self.over_budget {
                 self.rendezvous(Yield::Parked(t));
             }
-            let (cpu, chunk, end) = (self.cpu, self.compute_chunk, self.budget_end);
-            if self.kernel.lock().idle_toward(cpu, t, chunk, end) {
+            if kernel(&mut self.world).idle_toward(self.cpu, t, self.budget_end) {
                 return;
             }
             self.over_budget = true;
@@ -582,19 +595,10 @@ impl ThreadCtx {
     /// given user addresses *from cpu 0*.
     pub fn unix_syscall(&mut self, compute: Ns, touches: &[VAddr]) {
         self.pre();
-        let clock = {
-            let mut k = self.kernel.lock();
-            k.unix_syscall(compute, touches)
-                .unwrap_or_else(|e| panic!("thread {}: syscall: {e}", self.tid));
-            k.clock_of(self.cpu)
-        };
+        let k = kernel(&mut self.world);
+        k.unix_syscall(compute, touches)
+            .unwrap_or_else(|e| panic!("thread {}: syscall: {e}", self.tid));
+        let clock = k.clock_of(self.cpu);
         self.post(clock);
-    }
-
-    /// Runs `f` with the kernel locked (escape hatch for instrumentation
-    /// inside tests; not part of the simulated instruction set and
-    /// charges no time).
-    pub fn with_kernel<R>(&self, f: impl FnOnce(&mut Kernel) -> R) -> R {
-        f(&mut self.kernel.lock())
     }
 }

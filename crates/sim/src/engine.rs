@@ -8,10 +8,10 @@ use crate::report::RunReport;
 use ace_machine::{CpuId, HardFault, Machine, Ns, Prot};
 use mach_vm::VAddr;
 use numa_core::{AcePmap, CachePolicy};
-use parking_lot::Mutex;
+use std::cell::{RefCell, RefMut};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// A closure waiting to be run as a simulated thread.
 struct PendingThread {
@@ -66,7 +66,10 @@ pub fn run_one(
 /// ```
 pub struct Simulator {
     cfg: Arc<SimConfig>,
-    kernel: Arc<Mutex<Kernel>>,
+    /// The kernel between runs; a run takes it out and, however it
+    /// ends, puts it back. In a `RefCell` because set-up and inspection
+    /// take `&self`, and not `Sync` because nothing shares a simulator.
+    kernel: RefCell<Option<Kernel>>,
     pending: Vec<PendingThread>,
     /// Next processor for sequential affinity assignment.
     next_cpu: usize,
@@ -94,16 +97,19 @@ impl Simulator {
             }));
             pmap.set_event_sink(Arc::clone(sink));
         }
-        pmap.set_max_reclaim_attempts(cfg.max_reclaim_attempts);
-        let kernel = Kernel::new(machine, pmap);
         Simulator {
             cfg: Arc::new(cfg),
-            kernel: Arc::new(Mutex::new(kernel)),
+            kernel: RefCell::new(Some(Kernel::new(machine, pmap))),
             pending: Vec::new(),
             next_cpu: 0,
             vt_exceeded: false,
             serving: None,
         }
+    }
+
+    /// The kernel, borrowed exclusively (a second borrow panics).
+    fn kernel(&self) -> RefMut<'_, Kernel> {
+        RefMut::map(self.kernel.borrow_mut(), |k| k.as_mut().expect(KERNEL_HOME))
     }
 
     /// Attaches serving-workload measurements (request counts, tail
@@ -128,10 +134,7 @@ impl Simulator {
     /// Allocates zero-filled application memory (harness-level
     /// `vm_allocate`).
     pub fn alloc(&self, bytes: u64, prot: Prot) -> VAddr {
-        self.kernel
-            .lock()
-            .alloc(bytes, prot)
-            .expect("application allocation failed")
+        self.kernel().alloc(bytes, prot).expect("application allocation failed")
     }
 
     /// Frees an allocation made with [`Simulator::alloc`] (harness-level
@@ -142,12 +145,13 @@ impl Simulator {
     ///
     /// Panics if `addr` is not the base of a live allocation.
     pub fn dealloc(&self, addr: VAddr) {
-        self.kernel.lock().dealloc(addr).expect("deallocating a live allocation")
+        self.kernel().dealloc(addr).expect("deallocating a live allocation")
     }
 
-    /// Runs `f` with the kernel locked (inspection and setup).
+    /// Runs `f` on the kernel (inspection and setup, between runs).
+    /// Panics if `f` re-enters the simulator: the borrow is exclusive.
     pub fn with_kernel<R>(&self, f: impl FnOnce(&mut Kernel) -> R) -> R {
-        f(&mut self.kernel.lock())
+        f(&mut self.kernel())
     }
 
     /// Queues a simulated thread for the next [`Simulator::run`].
@@ -167,7 +171,8 @@ impl Simulator {
     ///
     /// With `simulated thread panicked: …` if a thread body (or the
     /// scheduler, running on a simulated thread's stack) panicked; every
-    /// host thread of the run has been stopped and joined by then.
+    /// host thread of the run has been stopped and joined by then, and
+    /// the kernel is back for inspection.
     pub fn run(&mut self) -> RunReport {
         let pending = std::mem::take(&mut self.pending);
         if !pending.is_empty() {
@@ -179,38 +184,47 @@ impl Simulator {
     fn run_threads(&mut self, pending: Vec<PendingThread>) {
         // Queue in spawn order and decide once before any host thread
         // exists: the schedule cannot depend on which one starts first.
-        let mut k = self.kernel.lock();
-        let mut sched = Scheduler::new(Arc::clone(&self.cfg), &k, self.next_cpu);
-        let cpus = sched.admit(&k, pending.len());
-        let first = sched.decide(&mut k, None);
-        drop(k);
-        let shared = Arc::new(Shared {
-            kernel: Arc::clone(&self.kernel),
-            sched: Mutex::new(sched),
-            slots: pending.iter().map(|_| Slot::default()).collect(),
-            outcome: Slot::default(),
-        });
+        // The kernel is still in its cell for this, so a scheduler
+        // panic on the caller's stack cannot drop it.
+        let (mut sched, cpus, first) = {
+            let mut k = self.kernel();
+            let mut sched = Scheduler::new(Arc::clone(&self.cfg), &k, self.next_cpu);
+            let cpus = sched.admit(&k, pending.len());
+            let first = sched.decide(&mut k, None);
+            (sched, cpus, first)
+        };
+        let mut panic_msg = None;
         // No grant: an earlier run's clocks already exceed the budget.
-        let panic_msg = first.and_then(|(tid, grant)| {
-            shared.slots[tid].put(grant);
+        if let Some(next) = first {
+            let kernel = self.kernel.take().expect(KERNEL_HOME);
+            let shared = Arc::new(Shared {
+                slots: pending.iter().map(|_| Slot::default()).collect(),
+                end: Slot::default(),
+            });
+            let Next { tid, cpu, budget_end } = next;
+            let world = Box::new(World { kernel, sched });
+            shared.slots[tid].put(Grant::Run { world, cpu, budget_end });
             let handles: Vec<_> = pending
                 .into_iter()
                 .zip(cpus)
                 .enumerate()
                 .map(|(tid, (p, cpu))| self.start_thread(&shared, tid, cpu, p))
                 .collect();
-            let panic_msg = shared.outcome.take();
-            // The publisher held the only grant: every other live
-            // thread is parked on its slot by now.
+            let ended = shared.end.take();
+            // The publisher held the world, so no grant is in flight and
+            // every other live thread is parked on an empty slot.
             for slot in &shared.slots {
                 slot.put(Grant::Stop);
             }
             for h in handles {
                 let _ = h.join();
             }
-            panic_msg
-        });
-        let sched = shared.sched.lock();
+            let world = ended.world.expect("the run's state was dropped with an overwritten grant");
+            let World { kernel, sched: at_end } = *world;
+            *self.kernel.get_mut() = Some(kernel);
+            sched = at_end;
+            panic_msg = ended.panic;
+        }
         self.next_cpu = sched.next_cpu;
         self.vt_exceeded |= sched.vt_exceeded;
         if let Some(msg) = panic_msg {
@@ -229,11 +243,10 @@ impl Simulator {
         let mut ctx = ThreadCtx {
             tid,
             cpu,
-            kernel: Arc::clone(&self.kernel),
+            world: None,
             shared: Arc::clone(shared),
             budget_end: Ns::ZERO,
             over_budget: false,
-            compute_chunk: self.cfg.compute_chunk,
             page: self.cfg.machine.page_size,
             fastpath: self.cfg.fastpath,
             tlb: [None; crate::ctx::TLB_ENTRIES],
@@ -249,11 +262,14 @@ impl Simulator {
                     let first = ctx.shared.slots[tid].take();
                     ctx.accept(first);
                     (body)(&mut ctx);
-                    ctx.shared.pass_on(tid, ctx.cpu, Yield::Done);
+                    ctx.rendezvous(Yield::Done);
                 }));
                 if let Err(payload) = result {
                     if payload.downcast_ref::<StopToken>().is_none() {
-                        ctx.shared.outcome.put(Some(panic_text(payload.as_ref())));
+                        // A thread panics only while it runs, so it holds
+                        // the world (unless `Slot::put` caught it mid-send).
+                        let panic = Some(panic_text(payload.as_ref()));
+                        ctx.shared.end.put(Ended { world: ctx.world.take(), panic });
                     }
                 }
             })
@@ -262,7 +278,7 @@ impl Simulator {
 
     /// A report of everything measured so far.
     pub fn report(&self) -> RunReport {
-        let k = self.kernel.lock();
+        let k = self.kernel();
         RunReport {
             policy: k.pmap.policy_name(),
             cpu_times: k.machine.clocks.all().to_vec(),
@@ -276,6 +292,9 @@ impl Simulator {
     }
 }
 
+/// Why the simulator's kernel cell is full whenever it is looked into.
+const KERNEL_HOME: &str = "the kernel comes home when a run ends";
+
 /// The message a panic payload carries.
 fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     payload
@@ -286,26 +305,32 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// A one-value mailbox a host thread parks on.
-struct Slot<T> {
-    value: std::sync::Mutex<Option<T>>,
+pub(crate) struct Slot<T> {
+    value: Mutex<Option<T>>,
     filled: Condvar,
 }
 
 impl<T> Default for Slot<T> {
     fn default() -> Self {
-        Slot { value: std::sync::Mutex::new(None), filled: Condvar::new() }
+        Slot { value: Mutex::new(None), filled: Condvar::new() }
     }
 }
 
 impl<T> Slot<T> {
-    /// Deposits `v` (replacing anything unread) and wakes the owner.
-    fn put(&self, v: T) {
-        *self.value.lock().expect("no panic can happen under a slot lock") = Some(v);
+    /// Deposits `v` and wakes the owner. Panics if the previous deposit
+    /// is still unread: a grant goes only to a parked thread and the
+    /// end-of-run `Stop`s go out only after the world's holder published
+    /// the end, so every slot is empty when something is put — and an
+    /// overwritten grant could be the world, which `run` would await
+    /// forever.
+    pub(crate) fn put(&self, v: T) {
+        let unread = self.value.lock().expect("no panic can happen under a slot lock").replace(v);
         self.filled.notify_one();
+        assert!(unread.is_none(), "a slot's deposit was overwritten unread");
     }
 
     /// Blocks until a value has been deposited and removes it.
-    fn take(&self) -> T {
+    pub(crate) fn take(&self) -> T {
         let mut value = self.value.lock().expect("no panic can happen under a slot lock");
         loop {
             if let Some(v) = value.take() {
@@ -316,43 +341,41 @@ impl<T> Slot<T> {
     }
 }
 
-/// What the host threads of one run share. There is no engine thread:
-/// whichever simulated thread yields runs the [`Scheduler`] itself and
-/// passes the right to run on through the grantee's slot.
-pub(crate) struct Shared {
-    kernel: Arc<Mutex<Kernel>>,
-    /// Only ever locked by the thread holding the current grant, so
-    /// never contended; taken before the kernel lock.
-    sched: Mutex<Scheduler>,
-    /// One grant slot per simulated thread, by tid.
-    slots: Vec<Slot<Grant>>,
-    /// How the run ended, for [`Simulator::run`] to wait on: `None`, or
-    /// the message of the panic that cut it short.
-    outcome: Slot<Option<String>>,
+/// Everything a run mutates. One exists per run and one host thread
+/// owns it at any instant — the simulated thread holding the grant, or
+/// [`Simulator::run`] before the first grant and after the end — so
+/// "exactly one simulated thread executes at a time" is what the borrow
+/// checker enforces, with no lock to take.
+pub(crate) struct World {
+    pub(crate) kernel: Kernel,
+    pub(crate) sched: Scheduler,
 }
 
-impl Shared {
-    /// Books the yield of thread `tid` (running on `cpu`), decides who
-    /// runs next and hands over to it. Returns the grant if that is
-    /// `tid` itself — no host thread is woken then.
-    fn pass_on(&self, tid: usize, cpu: CpuId, why: Yield) -> Option<Grant> {
-        let next = {
-            let mut sched = self.sched.lock();
-            let mut k = self.kernel.lock();
-            sched.decide(&mut k, Some((tid, cpu.index(), why)))
-        };
-        match next {
-            Some((next_tid, grant)) if next_tid == tid => return Some(grant),
-            Some((next_tid, grant)) => self.slots[next_tid].put(grant),
-            None => self.outcome.put(None),
-        }
-        None
-    }
+/// The mailboxes the host threads of one run share. There is no engine
+/// thread: whichever simulated thread yields runs the [`Scheduler`]
+/// itself and passes the world on through the grantee's slot.
+pub(crate) struct Shared {
+    /// One grant slot per simulated thread, by tid.
+    pub(crate) slots: Vec<Slot<Grant>>,
+    /// How the run ended, for [`Simulator::run`] to wait on.
+    pub(crate) end: Slot<Ended>,
+}
 
-    /// [`Shared::pass_on`], then parks until `tid` is granted again.
-    pub(crate) fn reschedule(&self, tid: usize, cpu: CpuId, why: Yield) -> Grant {
-        self.pass_on(tid, cpu, why).unwrap_or_else(|| self.slots[tid].take())
-    }
+/// The end of a run, published by whoever held the world then.
+pub(crate) struct Ended {
+    /// The run's state coming home; `None` only if the publisher lost
+    /// it to [`Slot::put`]'s assertion while handing it over.
+    pub(crate) world: Option<Box<World>>,
+    /// The message of the panic that cut the run short, if one did.
+    pub(crate) panic: Option<String>,
+}
+
+/// The scheduler's decision: `tid` runs on `cpu` until its clock
+/// reaches `budget_end`.
+pub(crate) struct Next {
+    pub(crate) tid: usize,
+    pub(crate) cpu: CpuId,
+    pub(crate) budget_end: Ns,
 }
 
 /// Per-processor scheduler slot.
@@ -373,7 +396,7 @@ struct ThreadSlot {
 }
 
 /// The scheduling state of one [`Simulator::run`].
-struct Scheduler {
+pub(crate) struct Scheduler {
     cfg: Arc<SimConfig>,
     cpus: Vec<CpuSlot>,
     global_q: VecDeque<usize>,
@@ -530,16 +553,16 @@ impl Scheduler {
     /// The heart of the engine. Books `yielded` (thread, processor,
     /// reason: the yield that ended the previous grant), then repeatedly
     /// picks the lowest-clock processor's thread and a budget for it
-    /// until a thread must really run, and returns it with its grant. A
+    /// until a thread must really run, and returns that decision. A
     /// thread parked in `wait_until` need not: the window it would have
     /// idled through is charged here and booked as the budget yield it
     /// would have ended in. `None` when the run is over (every thread
     /// done, or the virtual-time budget exceeded).
-    fn decide(
+    pub(crate) fn decide(
         &mut self,
         k: &mut Kernel,
         yielded: Option<(usize, usize, Yield)>,
-    ) -> Option<(usize, Grant)> {
+    ) -> Option<Next> {
         if let Some((tid, cpu, why)) = yielded {
             debug_assert_eq!(self.cpus[cpu].current, Some(tid), "only the granted thread yields");
             match why {
@@ -622,7 +645,7 @@ impl Scheduler {
             let tid = self.cpus[cpu].current.expect("picked a runnable cpu");
             let cpu_id = CpuId::from(cpu);
             if let Some(until) = self.threads[tid].parked_until {
-                if !k.idle_toward(cpu_id, until, self.cfg.compute_chunk, budget_end) {
+                if !k.idle_toward(cpu_id, until, budget_end) {
                     self.budget_yield(k, tid, cpu);
                     continue;
                 }
@@ -630,7 +653,7 @@ impl Scheduler {
                 // with the window's budget, where it would have stopped.
                 self.threads[tid].parked_until = None;
             }
-            return Some((tid, Grant::Run { cpu: cpu_id, budget_end }));
+            return Some(Next { tid, cpu: cpu_id, budget_end });
         }
         None
     }
@@ -833,6 +856,128 @@ mod tests {
             assert!(err.contains("a CpuOffline schedule may not kill every processor"), "got: {err}");
             assert_eq!(live.load(Ordering::SeqCst), 0, "a thread outlived run()");
         }
+    }
+
+    #[test]
+    fn the_kernel_comes_home_however_a_run_ends() {
+        // The kernel travels with the grant, so every way a run can end
+        // has to bring it back: `JobSpec::run`'s chaos path reads
+        // `report()` after a run that panicked.
+        struct Ending {
+            name: &'static str,
+            /// A simulator with its threads spawned.
+            boot: fn() -> Simulator,
+            /// What `run()` panics with, if it must.
+            panic: Option<&'static str>,
+            /// Whether the report carries the clocks the run reached.
+            clocks: fn(&RunReport) -> bool,
+            /// Whether a further run on the same simulator is possible
+            /// (not once every processor is dead).
+            runs_again: bool,
+        }
+        fn every_cpu_offline_at(vt: Ns) -> Simulator {
+            let mut s = chaos_sim(
+                (0..3).map(|c| HardFault::CpuOffline { cpu: CpuId(c), vt }).collect(),
+            );
+            for t in 0..2 {
+                s.spawn(format!("t{t}"), |ctx| ctx.wait_until(Ns::from_ms(1)));
+            }
+            s
+        }
+        let endings = [
+            Ending {
+                name: "body panic with three siblings parked",
+                boot: || {
+                    let mut s = Simulator::new(
+                        SimConfig::small(3).quantum(Ns::from_us(100)),
+                        Box::new(MoveLimitPolicy::default()),
+                    );
+                    for t in 0..4 {
+                        s.spawn(format!("t{t}"), move |ctx| {
+                            if t == 1 {
+                                ctx.compute(Ns::from_us(300));
+                                panic!("boom at 300 us");
+                            }
+                            ctx.wait_until(Ns::from_ms(40));
+                        });
+                    }
+                    s
+                },
+                panic: Some("boom at 300 us"),
+                clocks: |r| r.cpu_times[1].total() == Ns::from_us(300),
+                runs_again: true,
+            },
+            Ending {
+                name: "virtual-time budget cut",
+                boot: || {
+                    let mut s = Simulator::new(
+                        SimConfig::small(1).vt_budget(Some(Ns::from_ms(2))),
+                        Box::new(MoveLimitPolicy::default()),
+                    );
+                    s.spawn("spinner", |ctx| loop {
+                        ctx.compute(Ns::from_us(50));
+                    });
+                    s
+                },
+                panic: None,
+                clocks: |r| r.cpu_times[0].total() > Ns::from_ms(2),
+                runs_again: true,
+            },
+            Ending {
+                name: "scheduler panic on a simulated thread's stack",
+                boot: || every_cpu_offline_at(Ns::from_us(200)),
+                panic: Some("a CpuOffline schedule may not kill every processor"),
+                clocks: |r| r.cpu_times[..2].iter().all(|c| c.total() >= Ns::from_us(200)),
+                runs_again: false,
+            },
+            Ending {
+                name: "scheduler panic on the caller's stack",
+                boot: || every_cpu_offline_at(Ns::ZERO),
+                panic: Some("a CpuOffline schedule may not kill every processor"),
+                clocks: |r| r.total_user() == Ns::ZERO,
+                runs_again: false,
+            },
+        ];
+        for Ending { name, boot, panic, clocks, runs_again } in endings {
+            ends_within_a_minute(move || {
+                let mut s = boot();
+                let ended = catch_unwind(AssertUnwindSafe(|| s.run()));
+                let msg = ended.err().map(|payload| panic_text(payload.as_ref()));
+                let as_expected = match (panic, &msg) {
+                    (Some(want), Some(got)) => got.contains(want),
+                    (want, got) => want.is_none() && got.is_none(),
+                };
+                assert!(as_expected, "run() ended with {msg:?}, expected {panic:?}");
+                let report = s.report();
+                assert!(clocks(&report), "clocks not carried: {:?}", report.cpu_times);
+                s.with_kernel(|k| k.check_consistency()).expect("directory legal after the end");
+                if runs_again {
+                    // Under an exceeded budget no thread is granted; the
+                    // run must still return with the kernel in place.
+                    let a = s.alloc(64, Prot::READ_WRITE);
+                    s.spawn("after", move |ctx| ctx.write_u32(a, 9));
+                    s.run();
+                    let wrote = s.with_kernel(|k| k.peek_u32(a));
+                    assert_eq!(wrote, if s.vt_exceeded() { 0 } else { 9 });
+                }
+            })
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "overwritten unread")]
+    fn a_deposit_is_never_overwritten_unread() {
+        let slot = Slot::default();
+        slot.put(1);
+        slot.put(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "already borrowed")]
+    fn reentrant_with_kernel_panics_instead_of_deadlocking() {
+        let s = sim(1);
+        s.with_kernel(|_| s.with_kernel(|k| k.clock_of(CpuId(0))));
     }
 
     #[test]

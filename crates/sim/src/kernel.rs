@@ -38,6 +38,16 @@ pub struct RefCounters {
 }
 
 impl RefCounters {
+    /// Counts `words` words referenced at distance `dist`.
+    #[inline]
+    pub(crate) fn add(&mut self, dist: Distance, words: u64) {
+        match dist {
+            Distance::Local => self.local += words,
+            Distance::Global => self.global += words,
+            Distance::Remote => self.remote += words,
+        }
+    }
+
     /// The measured fraction of references served locally — the direct
     /// (simulation-only) counterpart of the paper's derived alpha.
     pub fn alpha(&self) -> f64 {
@@ -53,8 +63,14 @@ impl RefCounters {
 /// indicates a protocol bug rather than a legal fault storm.
 const MAX_FAULT_RETRIES: usize = 16;
 
-/// The assembled kernel. All state of one simulation lives here, behind
-/// the engine's mutex.
+/// Upper bound on a single inline compute or idle charge; longer ones
+/// are split so budget boundaries stay tight. One value for
+/// `ThreadCtx::compute`, `ThreadCtx::wait_until` and the scheduler's
+/// idling of a parked thread, which must charge the same sequence.
+pub(crate) const COMPUTE_CHUNK: Ns = Ns::from_us(20);
+
+/// The assembled kernel. All state of one simulation lives here; during
+/// a run it travels with the grant, so whoever runs owns it.
 pub struct Kernel {
     /// The simulated hardware.
     pub machine: Machine,
@@ -133,11 +149,7 @@ impl Kernel {
             Ok(frame) => {
                 self.machine.charge_access(cpu, kind, frame, words);
                 let dist = self.machine.distance(cpu, frame.region);
-                match dist {
-                    Distance::Local => self.refs.local += words,
-                    Distance::Global => self.refs.global += words,
-                    Distance::Remote => self.refs.remote += words,
-                }
+                self.refs.add(dist, words);
                 if let Some(sink) = self.sink.as_mut() {
                     let ev = RefEvent {
                         t: self.machine.clocks.cpu(cpu).total(),
@@ -163,14 +175,14 @@ impl Kernel {
     }
 
     /// Charges up to `max_n` same-page references of `words` words each
-    /// against an already-translated `frame`, all inside the caller's
-    /// single critical section — the batched fast path's charging core.
+    /// against an already-translated `frame` in one call — the batched
+    /// fast path's charging core.
     ///
     /// Each element is charged exactly as [`Kernel::access_step`]'s
     /// success branch would charge it (machine access cost, bus traffic,
     /// distance counters, trace-sink event with the post-charge clock),
     /// so the observable streams are identical to `max_n` slow-path
-    /// references; only the per-element lock round-trip and MMU walk are
+    /// references; only the per-element MMU walk and budget check are
     /// elided. The caller must hold a translation validated at the
     /// current MMU epoch for the element addresses (element `i` lives at
     /// `first + i * stride`, entirely within the translated page).
@@ -209,22 +221,13 @@ impl Kernel {
             };
             let charged = fit.clamp(1, max_n);
             self.machine.charge_access_n(cpu, kind, frame, words, charged as u64);
-            let w = words * charged as u64;
-            match dist {
-                Distance::Local => self.refs.local += w,
-                Distance::Global => self.refs.global += w,
-                Distance::Remote => self.refs.remote += w,
-            }
+            self.refs.add(dist, words * charged as u64);
             return charged;
         }
         let mut charged = 0;
         while charged < max_n {
             self.machine.charge_access(cpu, kind, frame, words);
-            match dist {
-                Distance::Local => self.refs.local += words,
-                Distance::Global => self.refs.global += words,
-                Distance::Remote => self.refs.remote += words,
-            }
+            self.refs.add(dist, words);
             if let Some(sink) = self.sink.as_mut() {
                 let ev = RefEvent {
                     t: self.machine.clocks.cpu(cpu).total(),
@@ -248,23 +251,10 @@ impl Kernel {
     /// needed (atomically: the faulting access completes before anything
     /// else runs, the paper's forward-progress constraint), charges
     /// `words` word-references of user time, and returns the frame and
-    /// in-page byte offset.
-    pub fn resolve_for(
-        &mut self,
-        cpu: CpuId,
-        addr: VAddr,
-        kind: Access,
-        words: u64,
-    ) -> Result<(ace_machine::Frame, usize), VmError> {
-        self.resolve(cpu, addr, kind, words)
-    }
-
-    /// Resolves `addr` for an access of `kind` from `cpu`, faulting as
-    /// needed, charges `words` word-references of user time, and returns
-    /// the frame and in-page byte offset. (Kernel-internal convenience;
-    /// simulated threads go through [`Kernel::access_step`] so faults and
-    /// retries are separate scheduling events.)
-    fn resolve(
+    /// in-page byte offset. Simulated threads try
+    /// [`Kernel::access_step`] first, so that faults and retries are
+    /// separate scheduling events.
+    pub(crate) fn resolve(
         &mut self,
         cpu: CpuId,
         addr: VAddr,
@@ -329,12 +319,7 @@ impl Kernel {
     /// half, swaps in 1, and returns the previous value.
     pub fn finish_test_and_set(&mut self, cpu: CpuId, f: ace_machine::Frame, off: usize) -> u32 {
         self.machine.charge_access(cpu, Access::Fetch, f, 1);
-        let dist = self.machine.distance(cpu, f.region);
-        match dist {
-            Distance::Local => self.refs.local += 1,
-            Distance::Global => self.refs.global += 1,
-            Distance::Remote => self.refs.remote += 1,
-        }
+        self.refs.add(self.machine.distance(cpu, f.region), 1);
         let old = self.machine.mem.read_u32(f, off);
         self.machine.mem.write_u32(f, off, 1);
         old
@@ -412,19 +397,19 @@ impl Kernel {
     }
 
     /// Idles `cpu` toward the instant `t` within one grant: charges
-    /// `chunk`-sized steps of user time (the last one shortened to land
-    /// on `t`) and stops after the first step that drives the clock to
+    /// [`COMPUTE_CHUNK`]-sized steps of user time (the last one shortened
+    /// to land on `t`) and stops after the first step that drives the clock to
     /// `budget_end`, where the idling thread must yield. True once the
     /// clock has reached `t`, false if the grant ran out first. Shared
     /// by `ThreadCtx::wait_until` and the scheduler's idling of a
     /// parked thread, so the two cannot charge different sequences.
-    pub(crate) fn idle_toward(&mut self, cpu: CpuId, t: Ns, chunk: Ns, budget_end: Ns) -> bool {
+    pub(crate) fn idle_toward(&mut self, cpu: CpuId, t: Ns, budget_end: Ns) -> bool {
         loop {
             let now = self.clock_of(cpu);
             if now >= t {
                 return true;
             }
-            self.compute(cpu, Ns((t.0 - now.0).min(chunk.0.max(1))));
+            self.compute(cpu, (t - now).min(COMPUTE_CHUNK));
             if self.clock_of(cpu) >= budget_end {
                 return false;
             }

@@ -26,6 +26,20 @@
 //! re-ordering (never observable by the consistency protocol's
 //! correctness, only by its timing) for speed. Given deterministic
 //! application code, runs are bit-for-bit reproducible.
+//!
+//! "Exactly one at any instant" is ownership, not a lock. A run's
+//! kernel and scheduler are one value that travels with the grant:
+//! the yielding thread moves it into the granted thread's mailbox and
+//! parks with nothing left to touch, and a [`ThreadCtx`] holds it
+//! exactly while its thread runs (`ThreadCtx::world` is `None` only
+//! while the thread is parked or after it has sent the run's end).
+//! However a run ends — completion, the virtual-time budget, a panic in
+//! a thread body or in the scheduler — the kernel comes back to the
+//! [`Simulator`], which keeps it in a `RefCell` between runs because
+//! set-up and inspection take `&Simulator`. A `Simulator` is therefore
+//! `Send` but not `Sync`; nothing shares one (applications take
+//! `&mut Simulator`, the lab's farm builds one per job inside the
+//! worker that runs it).
 
 pub mod config;
 pub mod ctx;
