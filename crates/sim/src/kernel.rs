@@ -23,8 +23,37 @@ pub struct RefEvent {
     pub words: u64,
 }
 
-/// A callback receiving every application reference.
-pub type RefSink = Box<dyn FnMut(&RefEvent) + Send>;
+/// An arithmetic run of application references: `count` references by
+/// one processor, of one kind, width and distance, all on one page, with
+/// nothing else in between. Element `i` is `first` with its address
+/// advanced by `i * stride` bytes and its clock by `i * dt` — the clock
+/// step is part of the run so that expanding it loses nothing.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RefRun {
+    /// The run's first reference.
+    pub first: RefEvent,
+    /// Address step between consecutive elements, in bytes.
+    pub stride: u64,
+    /// Clock step between consecutive elements.
+    pub dt: Ns,
+    /// Number of references (at least 1).
+    pub count: u64,
+}
+
+impl RefRun {
+    /// The run's references, one by one.
+    pub fn events(&self) -> impl Iterator<Item = RefEvent> {
+        let RefRun { first, stride, dt, count } = *self;
+        (0..count).map(move |i| RefEvent {
+            t: first.t + dt * i,
+            addr: first.addr + i * stride,
+            ..first
+        })
+    }
+}
+
+/// A callback receiving every application reference, as runs.
+pub type RefSink = Box<dyn FnMut(&RefRun) + Send>;
 
 /// Counts of application references by distance (in words).
 #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
@@ -100,9 +129,20 @@ impl Kernel {
         Kernel { machine, vm, pmap, task, refs: RefCounters::default(), dead_cpus, sink: None }
     }
 
-    /// Installs a trace sink receiving every application reference.
-    pub fn set_sink(&mut self, sink: RefSink) {
+    /// Installs a trace sink receiving every application reference, as
+    /// the runs the kernel charges them in.
+    pub fn set_run_sink(&mut self, sink: RefSink) {
         self.sink = Some(sink);
+    }
+
+    /// Installs a trace sink receiving every application reference one
+    /// by one: an adapter that expands each run.
+    pub fn set_sink(&mut self, mut sink: Box<dyn FnMut(&RefEvent) + Send>) {
+        self.set_run_sink(Box::new(move |run: &RefRun| {
+            for e in run.events() {
+                sink(&e);
+            }
+        }));
     }
 
     /// Removes the trace sink, returning it.
@@ -125,6 +165,17 @@ impl Kernel {
     #[inline]
     pub fn clock_of(&self, cpu: CpuId) -> Ns {
         self.machine.clocks.cpu(cpu).total()
+    }
+
+    /// Shows the sink, if any, one reference `cpu` has just been charged
+    /// for (a run of one, stamped with the post-charge clock).
+    #[inline]
+    fn emit_one(&mut self, cpu: CpuId, addr: VAddr, kind: Access, dist: Distance, words: u64) {
+        if let Some(sink) = self.sink.as_mut() {
+            let t = self.machine.clocks.cpu(cpu).total();
+            let first = RefEvent { t, cpu, addr, kind, dist, words };
+            sink(&RefRun { first, stride: 0, dt: Ns::ZERO, count: 1 });
+        }
     }
 
     /// One scheduling step of an access: a single translation attempt.
@@ -150,17 +201,7 @@ impl Kernel {
                 self.machine.charge_access(cpu, kind, frame, words);
                 let dist = self.machine.distance(cpu, frame.region);
                 self.refs.add(dist, words);
-                if let Some(sink) = self.sink.as_mut() {
-                    let ev = RefEvent {
-                        t: self.machine.clocks.cpu(cpu).total(),
-                        cpu,
-                        addr,
-                        kind,
-                        dist,
-                        words,
-                    };
-                    sink(&ev);
-                }
+                self.emit_one(cpu, addr, kind, dist, words);
                 Ok(Some((frame, offset)))
             }
             Err(_) => {
@@ -205,15 +246,17 @@ impl Kernel {
         budget_end: Ns,
     ) -> usize {
         let dist = self.machine.distance(cpu, frame.region);
-        // With nobody observing per-element effects — no reference sink,
-        // no machine tap, no bus queue at this distance — the loop below
-        // is pure arithmetic over a constant per-element cost, so charge
-        // the whole extent in closed form: exactly as many elements as
-        // the budget admits, counters and clock landing where the loop
-        // would leave them.
-        if self.sink.is_none() && self.machine.batchable(dist) && max_n > 0 {
+        // With nothing observing per-element effects inside the machine —
+        // no tap, no bus queue at this distance — the loop below is pure
+        // arithmetic over a constant per-element cost, so charge the
+        // whole extent in closed form: exactly as many elements as the
+        // budget admits, counters and clock landing where the loop would
+        // leave them. A reference sink is no obstacle: the elements'
+        // clocks step by that same constant, which is what a run says.
+        if self.machine.batchable(dist) && max_n > 0 {
             let clock0 = self.clock_of(cpu);
-            let t = self.machine.access_cost(cpu, kind, frame.region, words).0;
+            let cost = self.machine.access_cost(cpu, kind, frame.region, words);
+            let t = cost.0;
             let fit = if t == 0 || budget_end.0 <= clock0.0 {
                 if t == 0 { max_n } else { 1 }
             } else {
@@ -222,23 +265,17 @@ impl Kernel {
             let charged = fit.clamp(1, max_n);
             self.machine.charge_access_n(cpu, kind, frame, words, charged as u64);
             self.refs.add(dist, words * charged as u64);
+            if let Some(sink) = self.sink.as_mut() {
+                let first = RefEvent { t: clock0 + cost, cpu, addr: first, kind, dist, words };
+                sink(&RefRun { first, stride, dt: cost, count: charged as u64 });
+            }
             return charged;
         }
         let mut charged = 0;
         while charged < max_n {
             self.machine.charge_access(cpu, kind, frame, words);
             self.refs.add(dist, words);
-            if let Some(sink) = self.sink.as_mut() {
-                let ev = RefEvent {
-                    t: self.machine.clocks.cpu(cpu).total(),
-                    cpu,
-                    addr: first + charged as u64 * stride,
-                    kind,
-                    dist,
-                    words,
-                };
-                sink(&ev);
-            }
+            self.emit_one(cpu, first + charged as u64 * stride, kind, dist, words);
             charged += 1;
             if self.clock_of(cpu) >= budget_end {
                 break;

@@ -50,5 +50,5 @@ pub mod report;
 pub use config::{SchedulerKind, SimConfig};
 pub use ctx::ThreadCtx;
 pub use engine::{run_one, Simulator};
-pub use kernel::{Kernel, RefCounters, RefEvent, RefSink};
+pub use kernel::{Kernel, RefCounters, RefEvent, RefRun, RefSink};
 pub use report::RunReport;

@@ -19,7 +19,7 @@ pub enum PageClass {
 }
 
 /// Per-page observation.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PageUsage {
     /// Processors that read the page.
     pub readers: CpuSet,
@@ -49,31 +49,31 @@ impl PageUsage {
 }
 
 /// Whole-trace sharing report.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SharingReport {
     /// Usage per virtual page, ordered by page number.
     pub pages: BTreeMap<u64, PageUsage>,
 }
 
 impl SharingReport {
-    /// Classifies every page referenced in the trace.
+    /// Classifies every page referenced in the trace (one step per
+    /// run: a run is one processor, one kind, one distance, one page).
     pub fn from_trace(trace: &Trace) -> SharingReport {
         let mut pages: BTreeMap<u64, PageUsage> = BTreeMap::new();
-        for e in &trace.events {
-            let vpn = trace.vpn_of(e);
-            let u = pages.entry(vpn).or_insert(PageUsage {
+        for run in trace.runs() {
+            let u = pages.entry(trace.vpn_of(run)).or_insert(PageUsage {
                 readers: CpuSet::EMPTY,
                 writers: CpuSet::EMPTY,
                 refs: 0,
                 local_refs: 0,
             });
-            match e.kind {
-                Access::Fetch => u.readers.insert(e.cpu),
-                Access::Store => u.writers.insert(e.cpu),
+            match run.kind {
+                Access::Fetch => u.readers.insert(run.cpu),
+                Access::Store => u.writers.insert(run.cpu),
             }
-            u.refs += e.words;
-            if e.dist == Distance::Local {
-                u.local_refs += e.words;
+            u.refs += run.total_words();
+            if run.dist == Distance::Local {
+                u.local_refs += run.total_words();
             }
         }
         SharingReport { pages }
@@ -138,7 +138,7 @@ mod tests {
     }
 
     fn trace(events: Vec<RefEvent>) -> Trace {
-        Trace { events, page_size: Some(ace_machine::PageSize::new(256)) }
+        Trace::from_events(ace_machine::PageSize::new(256), events)
     }
 
     #[test]

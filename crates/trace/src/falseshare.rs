@@ -43,7 +43,7 @@ impl ObjectMap {
 }
 
 /// Per-object observation and verdict.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ObjectUsage {
     /// Object name.
     pub name: String,
@@ -57,7 +57,7 @@ pub struct ObjectUsage {
 }
 
 /// The report: objects, their classes, and the falsely-shared subset.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FalseSharingReport {
     /// One entry per registered object that was referenced.
     pub objects: Vec<ObjectUsage>,
@@ -92,8 +92,8 @@ impl FalseSharingReport {
         let mut objects: HashMap<usize, Obs> = HashMap::new();
         // Pages touched by each object.
         let mut obj_pages: HashMap<usize, Vec<u64>> = HashMap::new();
-        for e in &trace.events {
-            let vpn = trace.vpn_of(e);
+        for e in trace.iter() {
+            let vpn = trace.page_size.page_of(e.addr.0);
             let p = pages.entry(vpn).or_default();
             match e.kind {
                 Access::Fetch => p.readers.insert(e.cpu),
@@ -177,15 +177,15 @@ mod tests {
         let mut map = ObjectMap::new();
         map.add("counter", VAddr(0), 8);
         map.add("queue", VAddr(128), 8);
-        let trace = Trace {
-            events: vec![
+        let trace = Trace::from_events(
+            PageSize::new(256),
+            [
                 ev(0, 0, Access::Store),
                 ev(0, 0, Access::Fetch),
                 ev(0, 128, Access::Store),
                 ev(1, 128, Access::Store),
             ],
-            page_size: Some(PageSize::new(256)),
-        };
+        );
         let r = FalseSharingReport::analyze(&trace, &map);
         assert_eq!(r.falsely_shared(), vec!["counter"]);
         let counter = &r.objects[0];
@@ -203,14 +203,14 @@ mod tests {
         let mut map = ObjectMap::new();
         map.add("counter", VAddr(0), 8);
         map.add("queue", VAddr(256), 8);
-        let trace = Trace {
-            events: vec![
+        let trace = Trace::from_events(
+            PageSize::new(256),
+            [
                 ev(0, 0, Access::Store),
                 ev(0, 256, Access::Store),
                 ev(1, 256, Access::Store),
             ],
-            page_size: Some(PageSize::new(256)),
-        };
+        );
         let r = FalseSharingReport::analyze(&trace, &map);
         assert!(r.falsely_shared().is_empty());
         assert_eq!(r.false_ref_fraction(), 0.0);
@@ -223,15 +223,15 @@ mod tests {
         let mut map = ObjectMap::new();
         map.add("table", VAddr(0), 64);
         map.add("mutex", VAddr(64), 4);
-        let trace = Trace {
-            events: vec![
+        let trace = Trace::from_events(
+            PageSize::new(256),
+            [
                 ev(0, 0, Access::Fetch),
                 ev(1, 4, Access::Fetch),
                 ev(0, 64, Access::Store),
                 ev(1, 64, Access::Store),
             ],
-            page_size: Some(PageSize::new(256)),
-        };
+        );
         let r = FalseSharingReport::analyze(&trace, &map);
         assert_eq!(r.objects[0].class, PageClass::ReadShared);
         assert!(r.objects[0].falsely_shared);

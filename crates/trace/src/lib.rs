@@ -21,6 +21,32 @@
 //!   under any policy, giving cheap offline policy comparison;
 //! * [`store`] — a line-oriented text format so traces can be captured
 //!   once and analyzed offline.
+//!
+//! # A trace is runs, not references
+//!
+//! The kernel reports references as *runs* ([`ace_sim::RefRun`]) and a
+//! [`Trace`] holds them that way ([`Run`]): consecutive references by
+//! one processor, of one kind, width and distance, on one page, whose
+//! addresses step by a constant stride **and** whose clocks step by a
+//! constant `dt`. The clock step is part of a run because a trace is a
+//! record: [`Trace::iter`] and [`write_trace`] must give back every
+//! reference bit for bit, timestamp included, so a hiccup in either
+//! progression starts a new row and nothing is ever averaged. How the
+//! references fall into rows is unobservable; the analyses exploit it:
+//!
+//! * [`replay()`] steps a run's first reference through the protocol and
+//!   charges the rest at the placement that produced. Within a run the
+//!   same processor repeats the same kind of access to the same page
+//!   with nobody in between, and the state a fault leaves behind serves
+//!   the access that caused it, so no later element can fault (asserted).
+//! * [`optimal_cost`] keeps a three-value frontier per page instead of
+//!   the textbook table over `2 + processors` states relaxed pairwise
+//!   (S² per reference): after a reference by processor *c* only
+//!   `Global`, `Local(c)` and (after a fetch) `Replicated` are
+//!   reachable, and with one copy cost for every transition
+//!   `min_s(dp[s] + [s≠t]·copy) = min(dp[t], min(dp) + copy)`. The S²
+//!   formulation is kept as the test oracle.
+//! * [`SharingReport::from_trace`] is one map update per run.
 
 pub mod analysis;
 pub mod falseshare;
@@ -32,6 +58,9 @@ pub mod store;
 pub use analysis::{PageClass, SharingReport};
 pub use falseshare::{FalseSharingReport, ObjectMap};
 pub use optimal::{optimal_cost, OptimalReport};
-pub use record::{Recorder, Trace};
+pub use record::{Recorder, Run, Trace};
 pub use replay::{replay, ReplayReport};
 pub use store::{read_trace, write_trace, TraceFormatError};
+
+#[cfg(test)]
+mod segmentation;

@@ -17,102 +17,109 @@
 //! copy, which keeps this a *lower bound*). The result is the cheapest
 //! achievable total reference + movement cost with perfect future
 //! knowledge, per page and in total.
+//!
+//! The DP's frontier never holds more than three finite values. A
+//! reference by processor *c* can be served in `Global`, in `Local(c)`
+//! and, if it is a fetch, in `Replicated` — every other state is
+//! unreachable right after it — and because every transition costs the
+//! same copy, `min_s(dp[s] + [s≠t]·copy)` is `min(dp[t], min(dp) + copy)`.
+//! So one pass over the trace keeps `(global, replicated, local, owner)`
+//! per page and does a handful of `min`s per reference. (What this
+//! replaces regrouped the trace by page and relaxed every pair of
+//! `2 + processors` states per reference; it survives as the test
+//! oracle below.)
 
-use crate::record::Trace;
+use crate::record::{PageIndex, Trace};
 use ace_machine::{Access, CostModel, CpuId, Distance, Ns};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// The per-page optimal cost breakdown.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct OptimalReport {
     /// Optimal total cost (references + copies), summed over pages.
     pub optimal_cost: Ns,
     /// The cost actually charged for the traced references (no copies).
     pub actual_ref_cost: Ns,
-    /// Per-page optimal costs.
-    pub per_page: HashMap<u64, Ns>,
+    /// Per-page optimal costs, ordered by page number.
+    pub per_page: BTreeMap<u64, Ns>,
 }
 
-/// Placement states for the DP.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum S {
-    Global,
-    Local(CpuId),
-    Replicated,
+/// An unreachable state's cost.
+const INF: u64 = u64::MAX;
+
+/// One page's DP frontier: the cheapest cost so far of ending in each
+/// placement state that is still reachable.
+#[derive(Clone, Copy)]
+struct Frontier {
+    global: u64,
+    /// `INF` after a store.
+    replicated: u64,
+    /// Cost of `Local(owner)`; every other `Local(i)` is unreachable.
+    local: u64,
+    /// `None` before the first reference, when the page may start local
+    /// to anyone.
+    owner: Option<CpuId>,
+}
+
+impl Frontier {
+    /// The first placement of a fresh page is free of movement (the
+    /// online protocol also places the zero-filled page wherever it
+    /// likes), so every state starts at 0.
+    const FRESH: Frontier = Frontier { global: 0, replicated: 0, local: 0, owner: None };
+
+    /// One reference by `cpu`: `at_global` / `at_local` are its cost
+    /// served from global / local memory.
+    #[inline]
+    fn step(&mut self, cpu: CpuId, fetch: bool, at_global: u64, at_local: u64, copy: u64) {
+        // `global` is always finite, so `moved` is and every `min` below is.
+        let moved = self.best() + copy;
+        let stayed = if self.owner.is_none_or(|o| o == cpu) { self.local } else { INF };
+        self.global = self.global.min(moved) + at_global;
+        self.local = stayed.min(moved) + at_local;
+        self.replicated = if fetch { self.replicated.min(moved) + at_local } else { INF };
+        self.owner = Some(cpu);
+    }
+
+    fn best(&self) -> u64 {
+        self.global.min(self.replicated).min(self.local)
+    }
 }
 
 /// Computes the offline optimal placement cost of a trace on a machine
-/// with the given cost model, page size taken from the trace.
+/// with the given cost model, in one pass over its runs.
 pub fn optimal_cost(trace: &Trace, costs: &CostModel, page_bytes: usize) -> OptimalReport {
-    // Group events by page, preserving order.
-    let mut per_page_events: HashMap<u64, Vec<(CpuId, Access, u64)>> = HashMap::new();
+    assert_eq!(
+        page_bytes,
+        trace.page_size.bytes(),
+        "optimal_cost: page_bytes disagrees with the page size the trace was recorded at"
+    );
+    let copy = costs.page_copy(page_bytes).0;
+    let mut index = PageIndex::default();
+    let mut frontiers: Vec<Frontier> = Vec::new();
     let mut actual_ref_cost = Ns::ZERO;
-    for e in &trace.events {
-        let vpn = trace.vpn_of(e);
-        per_page_events.entry(vpn).or_default().push((e.cpu, e.kind, e.words));
-        actual_ref_cost += costs.access(e.kind, e.dist) * e.words;
-    }
-    let copy = costs.page_copy(page_bytes);
-    let mut per_page = HashMap::new();
-    let mut total = Ns::ZERO;
-    for (vpn, events) in &per_page_events {
-        let c = page_optimal(events, costs, copy);
-        total += c;
-        per_page.insert(*vpn, c);
-    }
-    OptimalReport { optimal_cost: total, actual_ref_cost, per_page }
-}
-
-/// DP over one page's reference sequence.
-fn page_optimal(events: &[(CpuId, Access, u64)], costs: &CostModel, copy: Ns) -> Ns {
-    // Candidate states: Global, Replicated, and Local(i) for each cpu
-    // seen in the sequence.
-    let mut cpus: Vec<CpuId> = Vec::new();
-    for (c, _, _) in events {
-        if !cpus.contains(c) {
-            cpus.push(*c);
+    for run in trace.runs() {
+        actual_ref_cost += costs.access(run.kind, run.dist) * run.total_words();
+        let idx = index.index(trace.vpn_of(run));
+        if idx == frontiers.len() {
+            frontiers.push(Frontier::FRESH);
         }
-    }
-    let mut states: Vec<S> = vec![S::Global, S::Replicated];
-    states.extend(cpus.iter().map(|&c| S::Local(c)));
-    const INF: u64 = u64::MAX / 4;
-    // The first placement of a fresh page is free of movement (the
-    // online protocol also places the zero-filled page wherever it
-    // likes), so all states start at 0.
-    let mut dp: Vec<u64> = vec![0; states.len()];
-    for &(cpu, kind, words) in events {
-        let mut next: Vec<u64> = vec![INF; states.len()];
-        for (si, &s) in states.iter().enumerate() {
-            if dp[si] >= INF {
-                continue;
-            }
-            for (ti, &t) in states.iter().enumerate() {
-                // Is the access servable in state t?
-                let access_cost = match (t, kind) {
-                    (S::Global, _) => costs.access(kind, Distance::Global),
-                    (S::Local(i), _) if i == cpu => costs.access(kind, Distance::Local),
-                    (S::Local(_), _) => continue,
-                    (S::Replicated, Access::Fetch) => {
-                        costs.access(kind, Distance::Local)
-                    }
-                    (S::Replicated, Access::Store) => continue,
-                };
-                let trans = if s == t { Ns::ZERO } else { copy };
-                let cand = dp[si]
-                    .saturating_add(trans.0)
-                    .saturating_add(access_cost.0 * words);
-                if cand < next[ti] {
-                    next[ti] = cand;
-                }
-            }
+        let at_global = costs.access(run.kind, Distance::Global).0 * run.words;
+        let at_local = costs.access(run.kind, Distance::Local).0 * run.words;
+        let fetch = run.kind == Access::Fetch;
+        let mut f = frontiers[idx];
+        for _ in 0..run.count {
+            f.step(run.cpu, fetch, at_global, at_local, copy);
         }
-        dp = next;
+        frontiers[idx] = f;
     }
-    Ns(dp.into_iter().min().unwrap_or(0))
+    let per_page: BTreeMap<u64, Ns> =
+        index.vpns.iter().zip(&frontiers).map(|(&vpn, f)| (vpn, Ns(f.best()))).collect();
+    let optimal_cost = per_page.values().copied().sum();
+    OptimalReport { optimal_cost, actual_ref_cost, per_page }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ace_machine::{CpuId, PageSize};
     use ace_sim::RefEvent;
@@ -121,19 +128,121 @@ mod tests {
     const PAGE: usize = 256;
 
     fn tr(events: Vec<(u16, u64, Access)>) -> Trace {
-        Trace {
-            events: events
-                .into_iter()
-                .map(|(c, a, k)| RefEvent {
+        Trace::from_events(
+            PageSize::new(PAGE),
+            events.into_iter().map(|(c, a, k)| RefEvent {
+                t: Ns(0),
+                cpu: CpuId(c),
+                addr: VAddr(a),
+                kind: k,
+                dist: Distance::Global,
+                words: 1,
+            }),
+        )
+    }
+
+    /// Placement states of the textbook DP.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    enum S {
+        Global,
+        Local(CpuId),
+        Replicated,
+    }
+
+    /// The DP as first written — every pair of states relaxed per
+    /// reference, a fresh vector each time — kept as the oracle the
+    /// three-value frontier is compared against.
+    pub(crate) fn page_optimal(events: &[(CpuId, Access, u64)], costs: &CostModel, copy: Ns) -> Ns {
+        // Candidate states: Global, Replicated, and Local(i) for each cpu
+        // seen in the sequence.
+        let mut cpus: Vec<CpuId> = Vec::new();
+        for (c, _, _) in events {
+            if !cpus.contains(c) {
+                cpus.push(*c);
+            }
+        }
+        let mut states: Vec<S> = vec![S::Global, S::Replicated];
+        states.extend(cpus.iter().map(|&c| S::Local(c)));
+        const INF: u64 = u64::MAX / 4;
+        let mut dp: Vec<u64> = vec![0; states.len()];
+        for &(cpu, kind, words) in events {
+            let mut next: Vec<u64> = vec![INF; states.len()];
+            for (si, &s) in states.iter().enumerate() {
+                if dp[si] >= INF {
+                    continue;
+                }
+                for (ti, &t) in states.iter().enumerate() {
+                    // Is the access servable in state t?
+                    let access_cost = match (t, kind) {
+                        (S::Global, _) => costs.access(kind, Distance::Global),
+                        (S::Local(i), _) if i == cpu => costs.access(kind, Distance::Local),
+                        (S::Local(_), _) => continue,
+                        (S::Replicated, Access::Fetch) => costs.access(kind, Distance::Local),
+                        (S::Replicated, Access::Store) => continue,
+                    };
+                    let trans = if s == t { Ns::ZERO } else { copy };
+                    let cand = dp[si]
+                        .saturating_add(trans.0)
+                        .saturating_add(access_cost.0 * words);
+                    if cand < next[ti] {
+                        next[ti] = cand;
+                    }
+                }
+            }
+            dp = next;
+        }
+        Ns(dp.into_iter().min().unwrap_or(0))
+    }
+
+    /// `optimal_cost` by the oracle: regroup by page, run the S² DP.
+    pub(crate) fn oracle(trace: &Trace, costs: &CostModel, page_bytes: usize) -> OptimalReport {
+        let mut by_page: BTreeMap<u64, Vec<(CpuId, Access, u64)>> = BTreeMap::new();
+        let mut actual_ref_cost = Ns::ZERO;
+        for e in trace.iter() {
+            by_page
+                .entry(trace.page_size.page_of(e.addr.0))
+                .or_default()
+                .push((e.cpu, e.kind, e.words));
+            actual_ref_cost += costs.access(e.kind, e.dist) * e.words;
+        }
+        let copy = costs.page_copy(page_bytes);
+        let per_page: BTreeMap<u64, Ns> =
+            by_page.iter().map(|(&vpn, ev)| (vpn, page_optimal(ev, costs, copy))).collect();
+        OptimalReport { optimal_cost: per_page.values().copied().sum(), actual_ref_cost, per_page }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The frontier against the oracle, with page copies dear (the
+        /// ACE: ~100 references), comparable (~4) and nearly free, so
+        /// every transition of the DP is the cheapest somewhere.
+        #[test]
+        fn frontier_is_the_dp_on_random_short_sequences(
+            seq in proptest::collection::vec(
+                (0u16..4, 0u64..3, proptest::prelude::any::<bool>(), 1u64..3),
+                0..40,
+            ),
+        ) {
+            let t = Trace::from_events(
+                PageSize::new(PAGE),
+                seq.iter().map(|&(c, page, store, words)| RefEvent {
                     t: Ns(0),
                     cpu: CpuId(c),
-                    addr: VAddr(a),
-                    kind: k,
-                    dist: Distance::Global,
-                    words: 1,
-                })
-                .collect(),
-            page_size: Some(PageSize::new(PAGE)),
+                    addr: VAddr(page * PAGE as u64),
+                    kind: if store { Access::Store } else { Access::Fetch },
+                    dist: Distance::Local,
+                    words,
+                }),
+            );
+            for (copy_word, copy_setup) in [(2_340, 20_000), (50, 0), (0, 1)] {
+                let costs = CostModel {
+                    copy_word: Ns(copy_word),
+                    copy_setup: Ns(copy_setup),
+                    ..CostModel::ace()
+                };
+                proptest::prop_assert_eq!(optimal_cost(&t, &costs, PAGE), oracle(&t, &costs, PAGE));
+            }
         }
     }
 
@@ -188,11 +297,8 @@ mod tests {
             .collect();
         let t = tr(events);
         let r = optimal_cost(&t, &costs, PAGE);
-        let all_global: Ns = t
-            .events
-            .iter()
-            .map(|e| costs.access(e.kind, Distance::Global) * e.words)
-            .sum();
+        let all_global: Ns =
+            t.iter().map(|e| costs.access(e.kind, Distance::Global) * e.words).sum();
         assert!(r.optimal_cost <= all_global);
     }
 

@@ -11,14 +11,13 @@
 //! timing feedback: the trace's interleaving is fixed. That is exactly
 //! the usual methodology — and its usual caveat.
 
-use crate::record::Trace;
+use crate::record::{PageIndex, Trace};
 use ace_machine::{Access, CostModel, CpuId, CpuSet, Distance, Ns};
 use mach_vm::LPageId;
 use numa_core::{plan, CachePolicy, Cleanup, TableState};
-use std::collections::HashMap;
 
 /// Replay results.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ReplayReport {
     /// Total reference cost under the replayed policy.
     pub ref_cost: Ns,
@@ -59,44 +58,65 @@ struct Page {
     last_owner: Option<CpuId>,
 }
 
-/// Replays `trace` under `policy` with the given costs.
+impl Page {
+    /// Does this access fault (reach the policy)? (The replayer models
+    /// the paper's two-level protocol only; the remote extension never
+    /// appears because replayed policies answer Local/Global.)
+    fn faults(&self, kind: Access, cpu: CpuId) -> bool {
+        match self.state {
+            TableState::GlobalWritable | TableState::RemoteShared => false,
+            TableState::ReadOnly => kind == Access::Store || !self.replicas.contains(cpu),
+            TableState::LocalWritableOwn | TableState::LocalWritableOther => {
+                self.owner != Some(cpu)
+            }
+        }
+    }
+}
+
+/// Replays `trace` under `policy` with the given costs. The policy sees
+/// each page under its dense per-trace index (order of first reference),
+/// so no two pages of a trace can share policy state.
+///
+/// Only a run's first reference is stepped through the protocol. Within
+/// a run the same processor repeats the same kind of access to the same
+/// page with nobody in between, and the state any step leaves behind
+/// serves the access that caused it, so the rest of the run cannot fault:
+/// it is charged in one multiplication at the placement the first
+/// reference produced.
 pub fn replay(
     trace: &Trace,
     policy: &mut dyn CachePolicy,
     costs: &CostModel,
     page_bytes: usize,
 ) -> ReplayReport {
+    assert_eq!(
+        page_bytes,
+        trace.page_size.bytes(),
+        "replay: page_bytes disagrees with the page size the trace was recorded at"
+    );
     let copy = costs.page_copy(page_bytes);
-    let mut pages: HashMap<u64, Page> = HashMap::new();
+    let mut index = PageIndex::default();
+    let mut pages: Vec<Page> = Vec::new();
     let mut rep = ReplayReport::default();
-    for e in &trace.events {
-        let vpn = trace.vpn_of(e);
-        let lpage = LPageId(vpn as u32);
-        let p = pages.entry(vpn).or_insert(Page {
-            state: TableState::ReadOnly,
-            owner: None,
-            replicas: CpuSet::EMPTY,
-            last_owner: None,
-        });
-        // Does this access fault (reach the policy)? (The replayer
-        // models the paper's two-level protocol only; the remote
-        // extension never appears because replayed policies answer
-        // Local/Global.)
-        let faults = match p.state {
-            TableState::GlobalWritable | TableState::RemoteShared => false,
-            TableState::ReadOnly => {
-                e.kind == Access::Store || !p.replicas.contains(e.cpu)
-            }
-            TableState::LocalWritableOwn | TableState::LocalWritableOther => {
-                p.owner != Some(e.cpu)
-            }
-        };
-        if faults {
+    for run in trace.runs() {
+        let (cpu, kind) = (run.cpu, run.kind);
+        let idx = index.index(trace.vpn_of(run));
+        if idx == pages.len() {
+            pages.push(Page {
+                state: TableState::ReadOnly,
+                owner: None,
+                replicas: CpuSet::EMPTY,
+                last_owner: None,
+            });
+        }
+        let lpage = LPageId(idx as u32);
+        let p = &mut pages[idx];
+        if p.faults(kind, cpu) {
             rep.requests += 1;
-            let decision = policy.decide(lpage, e.kind, e.cpu);
+            let decision = policy.decide(lpage, kind, cpu);
             let viewed = match p.state {
                 TableState::LocalWritableOwn | TableState::LocalWritableOther => {
-                    if p.owner == Some(e.cpu) {
+                    if p.owner == Some(cpu) {
                         TableState::LocalWritableOwn
                     } else {
                         TableState::LocalWritableOther
@@ -104,7 +124,7 @@ pub fn replay(
                 }
                 s => s,
             };
-            let pl = plan(e.kind, decision, viewed);
+            let pl = plan(kind, decision, viewed);
             // Charge copies: sync half of sync&flush cleanups, plus the
             // copy-to-local.
             match pl.cleanup {
@@ -114,7 +134,7 @@ pub fn replay(
                 }
                 _ => {}
             }
-            if pl.copy_to_local && !p.replicas.contains(e.cpu) {
+            if pl.copy_to_local && !p.replicas.contains(cpu) {
                 rep.copy_cost += copy;
                 rep.copies += 1;
             }
@@ -128,17 +148,17 @@ pub fn replay(
                         }
                         _ => {}
                     }
-                    p.replicas.insert(e.cpu);
+                    p.replicas.insert(cpu);
                     p.state = TableState::ReadOnly;
                     p.owner = None;
                 }
                 TableState::LocalWritableOwn => {
-                    if p.last_owner.is_some() && p.last_owner != Some(e.cpu) {
+                    if p.last_owner.is_some() && p.last_owner != Some(cpu) {
                         policy.on_move(lpage);
                     }
-                    p.last_owner = Some(e.cpu);
-                    p.replicas = CpuSet::singleton(e.cpu);
-                    p.owner = Some(e.cpu);
+                    p.last_owner = Some(cpu);
+                    p.replicas = CpuSet::singleton(cpu);
+                    p.owner = Some(cpu);
                     p.state = TableState::LocalWritableOwn;
                 }
                 TableState::GlobalWritable => {
@@ -148,20 +168,25 @@ pub fn replay(
                 }
                 TableState::LocalWritableOther | TableState::RemoteShared => unreachable!(),
             }
-            let _ = decision;
+            assert!(
+                run.count == 1 || !p.faults(kind, cpu),
+                "replay: {kind:?} by {cpu} on page {} faults again right after its fault was served",
+                trace.vpn_of(run)
+            );
         }
-        // Charge the reference at its (new) placement.
+        // Charge the run at its (new) placement.
         let local = match p.state {
             TableState::GlobalWritable => false,
-            TableState::ReadOnly => p.replicas.contains(e.cpu),
-            _ => p.owner == Some(e.cpu),
+            TableState::ReadOnly => p.replicas.contains(cpu),
+            _ => p.owner == Some(cpu),
         };
         let d = if local { Distance::Local } else { Distance::Global };
-        rep.ref_cost += costs.access(e.kind, d) * e.words;
+        let words = run.total_words();
+        rep.ref_cost += costs.access(kind, d) * words;
         if local {
-            rep.local_refs += e.words;
+            rep.local_refs += words;
         } else {
-            rep.global_refs += e.words;
+            rep.global_refs += words;
         }
     }
     rep
@@ -178,20 +203,17 @@ mod tests {
     const PAGE: usize = 256;
 
     fn tr(events: Vec<(u16, u64, Access)>) -> Trace {
-        Trace {
-            events: events
-                .into_iter()
-                .map(|(c, a, k)| RefEvent {
-                    t: Ns(0),
-                    cpu: CpuId(c),
-                    addr: VAddr(a),
-                    kind: k,
-                    dist: Distance::Global,
-                    words: 1,
-                })
-                .collect(),
-            page_size: Some(PageSize::new(PAGE)),
-        }
+        Trace::from_events(
+            PageSize::new(PAGE),
+            events.into_iter().map(|(c, a, k)| RefEvent {
+                t: Ns(0),
+                cpu: CpuId(c),
+                addr: VAddr(a),
+                kind: k,
+                dist: Distance::Global,
+                words: 1,
+            }),
+        )
     }
 
     #[test]
