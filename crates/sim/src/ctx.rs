@@ -525,7 +525,7 @@ impl ThreadCtx {
         debug_assert_eq!(addr.0 % 4, 0, "unaligned test-and-set at {addr}");
         self.scalar_op(addr, Access::Store, 1, |k, cpu, f, off| {
             // The RMW completes atomically within the final step.
-            k.finish_test_and_set(cpu, f, off)
+            k.finish_test_and_set(cpu, addr, f, off)
         })
     }
 

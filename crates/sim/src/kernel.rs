@@ -351,12 +351,21 @@ impl Kernel {
         Ok(())
     }
 
-    /// The read-modify-write half of a test-and-set, once the store
-    /// translation has succeeded and been charged: charges the fetch
-    /// half, swaps in 1, and returns the previous value.
-    pub fn finish_test_and_set(&mut self, cpu: CpuId, f: ace_machine::Frame, off: usize) -> u32 {
+    /// The read-modify-write half of a test-and-set of the word at
+    /// `addr`, once the store translation has succeeded and been charged:
+    /// charges the fetch half (a reference like any other: counted, and
+    /// shown to the sink), swaps in 1, and returns the previous value.
+    pub fn finish_test_and_set(
+        &mut self,
+        cpu: CpuId,
+        addr: VAddr,
+        f: ace_machine::Frame,
+        off: usize,
+    ) -> u32 {
         self.machine.charge_access(cpu, Access::Fetch, f, 1);
-        self.refs.add(self.machine.distance(cpu, f.region), 1);
+        let dist = self.machine.distance(cpu, f.region);
+        self.refs.add(dist, 1);
+        self.emit_one(cpu, addr, Access::Fetch, dist, 1);
         let old = self.machine.mem.read_u32(f, off);
         self.machine.mem.write_u32(f, off, 1);
         old
@@ -369,7 +378,7 @@ impl Kernel {
     pub fn test_and_set(&mut self, cpu: CpuId, addr: VAddr) -> Result<u32, VmError> {
         debug_assert_eq!(addr.0 % 4, 0, "unaligned test-and-set at {addr}");
         let (f, off) = self.resolve(cpu, addr, Access::Store, 1)?;
-        Ok(self.finish_test_and_set(cpu, f, off))
+        Ok(self.finish_test_and_set(cpu, addr, f, off))
     }
 
     /// A Unix system call executed on behalf of the calling thread: runs
@@ -671,6 +680,23 @@ mod tests {
         assert_eq!(events[0].kind, Access::Store);
         assert_eq!(events[1].kind, Access::Fetch);
         assert_eq!(events[0].addr, a);
+    }
+
+    #[test]
+    fn sink_sees_both_halves_of_a_test_and_set() {
+        use std::sync::{Arc, Mutex};
+        let mut k = kernel(1);
+        let a = k.alloc(64, Prot::READ_WRITE).unwrap();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let log2 = Arc::clone(&log);
+        k.set_sink(Box::new(move |e: &RefEvent| log2.lock().unwrap().push(*e)));
+        k.test_and_set(CpuId(0), a + 8).unwrap();
+        let events = log.lock().unwrap();
+        let seen: Vec<_> = events.iter().map(|e| (e.kind, e.addr, e.words)).collect();
+        assert_eq!(seen, [(Access::Store, a + 8, 1), (Access::Fetch, a + 8, 1)]);
+        assert!(events[0].t < events[1].t, "each half carries its own post-charge clock");
+        assert_eq!(events[1].t, k.clock_of(CpuId(0)));
+        assert_eq!(k.refs.local + k.refs.global, 2);
     }
 
     #[test]

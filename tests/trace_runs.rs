@@ -7,13 +7,15 @@
 //! in closed form and hands the sink one run; these tests are the oracle
 //! for that: the `Recorder`'s run-compressed trace, taken with the fast
 //! path on, must expand to exactly what the slow path records and what a
-//! per-reference closure sees.
+//! per-reference closure sees. And it must be *every* reference: the
+//! words in a trace sum to the run's `RefCounters`.
 
-use numa_repro::apps::{App, IMatMult, Primes3, Scale};
-use numa_repro::machine::{Distance, MachineConfig, TopologyBuilder};
+use numa_repro::apps::{App, Gfetch, IMatMult, Primes3, Scale};
+use numa_repro::machine::{Access, Distance, MachineConfig, Prot, TopologyBuilder};
 use numa_repro::numa::{CachePolicy, FlushLimitPolicy, MoveLimitPolicy};
 use numa_repro::sim::{RefEvent, SimConfig, Simulator};
-use numa_repro::trace::Recorder;
+use numa_repro::threads::SpinLock;
+use numa_repro::trace::{Recorder, SharingReport};
 use std::sync::{Arc, Mutex};
 
 const CPUS: usize = 4;
@@ -100,4 +102,55 @@ fn so_does_one_with_remote_references() {
     );
     assert_same("two-socket recorded fast-vs-slow", &fast, &observe(Way::RecordedSlow));
     assert_same("two-socket recorded-vs-closure", &fast, &observe(Way::Closure));
+}
+
+/// Word references in a recorded trace against the run's own counters.
+fn assert_trace_counts_every_reference(tag: &str, sim: &Simulator, trace: &numa_repro::trace::Trace) {
+    let refs = sim.report().refs;
+    let traced: u64 = trace.runs().iter().map(|r| r.total_words()).sum();
+    assert_eq!(
+        traced,
+        refs.local + refs.global + refs.remote,
+        "{tag}: the trace and RefCounters disagree on how many words were referenced"
+    );
+    let sharing = SharingReport::from_trace(trace);
+    assert_eq!(sharing.alpha(), refs.alpha(), "{tag}: trace-ground-truth alpha is not the run's");
+}
+
+/// Every reference the kernel counts reaches the sink — the fetch half
+/// of a `test_and_set` included, which it once did not (every lock
+/// attempt left the trace one `R` short of `RunReport.refs`).
+#[test]
+fn a_trace_counts_every_reference_the_run_does() {
+    let apps: [&dyn App; 3] =
+        [&IMatMult::new(Scale::Test), &Gfetch::new(Scale::Test), &Primes3::new(Scale::Test)];
+    for app in apps {
+        let mut sim = Simulator::new(SimConfig::small(CPUS), Box::new(MoveLimitPolicy::default()));
+        let recorder = Recorder::install(&sim);
+        app.run(&mut sim, CPUS).unwrap_or_else(|e| panic!("{} failed verification: {e}", app.name()));
+        assert_trace_counts_every_reference(app.name(), &sim, &recorder.take(&sim));
+    }
+
+    // A lock-heavy body: four threads bump one counter under one spin
+    // lock, so most references are lock attempts.
+    let mut sim = Simulator::new(SimConfig::small(CPUS), Box::new(MoveLimitPolicy::default()));
+    let base = sim.alloc(64, Prot::READ_WRITE);
+    let (lock, counter) = (SpinLock::new(base), base + 32);
+    let recorder = Recorder::install(&sim);
+    for t in 0..CPUS {
+        sim.spawn(format!("t{t}"), move |ctx| {
+            for _ in 0..50 {
+                lock.with(ctx, |ctx| {
+                    let v = ctx.read_u32(counter);
+                    ctx.write_u32(counter, v + 1);
+                });
+            }
+        });
+    }
+    sim.run();
+    let trace = recorder.take(&sim);
+    assert_eq!(sim.with_kernel(|k| k.peek_u32(counter)), 50 * CPUS as u32);
+    let attempts = trace.iter().filter(|e| e.addr == lock.addr() && e.kind == Access::Fetch).count();
+    assert!(attempts >= 50 * CPUS, "every lock attempt fetches the lock word: saw {attempts}");
+    assert_trace_counts_every_reference("spin lock", &sim, &trace);
 }
