@@ -41,14 +41,24 @@ pub struct RefRun {
 }
 
 impl RefRun {
+    /// A run of one.
+    pub fn one(first: RefEvent) -> RefRun {
+        RefRun { first, stride: 0, dt: Ns::ZERO, count: 1 }
+    }
+
+    /// Element `i` of the progression (wrapping, so a `stride` that is
+    /// a negative step in two's complement walks downwards).
+    pub fn event(&self, i: u64) -> RefEvent {
+        RefEvent {
+            t: Ns(self.first.t.0.wrapping_add(self.dt.0.wrapping_mul(i))),
+            addr: VAddr(self.first.addr.0.wrapping_add(self.stride.wrapping_mul(i))),
+            ..self.first
+        }
+    }
+
     /// The run's references, one by one.
-    pub fn events(&self) -> impl Iterator<Item = RefEvent> {
-        let RefRun { first, stride, dt, count } = *self;
-        (0..count).map(move |i| RefEvent {
-            t: first.t + dt * i,
-            addr: first.addr + i * stride,
-            ..first
-        })
+    pub fn events(self) -> impl Iterator<Item = RefEvent> {
+        (0..self.count).map(move |i| self.event(i))
     }
 }
 
@@ -173,8 +183,7 @@ impl Kernel {
     fn emit_one(&mut self, cpu: CpuId, addr: VAddr, kind: Access, dist: Distance, words: u64) {
         if let Some(sink) = self.sink.as_mut() {
             let t = self.machine.clocks.cpu(cpu).total();
-            let first = RefEvent { t, cpu, addr, kind, dist, words };
-            sink(&RefRun { first, stride: 0, dt: Ns::ZERO, count: 1 });
+            sink(&RefRun::one(RefEvent { t, cpu, addr, kind, dist, words }));
         }
     }
 

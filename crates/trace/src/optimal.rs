@@ -29,7 +29,7 @@
 //! `2 + processors` states per reference; it survives as the test
 //! oracle below.)
 
-use crate::record::{PageIndex, Trace};
+use crate::record::{PerPage, Trace};
 use ace_machine::{Access, CostModel, CpuId, Distance, Ns};
 use std::collections::BTreeMap;
 
@@ -94,26 +94,22 @@ pub fn optimal_cost(trace: &Trace, costs: &CostModel, page_bytes: usize) -> Opti
         "optimal_cost: page_bytes disagrees with the page size the trace was recorded at"
     );
     let copy = costs.page_copy(page_bytes).0;
-    let mut index = PageIndex::default();
-    let mut frontiers: Vec<Frontier> = Vec::new();
+    let mut frontiers: PerPage<Frontier> = PerPage::new();
     let mut actual_ref_cost = Ns::ZERO;
     for run in trace.runs() {
         actual_ref_cost += costs.access(run.kind, run.dist) * run.total_words();
-        let idx = index.index(trace.vpn_of(run));
-        if idx == frontiers.len() {
-            frontiers.push(Frontier::FRESH);
-        }
         let at_global = costs.access(run.kind, Distance::Global).0 * run.words;
         let at_local = costs.access(run.kind, Distance::Local).0 * run.words;
         let fetch = run.kind == Access::Fetch;
-        let mut f = frontiers[idx];
+        let (_, slot) = frontiers.entry(trace.vpn_of(run), || Frontier::FRESH);
+        let mut f = *slot;
         for _ in 0..run.count {
             f.step(run.cpu, fetch, at_global, at_local, copy);
         }
-        frontiers[idx] = f;
+        *slot = f;
     }
     let per_page: BTreeMap<u64, Ns> =
-        index.vpns.iter().zip(&frontiers).map(|(&vpn, f)| (vpn, Ns(f.best()))).collect();
+        frontiers.pages.iter().map(|(vpn, f)| (*vpn, Ns(f.best()))).collect();
     let optimal_cost = per_page.values().copied().sum();
     OptimalReport { optimal_cost, actual_ref_cost, per_page }
 }

@@ -36,23 +36,15 @@ pub struct Run {
 }
 
 impl Run {
-    /// Element `i` of the progression (also defined one past the end,
-    /// which is how [`Trace::push_run`] asks whether a reference
-    /// continues the row).
-    fn event(&self, i: u64) -> RefEvent {
-        RefEvent {
-            t: Ns(self.t0.0.wrapping_add(u64::from(self.dt) * i)),
-            cpu: self.cpu,
-            addr: VAddr(self.addr.0.wrapping_add((i64::from(self.stride) as u64).wrapping_mul(i))),
-            kind: self.kind,
-            dist: self.dist,
-            words: self.words,
+    /// The row as the run it holds (a downward stride wraps).
+    pub fn run(&self) -> RefRun {
+        let Run { t0: t, addr, words, cpu, kind, dist, .. } = *self;
+        RefRun {
+            first: RefEvent { t, cpu, addr, kind, dist, words },
+            stride: i64::from(self.stride) as u64,
+            dt: Ns(u64::from(self.dt)),
+            count: u64::from(self.count),
         }
-    }
-
-    /// The row's references, one by one.
-    pub fn events(&self) -> impl Iterator<Item = RefEvent> + '_ {
-        (0..u64::from(self.count)).map(|i| self.event(i))
     }
 
     /// Word references in the row.
@@ -105,7 +97,7 @@ impl Trace {
 
     /// Every reference, in order.
     pub fn iter(&self) -> impl Iterator<Item = RefEvent> + '_ {
-        self.runs.iter().flat_map(Run::events)
+        self.runs.iter().flat_map(|row| row.run().events())
     }
 
     /// The virtual page a row's references fall on.
@@ -115,7 +107,7 @@ impl Trace {
 
     /// Appends one reference.
     pub fn push(&mut self, e: &RefEvent) {
-        self.push_run(&RefRun { first: *e, stride: 0, dt: Ns::ZERO, count: 1 });
+        self.push_run(&RefRun::one(*e));
     }
 
     /// Appends a run of references. It extends the last row when it
@@ -143,7 +135,7 @@ impl Trace {
                 kind: e.kind,
                 dist: e.dist,
             };
-            let end = row.event(run.count - 1).addr;
+            let end = run.event(run.count - 1).addr;
             (page.page_of(end.0) == page.page_of(e.addr.0)).then_some(row)
         });
         let Some(row) = whole else {
@@ -183,7 +175,7 @@ fn extend(last: &mut Run, row: &Run, page: PageSize) -> bool {
     if row.count > 1 && (grown.stride, grown.dt) != (row.stride, row.dt) {
         return false;
     }
-    let next = grown.event(u64::from(last.count));
+    let next = grown.run().event(u64::from(last.count));
     if (next.addr, next.t) != (row.addr, row.t0) {
         return false;
     }
@@ -192,24 +184,26 @@ fn extend(last: &mut Run, row: &Run, page: PageSize) -> bool {
     true
 }
 
-/// Dense numbering of the pages a trace touches, in order of first
-/// reference: the index the per-page state of an analysis lives at.
-#[derive(Default)]
-pub(crate) struct PageIndex {
-    of: HashMap<u64, u32>,
-    /// Virtual page number of each index.
-    pub(crate) vpns: Vec<u64>,
+/// Per-page state of an analysis, numbered densely in order of first
+/// reference.
+pub(crate) struct PerPage<T> {
+    index: HashMap<u64, u32>,
+    /// Each page's virtual page number and state, by index.
+    pub(crate) pages: Vec<(u64, T)>,
 }
 
-impl PageIndex {
-    /// The index of virtual page `vpn`, minted on first sight.
-    pub(crate) fn index(&mut self, vpn: u64) -> usize {
-        let next = self.vpns.len() as u32;
-        let idx = *self.of.entry(vpn).or_insert(next);
-        if idx == next {
-            self.vpns.push(vpn);
+impl<T> PerPage<T> {
+    pub(crate) fn new() -> PerPage<T> {
+        PerPage { index: HashMap::new(), pages: Vec::new() }
+    }
+
+    /// The index and state of virtual page `vpn`, `fresh` on first sight.
+    pub(crate) fn entry(&mut self, vpn: u64, fresh: impl FnOnce() -> T) -> (u32, &mut T) {
+        let idx = *self.index.entry(vpn).or_insert(self.pages.len() as u32);
+        if idx as usize == self.pages.len() {
+            self.pages.push((vpn, fresh()));
         }
-        idx as usize
+        (idx, &mut self.pages[idx as usize].1)
     }
 }
 
@@ -257,7 +251,7 @@ mod tests {
         /// never merged into the last: how the tests cut one list of
         /// references into rows of their choosing.
         pub(crate) fn push_cut(&mut self, row: &Run, from: u32, to: u32) {
-            let first = row.event(u64::from(from));
+            let first = row.run().event(u64::from(from));
             let (stride, dt) = if to - from > 1 { (row.stride, row.dt) } else { (0, 0) };
             self.runs.push(Run { t0: first.t, addr: first.addr, stride, dt, count: to - from, ..*row });
             self.refs += (to - from) as usize;

@@ -11,7 +11,7 @@
 //! timing feedback: the trace's interleaving is fixed. That is exactly
 //! the usual methodology — and its usual caveat.
 
-use crate::record::{PageIndex, Trace};
+use crate::record::{PerPage, Trace};
 use ace_machine::{Access, CostModel, CpuId, CpuSet, Distance, Ns};
 use mach_vm::LPageId;
 use numa_core::{plan, CachePolicy, Cleanup, TableState};
@@ -95,22 +95,17 @@ pub fn replay(
         "replay: page_bytes disagrees with the page size the trace was recorded at"
     );
     let copy = costs.page_copy(page_bytes);
-    let mut index = PageIndex::default();
-    let mut pages: Vec<Page> = Vec::new();
+    let mut pages: PerPage<Page> = PerPage::new();
     let mut rep = ReplayReport::default();
     for run in trace.runs() {
         let (cpu, kind) = (run.cpu, run.kind);
-        let idx = index.index(trace.vpn_of(run));
-        if idx == pages.len() {
-            pages.push(Page {
-                state: TableState::ReadOnly,
-                owner: None,
-                replicas: CpuSet::EMPTY,
-                last_owner: None,
-            });
-        }
-        let lpage = LPageId(idx as u32);
-        let p = &mut pages[idx];
+        let (idx, p) = pages.entry(trace.vpn_of(run), || Page {
+            state: TableState::ReadOnly,
+            owner: None,
+            replicas: CpuSet::EMPTY,
+            last_owner: None,
+        });
+        let lpage = LPageId(idx);
         if p.faults(kind, cpu) {
             rep.requests += 1;
             let decision = policy.decide(lpage, kind, cpu);
