@@ -230,12 +230,13 @@ impl Kernel {
     ///
     /// Each element is charged exactly as [`Kernel::access_step`]'s
     /// success branch would charge it (machine access cost, bus traffic,
-    /// distance counters, trace-sink event with the post-charge clock),
-    /// so the observable streams are identical to `max_n` slow-path
-    /// references; only the per-element MMU walk and budget check are
-    /// elided. The caller must hold a translation validated at the
-    /// current MMU epoch for the element addresses (element `i` lives at
-    /// `first + i * stride`, entirely within the translated page).
+    /// distance counters, and a trace-sink run whose expansion stamps
+    /// each element with its post-charge clock), so the observable
+    /// streams are identical to `max_n` slow-path references; only the
+    /// per-element MMU walk and budget check are elided. The caller must
+    /// hold a translation validated at the current MMU epoch for the
+    /// element addresses (element `i` lives at `first + i * stride`,
+    /// entirely within the translated page).
     ///
     /// Stops charging after the first element that drives the
     /// processor's clock to `budget_end` or beyond — the same point at
