@@ -13,11 +13,11 @@ pub trait App {
     /// Name as it appears in the paper's tables.
     fn name(&self) -> &'static str;
 
-    /// True for applications doing almost all fetches and no stores
-    /// (Gfetch, IMatMult): the paper evaluates their model with
-    /// G/L = 2.3 instead of 2.
-    fn fetch_heavy(&self) -> bool {
-        false
+    /// The global-to-local access-time ratio the paper solves this
+    /// application's model with: 2.3 for the programs doing almost all
+    /// fetches and no stores (Gfetch, IMatMult), 2 for everything else.
+    fn g_over_l(&self) -> f64 {
+        2.0
     }
 
     /// Builds, runs and verifies the application with `workers` threads.

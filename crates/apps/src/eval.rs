@@ -1,9 +1,9 @@
-//! The measurement methodology of section 3.1: run each application
-//! under three placements and solve the analytic model.
+//! One measured run of section 3.1's methodology. The three placements
+//! and the model they solve are a grid of `numa-lab` (`Sweep::model_rows`).
 
 use crate::app::App;
 use ace_sim::{RunReport, SimConfig, Simulator};
-use numa_core::{AllGlobalPolicy, CachePolicy, MoveLimitPolicy};
+use numa_core::CachePolicy;
 
 /// Runs one application once on a fresh simulator and returns the
 /// measurements.
@@ -23,111 +23,4 @@ pub fn measure_once(
         panic!("{} failed verification: {e}", app.name());
     }
     sim.report()
-}
-
-/// One row of Table 3.
-#[derive(Clone, Debug)]
-pub struct Table3Row {
-    /// Application name.
-    pub name: &'static str,
-    /// Total user time under the all-global baseline (seconds).
-    pub t_global: f64,
-    /// Total user time under the NUMA policy (seconds).
-    pub t_numa: f64,
-    /// Total user time with one thread on one processor (seconds).
-    pub t_local: f64,
-    /// Model alpha (equation 4); `None` when the app is insensitive to
-    /// placement (the paper's "na").
-    pub alpha: Option<f64>,
-    /// Model beta (equation 5); 0 when insensitive.
-    pub beta: f64,
-    /// Gamma (equation 1).
-    pub gamma: f64,
-    /// Ground truth the paper could not measure: the directly counted
-    /// fraction of local references under the NUMA policy.
-    pub alpha_measured: f64,
-    /// The G/L ratio used for this row (2.3 for fetch-heavy apps).
-    pub g_over_l: f64,
-}
-
-/// Produces one row of Table 3 for `app`: an all-global run and a NUMA
-/// run with `workers` threads on `n_cpus` processors, plus a
-/// single-thread single-processor run for T_local.
-pub fn table3_row(app: &dyn App, n_cpus: usize, workers: usize) -> Table3Row {
-    let threshold = MoveLimitPolicy::DEFAULT_THRESHOLD;
-    let numa = measure_once(
-        app,
-        SimConfig::ace(n_cpus),
-        Box::new(MoveLimitPolicy::new(threshold)),
-        workers,
-    );
-    let global = measure_once(app, SimConfig::ace(n_cpus), Box::new(AllGlobalPolicy), workers);
-    let local = measure_once(
-        app,
-        SimConfig::ace(1),
-        Box::new(MoveLimitPolicy::new(threshold)),
-        1,
-    );
-    let g_over_l = if app.fetch_heavy() { 2.3 } else { 2.0 };
-    let (t_global, t_numa, t_local) = (global.user_secs(), numa.user_secs(), local.user_secs());
-    let (alpha, beta, gamma) = match numa_metrics::Model::solve(t_global, t_numa, t_local, g_over_l)
-    {
-        Ok(m) => (Some(m.alpha), m.beta, m.gamma),
-        Err(_) => (None, 0.0, t_numa / t_local),
-    };
-    Table3Row {
-        name: app.name(),
-        t_global,
-        t_numa,
-        t_local,
-        alpha,
-        beta,
-        gamma,
-        alpha_measured: numa.alpha_measured(),
-        g_over_l,
-    }
-}
-
-/// One row of Table 4: system-time comparison on `n_cpus` processors.
-#[derive(Clone, Debug)]
-pub struct Table4Row {
-    /// Application name.
-    pub name: &'static str,
-    /// Total system time under the NUMA policy (seconds).
-    pub s_numa: f64,
-    /// Total system time under all-global (seconds).
-    pub s_global: f64,
-    /// `s_numa - s_global`: the cost attributable to NUMA management.
-    pub delta_s: f64,
-    /// Total user time under the NUMA policy, for the overhead ratio.
-    pub t_numa: f64,
-}
-
-impl Table4Row {
-    /// The paper's ΔS / T_numa overhead percentage.
-    pub fn overhead_pct(&self) -> f64 {
-        if self.t_numa == 0.0 {
-            0.0
-        } else {
-            100.0 * self.delta_s.max(0.0) / self.t_numa
-        }
-    }
-}
-
-/// Produces one row of Table 4 for `app` on `n_cpus` processors.
-pub fn table4_row(app: &dyn App, n_cpus: usize, workers: usize) -> Table4Row {
-    let numa = measure_once(
-        app,
-        SimConfig::ace(n_cpus),
-        Box::new(MoveLimitPolicy::default()),
-        workers,
-    );
-    let global = measure_once(app, SimConfig::ace(n_cpus), Box::new(AllGlobalPolicy), workers);
-    Table4Row {
-        name: app.name(),
-        s_numa: numa.system_secs(),
-        s_global: global.system_secs(),
-        delta_s: numa.system_secs() - global.system_secs(),
-        t_numa: numa.user_secs(),
-    }
 }

@@ -52,8 +52,8 @@ impl App for Gfetch {
         "Gfetch"
     }
 
-    fn fetch_heavy(&self) -> bool {
-        true
+    fn g_over_l(&self) -> f64 {
+        2.3
     }
 
     fn run(&self, sim: &mut Simulator, workers: usize) -> Result<(), String> {
@@ -114,7 +114,7 @@ impl App for Gfetch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{measure_once, table3_row};
+    use crate::eval::measure_once;
     use ace_sim::SimConfig;
     use numa_core::MoveLimitPolicy;
 
@@ -133,20 +133,6 @@ mod tests {
             report.alpha_measured() < 0.5,
             "alpha_measured = {}",
             report.alpha_measured()
-        );
-    }
-
-    #[test]
-    fn table3_shape_alpha_zero_beta_one() {
-        let app = Gfetch::new(Scale::Test);
-        let row = table3_row(&app, 3, 3);
-        let alpha = row.alpha.expect("gfetch is placement sensitive");
-        assert!(alpha < 0.25, "alpha = {alpha}, paper reports 0");
-        assert!(row.beta > 0.7, "beta = {}, paper reports 1.0", row.beta);
-        assert!(
-            row.gamma > 1.7 && row.gamma < 2.9,
-            "gamma = {}, paper reports 2.27",
-            row.gamma
         );
     }
 

@@ -85,8 +85,8 @@ impl App for IMatMult {
         "IMatMult"
     }
 
-    fn fetch_heavy(&self) -> bool {
-        true
+    fn g_over_l(&self) -> f64 {
+        2.3
     }
 
     fn run(&self, sim: &mut Simulator, workers: usize) -> Result<(), String> {

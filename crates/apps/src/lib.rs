@@ -38,7 +38,7 @@ pub mod primes3;
 pub mod zipf;
 
 pub use app::App;
-pub use eval::{measure_once, table3_row, table4_row, Table3Row, Table4Row};
+pub use eval::measure_once;
 pub use fft::Fft;
 pub use gfetch::Gfetch;
 pub use imatmult::IMatMult;

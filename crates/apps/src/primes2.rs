@@ -105,7 +105,10 @@ fn isqrt(n: u64) -> u64 {
 
 impl App for Primes2 {
     fn name(&self) -> &'static str {
-        "Primes2"
+        match self.discipline {
+            DivisorDiscipline::SharedVector => "Primes2-naive",
+            DivisorDiscipline::PrivateCopy => "Primes2",
+        }
     }
 
     fn run(&self, sim: &mut Simulator, workers: usize) -> Result<(), String> {

@@ -1,57 +1,26 @@
-//! The section 4.2 false-sharing case study: primes2 before and after
-//! privatizing the divisor vector.
+//! The section 4.2 false-sharing case study: the trace-based diagnosis
+//! of primes2 before privatizing the divisor vector.
 //!
 //! "By modifying the program so that each processor copied the divisors
 //! it needed from the shared output vector into a private vector, the
 //! value of alpha (fraction of local references) was increased from 0.66
-//! to 1.00."
-//!
-//! Also runs the trace-based diagnosis: the shared-vector version's
-//! divisor region is *falsely shared* (read-mostly data on pages made
-//! write-hot by the append count and frontier), which the
-//! object-granularity analyzer detects automatically.
+//! to 1.00." The two variants' alphas are the 2 KB rows of
+//! `numa-lab table --grid page-size`. This harness records the naive
+//! version's trace: its divisor region is *falsely shared* (read-mostly
+//! data on pages made write-hot by the append count and frontier), which
+//! the object-granularity analyzer detects automatically.
 
 use ace_sim::{SimConfig, Simulator};
-use numa_apps::{table3_row, App, DivisorDiscipline, Primes2, Scale};
+use numa_apps::{App, DivisorDiscipline, Primes2, Scale};
 use numa_bench::{banner, EVAL_CPUS};
 use numa_core::MoveLimitPolicy;
-use numa_metrics::{table::fmt_opt, Table};
 use numa_trace::{Recorder, SharingReport};
 
 fn main() {
     banner(
-        "False sharing: primes2 shared-vector vs private-copy divisors",
+        "False sharing: trace diagnosis of primes2's shared divisor vector",
         "section 4.2 (alpha 0.66 -> 1.00)",
     );
-    let mut t = Table::new(&[
-        "Variant",
-        "Tglobal",
-        "Tnuma",
-        "Tlocal",
-        "alpha",
-        "alpha(meas)",
-        "paper alpha",
-    ]);
-    for (d, label, paper) in [
-        (DivisorDiscipline::SharedVector, "shared vector (naive)", "0.66"),
-        (DivisorDiscipline::PrivateCopy, "private copy (tuned)", "1.00"),
-    ] {
-        let app = Primes2::new(Scale::Bench, d);
-        let row = table3_row(&app, EVAL_CPUS, EVAL_CPUS);
-        t.row(vec![
-            label.to_string(),
-            format!("{:.2}", row.t_global),
-            format!("{:.2}", row.t_numa),
-            format!("{:.2}", row.t_local),
-            fmt_opt(row.alpha, 2),
-            format!("{:.3}", row.alpha_measured),
-            paper.to_string(),
-        ]);
-        eprintln!("  [{label} done]");
-    }
-    println!("{t}");
-
-    // Trace diagnosis of the naive variant.
     let app = Primes2::new(Scale::Bench, DivisorDiscipline::SharedVector);
     let mut sim =
         Simulator::new(SimConfig::ace(EVAL_CPUS), Box::new(MoveLimitPolicy::default()));
@@ -69,8 +38,9 @@ fn main() {
         100.0 * sharing.write_shared_ref_fraction(),
     );
     println!(
-        "trace alpha {:.3} (agrees with counters above); the write-shared \
-         fraction is what no OS placement policy can make local (section 4.2)",
+        "trace alpha {:.3} (agrees with the counters: `page-size` grid, \
+         Primes2-naive/numa at 2 KB); the write-shared fraction is what no \
+         OS placement policy can make local (section 4.2)",
         sharing.alpha()
     );
 }

@@ -1,24 +1,20 @@
-//! Shared plumbing for the evaluation harnesses.
+//! Shared plumbing for the evaluation harnesses that no sweep grid can
+//! replace.
 //!
-//! Each bench target under `benches/` regenerates one table or figure of
-//! the paper (or one ablation from DESIGN.md) and prints it next to the
-//! paper's published values. Absolute times differ — the substrate is a
-//! simulator with scaled-down workloads, not the authors' ACE prototype —
-//! but the *shape* (who wins, by what factor, where the crossovers are)
-//! is the reproduction target.
-//!
-//! The paper's published numbers themselves live in
-//! [`numa_metrics::paper`] (single source of truth, shared with
-//! `numa-lab` and the examples) and are re-exported here so bench
-//! targets keep their historical import paths.
+//! Each bench target under `benches/` regenerates one table or ablation
+//! that needs a kernel, a trace or a machine setting of its own (the
+//! protocol tables, raw access costs, the false-sharing trace, the
+//! offline optimum, pragmas, remote hosting, scheduler affinity, pin
+//! reconsideration, the bus queue) and prints it next to the paper's
+//! published values. Tables 3 and 4, §4.2 and the threshold, page-size
+//! and speedup ablations are grids: `numa-lab table --grid G` prints
+//! them (`paper-bench`, `page-size`, `threshold`, `speedup`). Absolute
+//! times differ — the substrate is a simulator with scaled-down
+//! workloads, not the authors' ACE prototype — but the *shape* (who
+//! wins, by what factor, where the crossovers are) is the reproduction
+//! target.
 
-use numa_apps::{Table3Row, Table4Row};
-use numa_metrics::table::fmt_opt;
-
-pub use numa_metrics::paper::{
-    paper_alpha, paper_beta_gamma, PaperTable3Row, PaperTable4Row, EVAL_CPUS, PAPER_TABLE3,
-    PAPER_TABLE4,
-};
+pub use numa_metrics::paper::EVAL_CPUS;
 
 /// Prints the standard harness banner.
 pub fn banner(title: &str, paper_ref: &str) {
@@ -27,49 +23,4 @@ pub fn banner(title: &str, paper_ref: &str) {
     println!("{title}");
     println!("(paper reference: {paper_ref})");
     println!("================================================================");
-}
-
-/// Renders one Table 3 measurement row plus the paper's factors.
-pub fn table3_cells(r: &Table3Row) -> Vec<String> {
-    let (pb, pg) = paper_beta_gamma(r.name);
-    vec![
-        r.name.to_string(),
-        format!("{:.2}", r.t_global),
-        format!("{:.2}", r.t_numa),
-        format!("{:.2}", r.t_local),
-        fmt_opt(r.alpha, 2),
-        format!("{:.2}", r.beta),
-        format!("{:.2}", r.gamma),
-        format!("{:.3}", r.alpha_measured),
-        fmt_opt(paper_alpha(r.name), 2),
-        format!("{pb:.2}"),
-        format!("{pg:.2}"),
-    ]
-}
-
-/// Renders one Table 4 measurement row plus the paper's overhead.
-pub fn table4_cells(r: &Table4Row) -> Vec<String> {
-    let paper = PAPER_TABLE4.iter().find(|p| p.0 == r.name);
-    vec![
-        r.name.to_string(),
-        format!("{:.3}", r.s_numa),
-        format!("{:.3}", r.s_global),
-        format!("{:.3}", r.delta_s),
-        format!("{:.2}", r.t_numa),
-        format!("{:.1}%", r.overhead_pct()),
-        paper.map(|p| format!("{:.1}%", p.5)).unwrap_or_default(),
-    ]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn paper_tables_reexport_from_metrics() {
-        assert_eq!(PAPER_TABLE3.len(), 8);
-        assert_eq!(PAPER_TABLE4.len(), 5);
-        assert_eq!(paper_alpha("Gfetch"), Some(0.0));
-        assert_eq!(EVAL_CPUS, numa_metrics::paper::EVAL_CPUS);
-    }
 }

@@ -2,11 +2,12 @@
 //!
 //! Argument parsing is hand-rolled (the workspace builds offline, with
 //! no clap): every flag is `--name value` or a boolean `--name`, and
-//! anything unrecognized is a usage error. Four subcommands:
+//! anything unrecognized is a usage error. Five subcommands:
 //!
 //! * `run`  — expand a grid, farm it out, print the result tables and
-//!   write the sweep document (`--out`; only the `paper` grid has a
-//!   default, `BENCH_sweep.json`);
+//!   write the sweep document to `--out`, which every grid must name;
+//! * `table` — `run` without the document: the paper's tables, printed
+//!   from a grid;
 //! * `list` — show the built-in grids, or every job of one grid;
 //! * `diff` — compare a fresh run (or `--current` file) against a
 //!   committed baseline and print every drifted leaf;
@@ -23,6 +24,8 @@ use crate::gate::{diff_documents, GateTolerances};
 use crate::grid::{Axis, Grid, JobSpec, AXES};
 use crate::sweep::Sweep;
 use numa_metrics::baseline::BaselineDiff;
+use numa_metrics::paper::{PAPER_TABLE3, PAPER_TABLE4};
+use numa_metrics::table::fmt_opt;
 use numa_metrics::{shared, validate, Event, EventKind, EventSink, SharedSink, Table};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -37,6 +40,7 @@ USAGE:
 
 COMMANDS:
     run     run a sweep grid and write its report
+    table   run a sweep grid and print its tables; writes nothing
     list    list built-in grids, or the jobs of one grid
     diff    compare a run against a baseline, print drifted metrics
     gate    diff with an exit status: nonzero on regression
@@ -45,17 +49,16 @@ COMMANDS:
 OPTIONS:
     --grid NAME        grid preset (default: paper); see `numa-lab list`
     --jobs N           worker threads (default: available parallelism)
-    --out FILE         run: where to write the report; required unless the
-                       grid is `paper` (default: BENCH_sweep.json), so no
-                       other grid can overwrite that committed baseline
-    --path fast|slow   run/diff/gate: simulator access path (default: fast);
+    --out FILE         run: where to write the report (required, so no run
+                       overwrites a committed baseline by default)
+    --path fast|slow   run/table/diff/gate: simulator access path (default: fast);
                        both produce byte-identical reports, slow is for
                        equivalence checks and timing comparisons
     --resume           run: checkpoint completed cells next to the output
                        file (<out>.partial) and skip them on the next
                        --resume run; final output is byte-identical to an
                        uninterrupted run
-    --timeout SECS     run: wall-clock watchdog per job — a wedged cell
+    --timeout SECS     run/table: wall-clock watchdog per job — a wedged cell
                        fails the sweep typed instead of hanging it
     --baseline FILE    diff/gate: committed baseline (default: BENCH_sweep.json)
     --current FILE     diff/gate: compare this file instead of running the grid
@@ -250,9 +253,13 @@ fn run_sweep_resumable(grid: Grid, opts: &Opts, out: &str) -> Result<(Sweep, f64
     Ok((sweep, started.elapsed().as_secs_f64()))
 }
 
+/// The job table, then — for grids whose `numa` cells have their
+/// `local` and `global` companions — the model table (Table 3) and the
+/// system-time table (Table 4), one row per such cell.
 fn print_sweep_tables(sweep: &Sweep) {
     let mut t = Table::new(&[
-        "id", "job", "Tuser(s)", "Tsys(s)", "alpha(meas)", "repl", "migr", "pins", "bus(MB)",
+        "id", "job", "Tuser(s)", "Tsys(s)", "makespan(s)", "alpha(meas)", "repl", "migr", "pins",
+        "bus(MB)",
     ])
     .with_title(format!(
         "grid `{}`: {} jobs",
@@ -265,6 +272,7 @@ fn print_sweep_tables(sweep: &Sweep) {
             r.spec.label(),
             format!("{:.4}", r.report.user_secs()),
             format!("{:.4}", r.report.system_secs()),
+            format!("{:.4}", r.report.makespan().as_secs_f64()),
             format!("{:.3}", r.report.alpha_measured()),
             r.report.numa.replications.to_string(),
             r.report.numa.migrations.to_string(),
@@ -275,28 +283,45 @@ fn print_sweep_tables(sweep: &Sweep) {
     println!("{t}");
 
     let rows = sweep.model_rows();
-    if !rows.is_empty() {
-        let mut m = Table::new(&[
-            "app", "Tglobal", "Tnuma", "Tlocal", "alpha", "beta", "gamma", "alpha(meas)",
-            "alpha(paper)",
-        ])
-        .with_title("analytic model (equations 4 and 5), paper values alongside");
-        for row in rows {
-            m.row(vec![
-                row.spec.app.name().to_string(),
-                format!("{:.4}", row.t_global),
-                format!("{:.4}", row.t_numa),
-                format!("{:.4}", row.t_local),
-                row.alpha.map_or("na".to_string(), |a| format!("{a:.3}")),
-                format!("{:.3}", row.beta),
-                format!("{:.3}", row.gamma),
-                format!("{:.3}", row.alpha_measured),
-                numa_metrics::paper::paper_alpha(row.spec.app.name())
-                    .map_or("na".to_string(), |a| format!("{a:.2}")),
-            ]);
-        }
-        println!("{m}");
+    if rows.is_empty() {
+        return;
     }
+    let mut m = Table::new(&[
+        "cell", "Tglobal", "Tnuma", "Tlocal", "alpha", "beta", "gamma", "alpha(meas)",
+        "alpha(paper)", "beta(paper)", "gamma(paper)",
+    ])
+    .with_title("analytic model (equations 4 and 5), paper values alongside");
+    let mut s = Table::new(&["cell", "Snuma", "Sglobal", "dS", "Tnuma", "dS/Tnuma", "paper dS/T"])
+        .with_title("system time: dS = Snuma - Sglobal, the cost of NUMA management");
+    let none = || "-".to_string();
+    for row in &rows {
+        let name = row.spec.app.name();
+        let paper = PAPER_TABLE3.iter().find(|p| p.0 == name);
+        m.row(vec![
+            row.spec.label(),
+            format!("{:.4}", row.t_global),
+            format!("{:.4}", row.t_numa),
+            format!("{:.4}", row.t_local),
+            fmt_opt(row.alpha, 3),
+            format!("{:.3}", row.beta),
+            format!("{:.3}", row.gamma),
+            format!("{:.3}", row.alpha_measured),
+            paper.map_or_else(none, |p| fmt_opt(p.4, 2)),
+            paper.map_or_else(none, |p| format!("{:.2}", p.5)),
+            paper.map_or_else(none, |p| format!("{:.2}", p.6)),
+        ]);
+        s.row(vec![
+            row.spec.label(),
+            format!("{:.4}", row.s_numa),
+            format!("{:.4}", row.s_global),
+            format!("{:.4}", row.delta_s()),
+            format!("{:.4}", row.t_numa),
+            format!("{:.1}%", row.sys_overhead_pct()),
+            PAPER_TABLE4.iter().find(|p| p.0 == name).map_or_else(none, |p| format!("{:.1}%", p.5)),
+        ]);
+    }
+    println!("{m}");
+    println!("{s}");
 }
 
 fn write_report(sweep: &Sweep, path: &str) -> Result<usize, String> {
@@ -306,32 +331,33 @@ fn write_report(sweep: &Sweep, path: &str) -> Result<usize, String> {
     Ok(text.len())
 }
 
-/// Where `run` writes its report. `BENCH_sweep.json` is the committed
-/// baseline of the `paper` grid, so it is the default for that grid
-/// alone: any other grid must say where its report goes.
+/// Where `run` writes its report. There is no default: every committed
+/// `BENCH_*.json` is some grid's report, so a default would let a run
+/// overwrite one.
 fn run_out_path(opts: &Opts) -> Result<&str, String> {
-    match &opts.out {
-        Some(path) => Ok(path),
-        None if opts.grid == "paper" => Ok(DEFAULT_FILE),
-        None => Err(format!(
-            "`run --grid {}` needs --out FILE: only the `paper` grid defaults to \
-             {DEFAULT_FILE}, which another grid's report would overwrite",
+    opts.out.as_deref().ok_or_else(|| {
+        format!(
+            "`run --grid {0}` needs --out FILE (`numa-lab table --grid {0}` prints the \
+             tables without writing anything)",
             opts.grid
-        )),
-    }
+        )
+    })
 }
 
-fn cmd_run(opts: &Opts) -> Result<ExitCode, String> {
-    let out = run_out_path(opts)?;
+/// `run` (`writes`) and `table`: run the grid and print its tables;
+/// `run` also writes the sweep document.
+fn cmd_run(opts: &Opts, writes: bool) -> Result<ExitCode, String> {
+    let out = if writes { Some(run_out_path(opts)?) } else { None };
     let grid = lookup_grid(opts)?;
-    let (sweep, elapsed) = if opts.resume {
-        run_sweep_resumable(grid, opts, out)?
-    } else {
-        run_sweep(grid, opts).map_err(|e| e.to_string())?
+    let (sweep, elapsed) = match out {
+        Some(out) if opts.resume => run_sweep_resumable(grid, opts, out)?,
+        _ => run_sweep(grid, opts).map_err(|e| e.to_string())?,
     };
     print_sweep_tables(&sweep);
-    let bytes = write_report(&sweep, out)?;
-    println!("Wrote {out} ({bytes} bytes).");
+    if let Some(out) = out {
+        let bytes = write_report(&sweep, out)?;
+        println!("Wrote {out} ({bytes} bytes).");
+    }
     eprintln!(
         "ran {} jobs on {} workers in {elapsed:.2}s wall-clock",
         sweep.results.len(),
@@ -450,7 +476,8 @@ pub fn run(args: Vec<String>) -> ExitCode {
         Err(e) => return usage_error(&e),
     };
     let result = match command {
-        "run" => cmd_run(&opts),
+        "run" => cmd_run(&opts, true),
+        "table" => cmd_run(&opts, false),
         "list" => cmd_list(&opts),
         "diff" => cmd_diff(&opts, false),
         "gate" => cmd_diff(&opts, true),
@@ -483,18 +510,17 @@ mod tests {
     }
 
     #[test]
-    fn only_the_paper_grid_has_a_default_output_file() {
-        let o = parse_opts(&args(&[])).unwrap();
-        assert_eq!(run_out_path(&o), Ok(DEFAULT_FILE));
-        let o = parse_opts(&args(&["--grid", "paper"])).unwrap();
-        assert_eq!(run_out_path(&o), Ok(DEFAULT_FILE));
-        // Any other grid would overwrite the committed paper baseline:
-        // a usage error (exit 2) that names the missing flag, raised
+    fn no_grid_has_a_default_output_file() {
+        // Without --out, every grid — the default `paper` one included —
+        // is a usage error (exit 2) that names the missing flag, raised
         // before anything runs.
-        let o = parse_opts(&args(&["--grid", "serving"])).unwrap();
-        let err = run_out_path(&o).unwrap_err();
-        assert!(err.contains("--out") && err.contains("serving"), "got: {err}");
-        assert_eq!(run(args(&["run", "--grid", "serving", "--quiet"])), ExitCode::from(2));
+        for given in [&[][..], &["--grid", "paper"], &["--grid", "serving"]] {
+            let o = parse_opts(&args(given)).unwrap();
+            let err = run_out_path(&o).unwrap_err();
+            assert!(err.contains("--out") && err.contains(&o.grid), "got: {err}");
+            let cmd: Vec<&str> = ["run", "--quiet"].iter().chain(given).copied().collect();
+            assert_eq!(run(args(&cmd)), ExitCode::from(2));
+        }
         let o = parse_opts(&args(&["--grid", "serving", "--out", "s.json"])).unwrap();
         assert_eq!(run_out_path(&o), Ok("s.json"));
     }

@@ -40,9 +40,10 @@ use std::collections::HashSet;
 /// under every `--jobs` setting.
 const FAULT_SEED: u64 = 0x0ACE_5EED;
 
-/// The eight applications of the paper's evaluation — plus the serving
-/// workload, which is not part of the paper's table and therefore not
-/// in [`AppId::ALL`] — as grid values.
+/// The eight applications of the paper's evaluation — plus the naive
+/// Primes2 of section 4.2 and the serving workload, which are not rows
+/// of the paper's Table 3 and therefore not in [`AppId::ALL`] — as grid
+/// values.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum AppId {
     /// Pure integer multiplication, no data references.
@@ -55,6 +56,9 @@ pub enum AppId {
     Primes1,
     /// Trial division by previously found primes (tuned variant).
     Primes2,
+    /// Primes2 before section 4.2's fix: divisors read from the shared
+    /// output vector, falsely sharing pages with its append count.
+    Primes2Naive,
     /// Sieve in writably shared memory.
     Primes3,
     /// EPEX-style 2-D FFT.
@@ -89,6 +93,7 @@ impl AppId {
             AppId::IMatMult => "IMatMult",
             AppId::Primes1 => "Primes1",
             AppId::Primes2 => "Primes2",
+            AppId::Primes2Naive => "Primes2-naive",
             AppId::Primes3 => "Primes3",
             AppId::Fft => "FFT",
             AppId::PlyTrace => "PlyTrace",
@@ -101,7 +106,7 @@ impl AppId {
         AppId::ALL
             .iter()
             .copied()
-            .chain(std::iter::once(AppId::KvServe))
+            .chain([AppId::Primes2Naive, AppId::KvServe])
             .find(|a| a.name().eq_ignore_ascii_case(s))
     }
 
@@ -113,6 +118,7 @@ impl AppId {
             AppId::IMatMult => Box::new(IMatMult::new(scale)),
             AppId::Primes1 => Box::new(Primes1::new(scale)),
             AppId::Primes2 => Box::new(Primes2::new(scale, DivisorDiscipline::PrivateCopy)),
+            AppId::Primes2Naive => Box::new(Primes2::new(scale, DivisorDiscipline::SharedVector)),
             AppId::Primes3 => Box::new(Primes3::new(scale)),
             AppId::Fft => Box::new(Fft::new(scale)),
             AppId::PlyTrace => Box::new(PlyTrace::new(scale)),
@@ -120,13 +126,12 @@ impl AppId {
         }
     }
 
-    /// The paper evaluates fetch-dominated programs with G/L = 2.3
-    /// instead of 2 (mirrors [`App::fetch_heavy`]).
+    /// The G/L ratio the application's model is solved with: the
+    /// application's own [`App::g_over_l`], read from a test-scale
+    /// instance (scale does not enter the rule, and a test-scale app is
+    /// a few words).
     pub fn g_over_l(self) -> f64 {
-        match self {
-            AppId::Gfetch | AppId::IMatMult => 2.3,
-            _ => 2.0,
-        }
+        self.make(Scale::Test).g_over_l()
     }
 }
 
@@ -572,12 +577,13 @@ impl Axis {
 type Preset = (&'static str, fn() -> Grid);
 
 /// Every built-in preset, in `numa-lab list` order.
-const PRESETS: [Preset; 11] = [
+const PRESETS: [Preset; 12] = [
     ("paper", Grid::paper),
     ("paper-bench", Grid::paper_bench),
     ("smoke", Grid::smoke),
     ("threshold", Grid::threshold),
     ("page-size", Grid::page_size),
+    ("speedup", Grid::speedup),
     ("faults", Grid::faults),
     ("pressure", Grid::pressure),
     ("chaos", Grid::chaos),
@@ -634,25 +640,46 @@ impl Grid {
         }
     }
 
-    /// Move-limit threshold ablation on the two most
-    /// threshold-sensitive applications.
+    /// Ablation A1, the pin threshold (the boot-time parameter of
+    /// section 2.3.2, default 4), at bench scale: the write-shared sieve
+    /// and the mostly-private FFT under move-limit at thresholds 0 to 16,
+    /// and under `never-pin`, the infinite threshold.
     pub fn threshold() -> Grid {
         Grid {
             name: "threshold".to_string(),
-            apps: vec![AppId::IMatMult, AppId::Primes3],
-            placements: vec![Placement::Numa],
+            scale: Scale::Bench,
+            apps: vec![AppId::Primes3, AppId::Fft],
+            placements: vec![Placement::Numa, Placement::NeverPin],
             thresholds: vec![0, 1, 2, 4, 8, 16],
             ..Grid::paper()
         }
     }
 
-    /// Page-size ablation (false-sharing sensitivity).
+    /// Section 4.2 and ablation A6, at bench scale: Primes2 before and
+    /// after privatizing its divisors, under the three placements at
+    /// page sizes from 64 B (about a cache line, section 4.5) to 8 KB —
+    /// false sharing grows with the page. The 2 KB rows are section
+    /// 4.2's table.
     pub fn page_size() -> Grid {
         Grid {
             name: "page-size".to_string(),
-            apps: vec![AppId::Primes3],
-            placements: vec![Placement::Numa],
-            page_sizes: vec![256, 512, 2048, 8192],
+            scale: Scale::Bench,
+            apps: vec![AppId::Primes2Naive, AppId::Primes2],
+            page_sizes: vec![64, 128, 512, 2048, 8192],
+            ..Grid::paper()
+        }
+    }
+
+    /// Ablation A8, the elapsed-time view section 3.1 sets aside, at
+    /// bench scale: makespan of IMatMult and FFT under all-global and
+    /// NUMA placement on 1, 2, 4 and 8 processors.
+    pub fn speedup() -> Grid {
+        Grid {
+            name: "speedup".to_string(),
+            scale: Scale::Bench,
+            apps: vec![AppId::IMatMult, AppId::Fft],
+            placements: vec![Placement::Global, Placement::Numa],
+            cpus: vec![1, 2, 4, 8],
             ..Grid::paper()
         }
     }
@@ -1191,11 +1218,11 @@ mod tests {
         g.fault_rates = vec![0.01];
         let jobs = g.jobs();
         let j = &jobs[0];
-        assert_eq!(j.page_size, 256);
+        assert_eq!(j.page_size, 64);
         let cfg = j.sim_config();
-        assert_eq!(cfg.machine.page_size.bytes(), 256);
-        assert_eq!(cfg.machine.global_frames * 256, 16 * 1024 * 1024);
-        assert_eq!(cfg.machine.topology.local_frames(NodeId(0)) * 256, 8 * 1024 * 1024);
+        assert_eq!(cfg.machine.page_size.bytes(), 64);
+        assert_eq!(cfg.machine.global_frames * 64, 16 * 1024 * 1024);
+        assert_eq!(cfg.machine.topology.local_frames(NodeId(0)) * 64, 8 * 1024 * 1024);
         assert!(cfg.machine.faults.bus_timeout_rate > 0.0);
         assert_eq!(j.policy().name(), "move-limit");
         cfg.machine.validate().unwrap();
@@ -1397,6 +1424,22 @@ mod tests {
     }
 
     #[test]
+    fn the_naive_primes2_is_a_grid_value_but_not_a_paper_row() {
+        assert_eq!(AppId::from_name("primes2-naive"), Some(AppId::Primes2Naive));
+        assert!(!AppId::ALL.contains(&AppId::Primes2Naive));
+        assert_eq!(AppId::Primes2Naive.make(Scale::Test).name(), AppId::Primes2Naive.name());
+    }
+
+    #[test]
+    fn g_over_l_is_the_application_s_own_rule() {
+        for app in AppId::ALL.into_iter().chain([AppId::Primes2Naive, AppId::KvServe]) {
+            let fetch_only = matches!(app, AppId::Gfetch | AppId::IMatMult);
+            assert_eq!(app.g_over_l(), if fetch_only { 2.3 } else { 2.0 }, "{}", app.name());
+            assert_eq!(app.g_over_l(), app.make(Scale::Bench).g_over_l(), "{}", app.name());
+        }
+    }
+
+    #[test]
     fn make_app_applies_serving_overrides() {
         let g = Grid::serving();
         let j = g.jobs().into_iter().find(|j| j.req_rate == Some(500)).unwrap();
@@ -1517,7 +1560,9 @@ mod tests {
         // commit, where `Grid::jobs` was an 18-deep `for` nest: the
         // table-driven expansion must yield the same cells in the same
         // order. Four of the presets have no committed document to pin
-        // them otherwise.
+        // them otherwise. `threshold` and `page-size` were later reshaped
+        // into the bench binaries' experiments and `speedup` added; their
+        // rows were recorded then.
         let mixed = |mut g: Grid| {
             g.apps = vec![AppId::Gfetch, AppId::KvServe];
             g
@@ -1525,12 +1570,13 @@ mod tests {
         let mut clamp = Grid::chaos();
         clamp.cpus = vec![2];
         clamp.offline_nodes = vec![1, 8];
-        let at_parent: [(Grid, usize, u64); 14] = [
+        let at_parent: [(Grid, usize, u64); 15] = [
             (Grid::paper(), 24, 17769952996750020396),
             (Grid::paper_bench(), 24, 17769952996750020396),
             (Grid::smoke(), 6, 1756335651542545867),
-            (Grid::threshold(), 12, 18289404879006876961),
-            (Grid::page_size(), 4, 13285574285430139626),
+            (Grid::threshold(), 14, 1075114687477495436),
+            (Grid::page_size(), 30, 16286528200713031365),
+            (Grid::speedup(), 16, 15653979394277048321),
             (Grid::faults(), 3, 1012550219534599443),
             (Grid::pressure(), 12, 1334399404626712183),
             (Grid::chaos(), 16, 15468458493555459293),

@@ -25,8 +25,9 @@
 //! * [`gate`] — diff a fresh sweep against the committed baseline with
 //!   the tolerance each leaf's descriptor class names: the
 //!   perf-regression gate CI runs;
-//! * [`cli`] — the `numa-lab` binary (`run` / `list` / `diff` /
-//!   `gate`), with hand-rolled, offline-friendly argument parsing.
+//! * [`cli`] — the `numa-lab` binary (`run` / `table` / `list` /
+//!   `diff` / `gate`), with hand-rolled, offline-friendly argument
+//!   parsing.
 //!
 //! Progress reporting rides the observability pipeline from PR 2: the
 //! farm emits one [`numa_metrics::EventKind::JobCompleted`] event per

@@ -8,8 +8,9 @@
 //! Besides the raw per-cell measurements, the report solves the
 //! paper's analytic model (equations 4 and 5) for every `numa` cell
 //! whose `local` and `global` companions are in the same grid, and
-//! embeds the paper's published α/β/γ next to each solved row — the
-//! same side-by-side the bench harnesses print, but machine-readable.
+//! embeds the paper's published α/β/γ next to each solved row. These
+//! rows are the reproduction's Table 3 and Table 4: `numa-lab table`
+//! prints them, and nothing else solves the model.
 
 use crate::checkpoint::Checkpoint;
 use crate::farm::{self, FarmOptions, JobResult, LabError};
@@ -30,7 +31,8 @@ pub struct Sweep {
     pub results: Vec<JobResult>,
 }
 
-/// One solved model row (the sweep-level analogue of a Table 3 row).
+/// One solved model row: a row of Table 3, and of Table 4 through its
+/// system times.
 #[derive(Clone, Debug)]
 pub struct ModelRow {
     /// The `numa` cell the row was solved for.
@@ -49,10 +51,31 @@ pub struct ModelRow {
     pub gamma: f64,
     /// Ground-truth local-reference fraction of the `numa` run.
     pub alpha_measured: f64,
+    /// S_numa: system time of the cell itself (seconds).
+    pub s_numa: f64,
+    /// S_global: system time of the matching `global` cell (seconds).
+    pub s_global: f64,
     /// The `numa` cell's serving report, when the cell is a serving
     /// workload: its latency tail is published next to the model
     /// columns.
     pub serving: Option<ServingReport>,
+}
+
+impl ModelRow {
+    /// ΔS = S_numa − S_global: the system time NUMA management costs.
+    pub fn delta_s(&self) -> f64 {
+        self.s_numa - self.s_global
+    }
+
+    /// Table 4's overhead ΔS / T_numa, in percent; a negative ΔS costs
+    /// nothing.
+    pub fn sys_overhead_pct(&self) -> f64 {
+        if self.t_numa == 0.0 {
+            0.0
+        } else {
+            100.0 * self.delta_s().max(0.0) / self.t_numa
+        }
+    }
 }
 
 impl Sweep {
@@ -149,6 +172,8 @@ impl Sweep {
                 beta,
                 gamma,
                 alpha_measured: result.report.alpha_measured(),
+                s_numa: result.report.system_secs(),
+                s_global: global.report.system_secs(),
                 serving: result.report.serving.clone(),
             });
         }
@@ -305,7 +330,9 @@ pub(crate) fn class_of(key: &str) -> Class {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::PolicyAxis;
+    use crate::grid::{AppId, PolicyAxis};
+    use numa_apps::Scale;
+    use numa_metrics::paper::PAPER_TABLE4;
     use numa_metrics::validate;
 
     #[test]
@@ -376,9 +403,40 @@ mod tests {
 
     #[test]
     fn grids_without_baselines_have_no_model_rows() {
-        let sweep = Sweep::run(Grid::threshold(), 2, None).unwrap();
+        let grid = Grid { scale: Scale::Test, ..Grid::threshold() };
+        let sweep = Sweep::run(grid, 2, None).unwrap();
         assert!(sweep.model_rows().is_empty());
         validate(&sweep.to_json().to_string_flat()).unwrap();
+    }
+
+    #[test]
+    fn primes3_dominates_the_system_time_overhead() {
+        // Table 4's signature result, over Table 4's applications: the
+        // rapidly allocated sieve is copied local to local several times
+        // per page before pinning.
+        let rows = Sweep::run(Grid::paper(), 2, None).unwrap().model_rows();
+        let overhead = |name| {
+            let row = rows.iter().find(|r| r.spec.app.name() == name).expect("row per app");
+            row.sys_overhead_pct()
+        };
+        let primes3 = overhead("Primes3");
+        for (other, ..) in PAPER_TABLE4.iter().filter(|p| p.0 != "Primes3") {
+            assert!(primes3 > overhead(other), "Primes3 {primes3:.1}% vs {other}");
+        }
+    }
+
+    #[test]
+    fn smaller_pages_reduce_false_sharing() {
+        // Section 4.5: the naive Primes2's divisors share fewer pages
+        // with its write-hot append region as the page shrinks.
+        let grid = Grid { scale: Scale::Test, ..Grid::page_size() };
+        let rows = Sweep::run(grid, 2, None).unwrap().model_rows();
+        let alpha_at = |page_size| {
+            let naive = |r: &&ModelRow| r.spec.app == AppId::Primes2Naive;
+            let row = rows.iter().filter(naive).find(|r| r.spec.page_size == page_size);
+            row.expect("naive row per page size").alpha_measured
+        };
+        assert!(alpha_at(64) > alpha_at(8192), "{} vs {}", alpha_at(64), alpha_at(8192));
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! 2. a worker that dies mid-grid surfaces as a typed error, never a
 //!    hang.
 
+use numa_apps::Scale;
 use numa_lab::{run_jobs_with, Grid, LabError, Sweep};
 
 #[test]
@@ -24,8 +25,9 @@ fn repeated_parallel_runs_are_byte_identical() {
 
 #[test]
 fn ablation_grids_are_deterministic_too() {
-    let a = Sweep::run(Grid::threshold(), 1, None).unwrap().to_json().to_string_flat();
-    let b = Sweep::run(Grid::threshold(), 6, None).unwrap().to_json().to_string_flat();
+    let grid = Grid { scale: Scale::Test, ..Grid::threshold() };
+    let a = Sweep::run(grid.clone(), 1, None).unwrap().to_json().to_string_flat();
+    let b = Sweep::run(grid, 6, None).unwrap().to_json().to_string_flat();
     assert_eq!(a, b);
 }
 

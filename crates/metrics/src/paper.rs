@@ -1,13 +1,7 @@
 //! The paper's published evaluation numbers — the single source of
 //! truth shared by the bench harnesses, the `numa-lab` experiment
-//! runner, and the examples.
-//!
-//! These constants used to live in `numa-bench`; they moved here so
-//! that every consumer (benches print them next to measured rows, the
-//! lab's sweep reports embed them for side-by-side reading) pulls from
-//! one copy. `numa-bench` re-exports everything in this module, so
-//! existing `use numa_bench::{PAPER_TABLE3, ...}` call sites keep
-//! working.
+//! runner, and the benchmark: the lab's sweep reports embed them and
+//! `numa-lab table` prints them next to the measured rows.
 
 /// Processor count used by the evaluation runs (Table 4 says "runs on 7
 /// processors"; Table 3 reuses it).

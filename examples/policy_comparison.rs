@@ -59,7 +59,7 @@ fn main() -> ExitCode {
         // and the all-global policy on the full machine (T_global).
         let t_local = baseline(app, 1, Box::new(MoveLimitPolicy::default()));
         let t_global = baseline(app, CPUS, Box::new(AllGlobalPolicy));
-        let g_over_l = if app.fetch_heavy() { 2.3 } else { 2.0 };
+        let g_over_l = app.g_over_l();
 
         let mut t = Table::new(&[
             "policy",

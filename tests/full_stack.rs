@@ -1,6 +1,7 @@
 //! Cross-crate integration: the whole stack (machine, VM, NUMA layer,
 //! engine, threads, applications) working together.
 
+use numa_lab::{AppId, Grid, ModelRow, Sweep};
 use numa_repro::apps::{
     paper_mix, App, DivisorDiscipline, Fft, Gfetch, IMatMult, Primes2, Primes3, Scale,
 };
@@ -95,37 +96,41 @@ fn full_runs_are_deterministic() {
     assert_eq!(run(), run());
 }
 
+/// Table 3 rows for `apps` at test scale on three processors: the
+/// `paper` grid's placements, solved by `Sweep::model_rows`.
+fn table3_rows(apps: Vec<AppId>) -> Vec<ModelRow> {
+    let grid = Grid { apps, cpus: vec![3], ..Grid::paper() };
+    Sweep::run(grid, 2, None).expect("grid runs").model_rows()
+}
+
 /// The derived (paper-methodology) alpha and the directly measured alpha
 /// must agree on which side of 0.5 an application falls — the model is
 /// an estimator of the counters.
 #[test]
 fn derived_alpha_tracks_measured_alpha() {
-    for app in [
-        Box::new(IMatMult::new(Scale::Test)) as Box<dyn App>,
-        Box::new(Gfetch::new(Scale::Test)),
-        Box::new(Primes3::new(Scale::Test)),
-    ] {
-        let row = numa_repro::apps::table3_row(app.as_ref(), 3, 3);
+    for row in table3_rows(vec![AppId::IMatMult, AppId::Gfetch, AppId::Primes3]) {
+        let name = row.spec.app.name();
         if let Some(alpha) = row.alpha {
             // The estimator is noisy at tiny scale; require agreement
             // only when the measured value is decisive.
             if row.alpha_measured > 0.7 {
-                assert!(
-                    alpha > 0.5,
-                    "{}: derived {alpha} vs measured {}",
-                    row.name,
-                    row.alpha_measured
-                );
+                assert!(alpha > 0.5, "{name}: derived {alpha} vs measured {}", row.alpha_measured);
             } else if row.alpha_measured < 0.3 {
-                assert!(
-                    alpha < 0.5,
-                    "{}: derived {alpha} vs measured {}",
-                    row.name,
-                    row.alpha_measured
-                );
+                assert!(alpha < 0.5, "{name}: derived {alpha} vs measured {}", row.alpha_measured);
             }
         }
     }
+}
+
+/// Gfetch's Table 3 shape: "Its beta is thus 1 and its alpha 0", and
+/// gamma is G/L on fetches.
+#[test]
+fn table3_shape_alpha_zero_beta_one() {
+    let [row] = &table3_rows(vec![AppId::Gfetch])[..] else { panic!("one row") };
+    let alpha = row.alpha.expect("gfetch is placement sensitive");
+    assert!(alpha < 0.25, "alpha = {alpha}, paper reports 0");
+    assert!(row.beta > 0.7, "beta = {}, paper reports 1.0", row.beta);
+    assert!(row.gamma > 1.7 && row.gamma < 2.9, "gamma = {}, paper reports 2.27", row.gamma);
 }
 
 /// The directory invariants hold after a messy multi-app workload on a
