@@ -15,22 +15,31 @@ use crate::types::{CpuId, NodeId};
 /// translate these into their own vocabulary.
 ///
 /// Every variant carries the acting processor and that processor's
-/// virtual clock *after* the cost was charged, so a tap sees a
-/// monotonically non-decreasing clock per processor.
+/// virtual clock *after* the cost was charged (an `Access` run: after
+/// its first element), so a tap sees a monotonically non-decreasing
+/// clock per processor.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MachineEvent {
-    /// A memory access was charged.
+    /// A run of `count` identical memory accesses was charged, with
+    /// nothing else charged to the processor in between. Element `i`
+    /// left the processor's clock at `t + i * dt`: `t` is stamped on the
+    /// first element and `dt` is the constant per-element cost. A single
+    /// [`Machine::charge_access`] is a run of one (`dt` zero).
     Access {
         /// The referencing processor.
         cpu: CpuId,
         /// Fetch or store.
         kind: Access,
-        /// Where the reference was served from.
+        /// Where the references were served from.
         dist: Distance,
-        /// Width in 32-bit words.
+        /// Width of each reference in 32-bit words.
         words: u64,
-        /// The processor's clock after the charge.
+        /// The processor's clock after the first element's charge.
         t: Ns,
+        /// Clock step between consecutive elements.
+        dt: Ns,
+        /// Number of accesses (at least 1).
+        count: u64,
     },
     /// A whole page was copied.
     PageCopy {
@@ -222,16 +231,18 @@ impl Machine {
         self.mem.touch(frame, self.clocks.cpu(cpu).total());
         if self.tap.is_some() {
             let now = self.clocks.cpu(cpu).total();
-            self.emit(MachineEvent::Access { cpu, kind, dist, words, t: now });
+            let dt = Ns::ZERO;
+            self.emit(MachineEvent::Access { cpu, kind, dist, words, t: now, dt, count: 1 });
         }
         t
     }
 
     /// True when `n` identical accesses at `dist` are indistinguishable
-    /// from one batched arithmetic charge: no event tap listening (taps
-    /// see per-access timestamps) and no bus queue advancing per access.
+    /// from one batched arithmetic charge: no bus queue advancing per
+    /// access. A tap is no obstacle — it is told the run (see
+    /// [`Machine::charge_access_n`]).
     pub fn batchable(&self, dist: Distance) -> bool {
-        self.tap.is_none() && !(self.config.bus_contention && dist != Distance::Local)
+        !(self.config.bus_contention && dist != Distance::Local)
     }
 
     /// The queueing-free cost of one `words`-word access of `kind` by
@@ -242,9 +253,11 @@ impl Machine {
     }
 
     /// Charges `n` identical accesses in one arithmetic step. Requires
-    /// [`Machine::batchable`] for the frame's distance; bus counters and
-    /// the processor clock end up exactly where `n` calls of
-    /// [`Machine::charge_access`] would leave them.
+    /// [`Machine::batchable`] for the frame's distance; bus counters, the
+    /// processor clock and the frame's last touch end up exactly where
+    /// `n` calls of [`Machine::charge_access`] would leave them, and a
+    /// tap is sent one [`MachineEvent::Access`] run whose expansion is
+    /// the `n` events those calls would have sent.
     pub fn charge_access_n(
         &mut self,
         cpu: CpuId,
@@ -254,15 +267,21 @@ impl Machine {
         n: u64,
     ) -> Ns {
         let dist = self.distance(cpu, frame.region);
-        debug_assert!(self.batchable(dist), "batched charge with an observer attached");
+        debug_assert!(self.batchable(dist), "batched charge behind a bus queue");
         match dist {
             Distance::Global => self.bus.add_global(words * n),
             Distance::Remote => self.bus.add_remote(words * n),
             Distance::Local => {}
         }
-        let t = self.access_cost(cpu, kind, frame.region, words) * n;
+        let dt = self.access_cost(cpu, kind, frame.region, words);
+        let t = dt * n;
         self.clocks.charge_user(cpu, t);
-        self.mem.touch(frame, self.clocks.cpu(cpu).total());
+        let now = self.clocks.cpu(cpu).total();
+        self.mem.touch(frame, now);
+        if self.tap.is_some() && n > 0 {
+            let first = now - dt * (n - 1);
+            self.emit(MachineEvent::Access { cpu, kind, dist, words, t: first, dt, count: n });
+        }
         t
     }
 
@@ -557,6 +576,83 @@ mod tests {
         ));
         assert!(matches!(log[1], MachineEvent::PageCopy { .. }));
         assert!(matches!(log[4], MachineEvent::Shootdown { .. }));
+    }
+
+    /// The events a tap would have seen had each element of every
+    /// `Access` run been charged on its own.
+    fn expand(log: &[MachineEvent]) -> Vec<MachineEvent> {
+        let mut out = Vec::new();
+        for &e in log {
+            match e {
+                MachineEvent::Access { cpu, kind, dist, words, t, dt, count } => {
+                    out.extend((0..count).map(|i| MachineEvent::Access {
+                        cpu,
+                        kind,
+                        dist,
+                        words,
+                        t: t + dt * i,
+                        dt: Ns::ZERO,
+                        count: 1,
+                    }));
+                }
+                other => out.push(other),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn a_batched_charge_taps_one_run_that_expands_to_single_charges() {
+        use std::sync::{Arc, Mutex};
+        let mut batched = machine();
+        let mut single = machine();
+        let logs: [Arc<Mutex<Vec<MachineEvent>>>; 2] = Default::default();
+        for (m, log) in [&mut batched, &mut single].into_iter().zip(&logs) {
+            let log = Arc::clone(log);
+            m.set_tap(Box::new(move |e| log.lock().unwrap().push(e)));
+        }
+        let regions = [MemRegion::Global, MemRegion::Local(NodeId(0)), MemRegion::Local(NodeId(1))];
+        let alloc = |m: &mut Machine| regions.map(|r| m.mem.alloc(r).unwrap());
+        let frames = alloc(&mut batched);
+        assert_eq!(alloc(&mut single), frames, "twin machines allocate alike");
+        // (cpu, kind, frame, words, n): global, local and remote runs.
+        let steps = [
+            (CpuId(0), Access::Fetch, 0, 2, 7),
+            (CpuId(1), Access::Store, 1, 1, 1),
+            (CpuId(0), Access::Store, 2, 1, 5),
+        ];
+        for (cpu, kind, f, words, n) in steps {
+            let tb = batched.charge_access_n(cpu, kind, frames[f], words, n);
+            let ts: Ns = (0..n).map(|_| single.charge_access(cpu, kind, frames[f], words)).sum();
+            assert_eq!(tb, ts);
+        }
+        let (b, s) = (logs[0].lock().unwrap(), logs[1].lock().unwrap());
+        assert_eq!(b.len(), steps.len(), "one Access per batched call");
+        assert_eq!(s.len(), 13);
+        assert_eq!(expand(&b), *s);
+        for cpu in [CpuId(0), CpuId(1)] {
+            assert_eq!(batched.clocks.cpu(cpu), single.clocks.cpu(cpu));
+        }
+        assert_eq!(batched.bus.global_word_transfers, single.bus.global_word_transfers);
+        assert_eq!(batched.bus.total_bytes(), single.bus.total_bytes());
+        for &f in &frames {
+            assert_eq!(batched.mem.last_touch(f), single.mem.last_touch(f));
+        }
+    }
+
+    #[test]
+    fn only_a_bus_queue_keeps_a_charge_off_the_batched_path() {
+        let mut m = machine();
+        m.set_tap(Box::new(|_| {}));
+        for dist in [Distance::Local, Distance::Global, Distance::Remote] {
+            assert!(m.batchable(dist), "a tap alone does not force single charges");
+        }
+        let mut cfg = crate::topology::TopologyBuilder::small(2).config();
+        cfg.bus_contention = true;
+        let m = Machine::new(cfg);
+        assert!(m.batchable(Distance::Local), "local references never queue");
+        assert!(!m.batchable(Distance::Global));
+        assert!(!m.batchable(Distance::Remote));
     }
 
     #[test]

@@ -338,6 +338,12 @@ fn state_json(s: PageState) -> Json {
 }
 
 impl Event {
+    /// The `count` events of a run that starts at `self` and steps the
+    /// clock by `dt` (see [`EventSink::record_run`]).
+    pub(crate) fn run(self, dt: Ns, count: u64) -> impl Iterator<Item = Event> {
+        (0..count).map(move |i| Event { t: self.t + dt * i, ..self })
+    }
+
     /// Serializes the event as one deterministic JSON object.
     pub fn to_json(&self) -> Json {
         let base = Json::obj()
@@ -504,6 +510,18 @@ impl Event {
 pub trait EventSink {
     /// Receives one event.
     fn record(&mut self, event: &Event);
+
+    /// Receives a run of `count` events that differ only in their clock:
+    /// element `i` is `first` stamped `first.t + i * dt`. The machine
+    /// tier reports references this way ([`MachineEvent::Access`]). The
+    /// default expands the run into [`EventSink::record`] calls — the one
+    /// shim every sink that keeps or counts events one by one relies on;
+    /// an aggregating sink may take the run whole instead.
+    fn record_run(&mut self, first: &Event, dt: Ns, count: u64) {
+        for event in first.run(dt, count) {
+            self.record(&event);
+        }
+    }
 }
 
 /// A shareable, thread-safe sink handle. The simulation layers each
@@ -543,10 +561,12 @@ impl EventSink for VecSink {
     }
 }
 
+/// An `Access` run converts to its first element; the run's `dt` and
+/// `count` go to [`EventSink::record_run`] beside it.
 impl From<MachineEvent> for Event {
     fn from(me: MachineEvent) -> Event {
         match me {
-            MachineEvent::Access { cpu, kind, dist, words, t } => Event {
+            MachineEvent::Access { cpu, kind, dist, words, t, .. } => Event {
                 t,
                 cpu,
                 kind: EventKind::Reference { access: kind, dist, words },
@@ -652,13 +672,26 @@ mod tests {
             dist: Distance::Global,
             words: 3,
             t: Ns(99),
+            dt: Ns(10),
+            count: 4,
         }
         .into();
-        assert_eq!(e.t, Ns(99));
+        assert_eq!(e.t, Ns(99), "a run converts to its first element");
         assert_eq!(e.cpu, CpuId(1));
         assert!(matches!(
             e.kind,
             EventKind::Reference { access: Access::Store, dist: Distance::Global, words: 3 }
         ));
+    }
+
+    #[test]
+    fn the_default_record_run_expands_into_records() {
+        let first = Event { t: Ns(5), cpu: CpuId(2), kind: EventKind::DaemonTick };
+        let mut sink = VecSink::new();
+        sink.record_run(&first, Ns(3), 4);
+        sink.record_run(&first, Ns::ZERO, 0);
+        let ts: Vec<u64> = sink.events.iter().map(|e| e.t.0).collect();
+        assert_eq!(ts, [5, 8, 11, 14]);
+        assert!(sink.events.iter().all(|e| e.cpu == first.cpu && e.kind == first.kind));
     }
 }

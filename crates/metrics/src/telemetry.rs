@@ -255,6 +255,35 @@ impl Telemetry {
         }
     }
 
+    /// Adds `count` references of `words` words each at `dist` to
+    /// `cpu`'s timeline, element `i` at `t + i * dt`, in closed form:
+    /// one step per bucket the run touches, however many elements fall
+    /// in it.
+    #[inline]
+    fn bucket_run(&mut self, cpu: usize, dist: Distance, words: u64, t: Ns, dt: Ns, count: u64) {
+        if count == 0 {
+            return;
+        }
+        if self.timelines.len() <= cpu {
+            self.timelines.resize_with(cpu + 1, CpuTimeline::default);
+        }
+        let timeline = &mut self.timelines[cpu];
+        let (width, t, dt) = (self.bucket_width.0, t.0, dt.0);
+        if dt == 0 {
+            timeline.record((t / width) as usize, dist, words * count);
+            return;
+        }
+        let mut i = 0;
+        while i < count {
+            let bucket = (t + i * dt) / width;
+            // The first element past this bucket: the least `j` with
+            // `t + j * dt >= (bucket + 1) * width`.
+            let end = ((bucket + 1) * width - t).div_ceil(dt).min(count);
+            timeline.record(bucket as usize, dist, words * (end - i));
+            i = end;
+        }
+    }
+
     /// Serializes every aggregate as one deterministic JSON object.
     pub fn to_json(&self) -> Json {
         let mut ids: Vec<&u32> = self.pages.keys().collect();
@@ -309,12 +338,7 @@ impl EventSink for Telemetry {
         let cpu = event.cpu.index() as u16;
         match event.kind {
             EventKind::Reference { dist, words, .. } => {
-                let bucket = (t.0 / self.bucket_width.0) as usize;
-                let idx = cpu as usize;
-                if self.timelines.len() <= idx {
-                    self.timelines.resize_with(idx + 1, CpuTimeline::default);
-                }
-                self.timelines[idx].record(bucket, dist, words);
+                self.bucket_run(cpu as usize, dist, words, t, Ns::ZERO, 1);
             }
             EventKind::PageCopied { .. } => self.close_recovery(cpu, t),
             EventKind::StateChanged { lpage, .. } => {
@@ -400,6 +424,18 @@ impl EventSink for Telemetry {
             | EventKind::CpuOffline { .. }
             | EventKind::ThreadsDrained { .. }
             | EventKind::JobCompleted { .. } => {}
+        }
+    }
+
+    /// A reference run goes into its processor's timeline in closed
+    /// form, one step per bucket it touches; any other run is expanded.
+    fn record_run(&mut self, first: &Event, dt: Ns, count: u64) {
+        match first.kind {
+            EventKind::Reference { dist, words, .. } => {
+                self.events_seen += count;
+                self.bucket_run(first.cpu.index(), dist, words, first.t, dt, count);
+            }
+            _ => first.run(dt, count).for_each(|event| self.record(&event)),
         }
     }
 }
@@ -504,6 +540,43 @@ mod tests {
         assert_eq!(t.timelines[1].buckets[0], [0, 0, 1]);
         let s = t.to_json().to_string_flat();
         validate(&s).unwrap();
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// A run taken whole aggregates exactly like its elements taken
+        /// one by one: runs with `dt = 0`, runs of one, runs stepping
+        /// inside one bucket and across many, and runs stepping over
+        /// whole buckets at a time.
+        #[test]
+        fn a_reference_run_aggregates_like_its_elements(
+            width in 1u64..5_000,
+            runs in proptest::collection::vec(
+                ((0u16..3, 0u8..3, 1u64..3), (0u64..200_000, 0u8..4, 0u64..5_000, 1u64..300)),
+                1..8,
+            ),
+        ) {
+            let mut whole = Telemetry::with_bucket(Ns(width));
+            let mut one_by_one = Telemetry::with_bucket(Ns(width));
+            for ((cpu, dist, words), (t, shape, step, n)) in runs {
+                let (dt, count) = match shape {
+                    0 => (0, n),
+                    1 => (step, 1),
+                    2 => (step % width, n),
+                    _ => (width + step, n),
+                };
+                let dist = [Distance::Local, Distance::Global, Distance::Remote][dist as usize];
+                let first = ev(t, cpu, EventKind::Reference { access: Access::Fetch, dist, words });
+                whole.record_run(&first, Ns(dt), count);
+                first.run(Ns(dt), count).for_each(|e| one_by_one.record(&e));
+            }
+            proptest::prop_assert_eq!(whole.events_seen(), one_by_one.events_seen());
+            proptest::prop_assert_eq!(
+                whole.to_json().to_string_flat(),
+                one_by_one.to_json().to_string_flat()
+            );
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::config::{SchedulerKind, SimConfig};
 use crate::ctx::{Grant, StopToken, ThreadCtx, Yield};
 use crate::kernel::Kernel;
 use crate::report::RunReport;
-use ace_machine::{CpuId, HardFault, Machine, Ns, Prot};
+use ace_machine::{CpuId, HardFault, Machine, MachineEvent, Ns, Prot};
 use mach_vm::VAddr;
 use numa_core::{AcePmap, CachePolicy};
 use std::cell::{RefCell, RefMut};
@@ -85,7 +85,9 @@ impl Simulator {
     /// carries an event sink, the machine's tap and the NUMA manager's
     /// sink are both wired to it, so the sink sees the full stream —
     /// bus traffic and protocol actions alike — in virtual-time order
-    /// per processor.
+    /// per processor. The machine's reference runs arrive through
+    /// [`numa_metrics::EventSink::record_run`], everything else through
+    /// `record`.
     pub fn new(cfg: SimConfig, policy: Box<dyn CachePolicy>) -> Simulator {
         let mut machine = Machine::new(cfg.machine.clone());
         let mut pmap = AcePmap::new(policy);
@@ -93,7 +95,11 @@ impl Simulator {
             let tap_sink = Arc::clone(sink);
             machine.set_tap(Box::new(move |me| {
                 let ev = numa_metrics::Event::from(me);
-                tap_sink.lock().expect("event sink poisoned").record(&ev);
+                let mut sink = tap_sink.lock().expect("event sink poisoned");
+                match me {
+                    MachineEvent::Access { dt, count, .. } => sink.record_run(&ev, dt, count),
+                    _ => sink.record(&ev),
+                }
             }));
             pmap.set_event_sink(Arc::clone(sink));
         }

@@ -230,13 +230,13 @@ impl Kernel {
     ///
     /// Each element is charged exactly as [`Kernel::access_step`]'s
     /// success branch would charge it (machine access cost, bus traffic,
-    /// distance counters, and a trace-sink run whose expansion stamps
-    /// each element with its post-charge clock), so the observable
-    /// streams are identical to `max_n` slow-path references; only the
-    /// per-element MMU walk and budget check are elided. The caller must
-    /// hold a translation validated at the current MMU epoch for the
-    /// element addresses (element `i` lives at `first + i * stride`,
-    /// entirely within the translated page).
+    /// distance counters, and a machine-tap run and a trace-sink run
+    /// whose expansions stamp each element with its post-charge clock),
+    /// so the observable streams are identical to `max_n` slow-path
+    /// references; only the per-element MMU walk and budget check are
+    /// elided. The caller must hold a translation validated at the
+    /// current MMU epoch for the element addresses (element `i` lives at
+    /// `first + i * stride`, entirely within the translated page).
     ///
     /// Stops charging after the first element that drives the
     /// processor's clock to `budget_end` or beyond — the same point at
@@ -256,13 +256,13 @@ impl Kernel {
         budget_end: Ns,
     ) -> usize {
         let dist = self.machine.distance(cpu, frame.region);
-        // With nothing observing per-element effects inside the machine —
-        // no tap, no bus queue at this distance — the loop below is pure
-        // arithmetic over a constant per-element cost, so charge the
-        // whole extent in closed form: exactly as many elements as the
-        // budget admits, counters and clock landing where the loop would
-        // leave them. A reference sink is no obstacle: the elements'
-        // clocks step by that same constant, which is what a run says.
+        // With no bus queue advancing per element at this distance the
+        // loop below is pure arithmetic over a constant per-element cost,
+        // so charge the whole extent in closed form: exactly as many
+        // elements as the budget admits, counters and clock landing where
+        // the loop would leave them. Observers are no obstacle: the
+        // elements' clocks step by that same constant, which is what the
+        // machine tap's `Access` run and the reference sink's run say.
         if self.machine.batchable(dist) && max_n > 0 {
             let clock0 = self.clock_of(cpu);
             let cost = self.machine.access_cost(cpu, kind, frame.region, words);
@@ -281,6 +281,7 @@ impl Kernel {
             }
             return charged;
         }
+        // Behind a bus queue every element's wait depends on the last.
         let mut charged = 0;
         while charged < max_n {
             self.machine.charge_access(cpu, kind, frame, words);

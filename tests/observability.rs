@@ -1,9 +1,12 @@
 //! End-to-end guarantees of the observability pipeline: the event
 //! stream is deterministic, the JSON report is deterministic, and an
-//! absent sink changes nothing about a run's results.
+//! absent sink changes nothing about a run's results. Telemetry taking
+//! the machine's reference runs whole aggregates what it would from
+//! every reference one by one.
 
-use numa_repro::apps::{App, IMatMult};
-use numa_repro::metrics::{Telemetry, VecSink};
+use numa_repro::apps::{App, Gfetch, IMatMult, Primes3, Scale};
+use numa_repro::machine::Ns;
+use numa_repro::metrics::{Event, EventSink, Telemetry, VecSink};
 use numa_repro::numa::{CachePolicy, MoveLimitPolicy, ReconsiderPolicy};
 use numa_repro::sim::{RunReport, SimConfig, Simulator};
 use std::sync::{Arc, Mutex};
@@ -76,6 +79,50 @@ fn telemetry_aggregates_a_real_run() {
         assert!(
             json.contains("\"what\":\"pinned\""),
             "a pinned page's lifecycle must record the pin"
+        );
+    }
+}
+
+/// Telemetry that sees every reference one by one: it implements only
+/// `record`, so the machine's reference runs reach it through the
+/// default `record_run`, which expands them.
+struct OneByOne(Telemetry);
+
+impl EventSink for OneByOne {
+    fn record(&mut self, event: &Event) {
+        self.0.record(event);
+    }
+}
+
+#[test]
+fn telemetry_takes_reference_runs_whole_without_changing_a_byte() {
+    let apps: [Box<dyn App>; 3] = [
+        Box::new(IMatMult::new(Scale::Test)),
+        Box::new(Gfetch::new(Scale::Test)),
+        Box::new(Primes3::new(Scale::Test)),
+    ];
+    let bucket = Ns(10_000);
+    for app in &apps {
+        // Fast path on: the machine reports extents as runs, and
+        // `Telemetry` buckets them in closed form.
+        let runs = Arc::new(Mutex::new(Telemetry::with_bucket(bucket)));
+        let cfg = SimConfig::small(CPUS).events(runs.clone());
+        let mut sim = Simulator::new(cfg, Box::new(MoveLimitPolicy::default()));
+        app.run(&mut sim, CPUS).expect("verified");
+        // Fast path off, and every run expanded before `Telemetry`
+        // sees it.
+        let one_by_one = Arc::new(Mutex::new(OneByOne(Telemetry::with_bucket(bucket))));
+        let cfg = SimConfig::small(CPUS).events(one_by_one.clone()).fastpath(false);
+        let mut sim = Simulator::new(cfg, Box::new(MoveLimitPolicy::default()));
+        app.run(&mut sim, CPUS).expect("verified");
+
+        let (runs, one_by_one) = (runs.lock().unwrap(), one_by_one.lock().unwrap());
+        assert!(runs.events_seen() > 0);
+        assert_eq!(runs.events_seen(), one_by_one.0.events_seen(), "{}", app.name());
+        assert!(
+            runs.to_json().to_string_flat() == one_by_one.0.to_json().to_string_flat(),
+            "{}: telemetry differs between runs and single references",
+            app.name()
         );
     }
 }
