@@ -53,13 +53,23 @@ impl Run {
     }
 }
 
+/// Rows per block of a [`Trace`]'s storage (40 KB).
+const BLOCK_ROWS: usize = 1024;
+
 /// A captured reference trace, in global virtual-time order of
 /// execution, held as arithmetic runs (see [`Run`]). How the references
 /// were cut into rows is not observable: [`Trace::iter`], the analyses
 /// and the stored text depend only on the references themselves.
+///
+/// The rows are kept in fixed-size blocks, not one vector: a growing
+/// trace takes one more block and never copies what it holds. A doubling
+/// vector would reallocate megabytes at a time, and whether each step
+/// grew in place or moved (old and new copy both resident) would depend
+/// on what else happened to be on the heap — so the peak resident set of
+/// a process recording traces would depend on the order its runs came in.
 #[derive(Clone, Debug)]
 pub struct Trace {
-    runs: Vec<Run>,
+    blocks: Vec<Vec<Run>>,
     refs: usize,
     /// Page size of the traced machine.
     pub page_size: PageSize,
@@ -68,7 +78,7 @@ pub struct Trace {
 impl Trace {
     /// An empty trace of a machine with the given page size.
     pub fn new(page_size: PageSize) -> Trace {
-        Trace { runs: Vec::new(), refs: 0, page_size }
+        Trace { blocks: Vec::new(), refs: 0, page_size }
     }
 
     /// A trace of the given references, in order.
@@ -90,14 +100,26 @@ impl Trace {
         self.refs == 0
     }
 
-    /// The rows the trace is held in.
-    pub fn runs(&self) -> &[Run] {
-        &self.runs
+    /// The rows the trace is held in, in order.
+    pub fn runs(&self) -> impl Iterator<Item = &Run> + '_ {
+        self.blocks.iter().flatten()
     }
 
     /// Every reference, in order.
     pub fn iter(&self) -> impl Iterator<Item = RefEvent> + '_ {
-        self.runs.iter().flat_map(|row| row.run().events())
+        self.runs().flat_map(|row| row.run().events())
+    }
+
+    /// Appends `row` as a row of its own.
+    fn push_row(&mut self, row: Run) {
+        match self.blocks.last_mut() {
+            Some(block) if block.len() < BLOCK_ROWS => block.push(row),
+            _ => {
+                let mut block = Vec::with_capacity(BLOCK_ROWS);
+                block.push(row);
+                self.blocks.push(block);
+            }
+        }
     }
 
     /// The virtual page a row's references fall on.
@@ -142,8 +164,9 @@ impl Trace {
             return run.events().for_each(|e| self.push(&e));
         };
         self.refs += row.count as usize;
-        if !self.runs.last_mut().is_some_and(|last| extend(last, &row, page)) {
-            self.runs.push(row);
+        let last = self.blocks.last_mut().and_then(|block| block.last_mut());
+        if !last.is_some_and(|last| extend(last, &row, page)) {
+            self.push_row(row);
         }
     }
 }
@@ -253,7 +276,7 @@ mod tests {
         pub(crate) fn push_cut(&mut self, row: &Run, from: u32, to: u32) {
             let first = row.run().event(u64::from(from));
             let (stride, dt) = if to - from > 1 { (row.stride, row.dt) } else { (0, 0) };
-            self.runs.push(Run { t0: first.t, addr: first.addr, stride, dt, count: to - from, ..*row });
+            self.push_row(Run { t0: first.t, addr: first.addr, stride, dt, count: to - from, ..*row });
             self.refs += (to - from) as usize;
         }
     }
@@ -287,5 +310,36 @@ mod tests {
         sim2.spawn("t2", move |ctx| ctx.write_u32(a, 3));
         sim2.run();
         assert_eq!(trace.len(), n);
+    }
+
+    #[test]
+    fn rows_keep_their_order_and_merge_across_blocks() {
+        let page = PageSize::new(2048);
+        let ev = |i: u64, cpu: u16| RefEvent {
+            t: Ns(10 * i),
+            cpu: CpuId(cpu),
+            addr: VAddr(4 * (i % 256)),
+            kind: Access::Fetch,
+            dist: Distance::Local,
+            words: 1,
+        };
+        // Alternating processors: every reference is a row of its own,
+        // exactly filling two blocks…
+        let mut refs: Vec<RefEvent> =
+            (0..2 * BLOCK_ROWS as u64).map(|i| ev(i, (i % 2) as u16)).collect();
+        // …then the last row goes on growing at the end of a full block…
+        let last = refs[refs.len() - 1];
+        refs.extend(
+            (1..5).map(|k| RefEvent { t: last.t + Ns(10 * k), addr: last.addr + 4 * k, ..last }),
+        );
+        let mut trace = Trace::from_events(page, refs.iter().copied());
+        assert_eq!(trace.blocks.len(), 2);
+        assert_eq!(trace.runs().count(), 2 * BLOCK_ROWS);
+        // …and one that cannot merge starts the third.
+        trace.push(&ev(10_000, 0));
+        refs.push(ev(10_000, 0));
+        assert_eq!(trace.blocks.len(), 3);
+        assert_eq!(trace.len(), refs.len());
+        assert!(trace.iter().eq(refs.iter().copied()));
     }
 }

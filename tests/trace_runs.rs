@@ -55,7 +55,7 @@ fn references(
     let trace = recorder.take(&sim);
     if let Way::RecordedFast = way {
         assert!(
-            trace.runs().len() < trace.len(),
+            trace.runs().count() < trace.len(),
             "{}: the fast path recorded no run longer than one reference",
             app.name()
         );
@@ -107,7 +107,7 @@ fn so_does_one_with_remote_references() {
 /// Word references in a recorded trace against the run's own counters.
 fn assert_trace_counts_every_reference(tag: &str, sim: &Simulator, trace: &numa_repro::trace::Trace) {
     let refs = sim.report().refs;
-    let traced: u64 = trace.runs().iter().map(|r| r.total_words()).sum();
+    let traced: u64 = trace.runs().map(|r| r.total_words()).sum();
     assert_eq!(
         traced,
         refs.local + refs.global + refs.remote,
