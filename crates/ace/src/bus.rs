@@ -50,17 +50,19 @@ impl BusQueue {
     }
 }
 
-/// Cumulative traffic over the IPC bus.
-#[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
-pub struct BusStats {
-    /// 32-bit transfers for application references to global memory.
-    pub global_word_transfers: u64,
-    /// 32-bit transfers for kernel page copies (replication, migration,
-    /// sync write-back).
-    pub copy_word_transfers: u64,
-    /// Remote (processor-to-processor local memory) word transfers, which
-    /// cross the bus once in each direction.
-    pub remote_word_transfers: u64,
+crate::counters! {
+    /// Cumulative traffic over the IPC bus.
+    #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
+    pub struct BusStats {
+        /// 32-bit transfers for application references to global memory.
+        pub global_word_transfers: u64,
+        /// 32-bit transfers for kernel page copies (replication, migration,
+        /// sync write-back).
+        pub copy_word_transfers: u64,
+        /// Remote (processor-to-processor local memory) word transfers,
+        /// which cross the bus once in each direction.
+        pub remote_word_transfers: u64,
+    }
 }
 
 impl BusStats {

@@ -198,22 +198,24 @@ impl fmt::Display for BusTimeout {
 
 impl std::error::Error for BusTimeout {}
 
-/// Counts of faults *injected* (as opposed to recovered from — recovery
-/// counters live in the NUMA layer's stats).
-#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
-pub struct FaultStats {
-    /// Bus-crossing page copies aborted by a timeout.
-    pub bus_timeouts: u64,
-    /// Local frames that failed their ECC scrub.
-    pub bad_frames: u64,
-    /// Page copies silently corrupted.
-    pub corruptions: u64,
+crate::counters! {
+    /// Counts of faults *injected* (as opposed to recovered from —
+    /// recovery counters live in the NUMA layer's stats).
+    #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+    pub struct FaultStats {
+        /// Bus-crossing page copies aborted by a timeout.
+        pub bus_timeouts: u64,
+        /// Local frames that failed their ECC scrub.
+        pub bad_frames: u64,
+        /// Page copies silently corrupted.
+        pub corruptions: u64,
+    }
 }
 
 impl FaultStats {
     /// True if any fault was injected.
     pub fn any(&self) -> bool {
-        self.bus_timeouts > 0 || self.bad_frames > 0 || self.corruptions > 0
+        self.fields().any(|(_, n)| n > 0)
     }
 }
 

@@ -29,6 +29,7 @@
 pub mod bus;
 pub mod clock;
 pub mod config;
+mod counters;
 pub mod fault;
 pub mod idhash;
 pub mod machine;

@@ -156,28 +156,10 @@ fn report_to_json(id: usize, r: &RunReport) -> Json {
         .field("id", id)
         .field("policy", r.policy)
         .field("cpu_times", Json::Arr(cpus))
-        .field(
-            "refs",
-            Json::obj()
-                .field("local", r.refs.local)
-                .field("global", r.refs.global)
-                .field("remote", r.refs.remote),
-        )
-        .field("numa", r.numa.fields().fold(Json::obj(), |n, (key, v)| n.field(key, v)))
-        .field(
-            "bus",
-            Json::obj()
-                .field("global_word_transfers", r.bus.global_word_transfers)
-                .field("copy_word_transfers", r.bus.copy_word_transfers)
-                .field("remote_word_transfers", r.bus.remote_word_transfers),
-        )
-        .field(
-            "faults",
-            Json::obj()
-                .field("bus_timeouts", r.faults.bus_timeouts)
-                .field("bad_frames", r.faults.bad_frames)
-                .field("corruptions", r.faults.corruptions),
-        );
+        .field("refs", r.refs.fields().collect::<Json>())
+        .field("numa", r.numa.fields().collect::<Json>())
+        .field("bus", r.bus.fields().collect::<Json>())
+        .field("faults", r.faults.fields().collect::<Json>());
     // Present only on serving cells: counts, the exact maximum, and the
     // sparse bucket table — the integers every percentile is re-derived
     // from, so a resumed sweep reports the same tail byte-for-byte.
@@ -251,22 +233,10 @@ fn report_from_json(entry: &[(String, Json)], spec: &JobSpec) -> Result<RunRepor
     Ok(RunReport {
         policy,
         cpu_times,
-        refs: RefCounters {
-            local: get_u64(refs, "local")?,
-            global: get_u64(refs, "global")?,
-            remote: get_u64(refs, "remote")?,
-        },
+        refs: RefCounters::from_fields(|key| get_u64(refs, key))?,
         numa: NumaStats::from_fields(|key| get_u64(numa, key))?,
-        bus: BusStats {
-            global_word_transfers: get_u64(bus, "global_word_transfers")?,
-            copy_word_transfers: get_u64(bus, "copy_word_transfers")?,
-            remote_word_transfers: get_u64(bus, "remote_word_transfers")?,
-        },
-        faults: FaultStats {
-            bus_timeouts: get_u64(faults, "bus_timeouts")?,
-            bad_frames: get_u64(faults, "bad_frames")?,
-            corruptions: get_u64(faults, "corruptions")?,
-        },
+        bus: BusStats::from_fields(|key| get_u64(bus, key))?,
+        faults: FaultStats::from_fields(|key| get_u64(faults, key))?,
         serving: match get(entry, "serving") {
             Some(s) => Some(serving_from_json(as_obj(s, "serving")?, spec.id)?),
             None => None,
@@ -396,6 +366,37 @@ mod tests {
         assert_eq!(r.to_json().to_string_flat(), report.to_json().to_string_flat());
         cp.remove();
         assert!(!path.exists());
+    }
+
+    #[test]
+    fn every_counter_block_round_trips_by_value() {
+        // A distinct nonzero value in every counter, including those the
+        // sweep document leaves out (`local_peak_frames`,
+        // `lazy_free_syncs`) or shows only behind a guard: comparing
+        // `to_json` strings cannot see those, struct equality does.
+        let grid = small_grid();
+        let jobs = grid.jobs();
+        let mut next = 0;
+        let mut count = |_| {
+            next += 1;
+            Ok::<u64, ()>(next)
+        };
+        let report = RunReport {
+            policy: jobs[0].policy().name(),
+            cpu_times: vec![CpuTime { user: Ns(100), system: Ns(10) }],
+            refs: RefCounters::from_fields(&mut count).unwrap(),
+            numa: NumaStats::from_fields(&mut count).unwrap(),
+            bus: BusStats::from_fields(&mut count).unwrap(),
+            faults: FaultStats::from_fields(&mut count).unwrap(),
+            serving: None,
+            degraded: None,
+        };
+        let path = temp_path("everycounter");
+        let mut cp = Checkpoint::load_or_create(&path, &grid).unwrap();
+        cp.record(&jobs[0], &report).unwrap();
+        let reloaded = Checkpoint::load_or_create(&path, &grid).unwrap();
+        assert_eq!(reloaded.completed_results(&jobs)[0].report, report);
+        cp.remove();
     }
 
     #[test]

@@ -34,6 +34,7 @@ use numa_core::{
 use numa_metrics::paper::EVAL_CPUS;
 use numa_metrics::Json;
 use std::collections::HashSet;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 /// Deterministic seed for fault-injecting sweep cells: every cell with
 /// the same fault rate sees the same fault schedule on every run and
@@ -99,15 +100,6 @@ impl AppId {
             AppId::PlyTrace => "PlyTrace",
             AppId::KvServe => "KvServe",
         }
-    }
-
-    /// Case-insensitive lookup, for CLI arguments.
-    pub fn from_name(s: &str) -> Option<AppId> {
-        AppId::ALL
-            .iter()
-            .copied()
-            .chain([AppId::Primes2Naive, AppId::KvServe])
-            .find(|a| a.name().eq_ignore_ascii_case(s))
     }
 
     /// Instantiates the application at the given workload scale.
@@ -199,13 +191,6 @@ impl PolicyAxis {
             PolicyAxis::MoveOrFlush => "move-or-flush",
         }
     }
-
-    /// Case-insensitive lookup, for CLI arguments.
-    pub fn from_name(s: &str) -> Option<PolicyAxis> {
-        [PolicyAxis::MoveLimit, PolicyAxis::FlushLimit, PolicyAxis::MoveOrFlush]
-            .into_iter()
-            .find(|p| p.label().eq_ignore_ascii_case(s))
-    }
 }
 
 /// One value of the topology axis: a named machine shape, built at the
@@ -232,20 +217,6 @@ impl TopologyAxis {
             TopologyAxis::Flat => "flat".to_string(),
             TopologyAxis::TwoSocket => "two-socket".to_string(),
             TopologyAxis::Mesh { nodes } => format!("mesh-{nodes}"),
-        }
-    }
-
-    /// Case-insensitive lookup, for CLI arguments (`flat`, `two-socket`,
-    /// `mesh-N`).
-    pub fn from_name(s: &str) -> Option<TopologyAxis> {
-        let s = s.to_ascii_lowercase();
-        match s.as_str() {
-            "flat" => Some(TopologyAxis::Flat),
-            "two-socket" | "two_socket" => Some(TopologyAxis::TwoSocket),
-            _ => {
-                let n = s.strip_prefix("mesh-").or_else(|| s.strip_prefix("mesh_"))?;
-                n.parse().ok().map(|nodes| TopologyAxis::Mesh { nodes })
-            }
         }
     }
 
@@ -1105,51 +1076,47 @@ impl JobSpec {
     }
 
     /// Runs this cell to completion on the current thread and returns
-    /// the report; the application's self-verification failure (or an
-    /// invalid machine configuration) comes back as `Err`.
+    /// the report. An invalid machine configuration is an `Err` naming
+    /// the cell; on a healthy cell so is a cut by the virtual-time budget
+    /// or a failed self-verification, and a panic propagates. On a
+    /// chaos cell (a nonempty [`JobSpec::hard_schedule`]) the loss may
+    /// legitimately destroy the application's data or wedge it; those
+    /// outcomes are as deterministic as a verified completion, so they
+    /// come back as a report whose `degraded` says what happened.
     pub fn run(&self) -> Result<RunReport, String> {
-        self.sim_config()
-            .machine
-            .validate()
-            .map_err(|e| format!("{}: bad machine config: {e}", self.label()))?;
-        let app = self.make_app();
-        if self.hard_schedule().is_empty() {
-            return ace_sim::run_one(self.sim_config(), self.policy(), |sim| {
-                app.run(sim, self.workers)
-            })
-            .map_err(|e| format!("{}: {e}", self.label()));
-        }
-        // Chaos cells: a hard component loss may legitimately destroy
-        // the application's working data (the typed zero-fill of lost
-        // pages) or wedge it until the virtual-time budget cuts the run.
-        // Both outcomes are as deterministic as a verified completion,
-        // so they become typed *degraded* rows instead of sweep errors.
+        self.run_app(self.make_app().as_ref())
+    }
+
+    /// [`JobSpec::run`] with the application given.
+    fn run_app(&self, app: &dyn App) -> Result<RunReport, String> {
         let cfg = self.sim_config();
-        let budget = cfg.vt_budget;
+        let label = || self.label();
+        cfg.machine.validate().map_err(|e| format!("{}: bad machine config: {e}", label()))?;
+        let budget = cfg.vt_budget.map_or(0, |n| n.0);
+        let chaos = !self.hard_schedule().is_empty();
         let mut sim = ace_sim::Simulator::new(cfg, self.policy());
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            app.run(&mut sim, self.workers)
-        }));
-        let degraded = if sim.vt_exceeded() {
-            let b = budget.map(|n| n.0).unwrap_or(0);
-            Some(format!("virtual-time budget of {b} ns exceeded after component loss"))
-        } else {
-            match outcome {
-                Ok(Ok(())) => None,
-                Ok(Err(e)) => Some(format!("verification failed after component loss: {e}")),
-                Err(panic) => {
-                    let msg = panic
-                        .downcast_ref::<String>()
-                        .map(String::as_str)
-                        .or_else(|| panic.downcast_ref::<&str>().copied())
-                        .unwrap_or("opaque panic");
-                    Some(format!("workload aborted after component loss: {msg}"))
-                }
+        let outcome = catch_unwind(AssertUnwindSafe(|| app.run(&mut sim, self.workers)));
+        let degraded = match outcome {
+            Err(panic) if !chaos => resume_unwind(panic),
+            _ if sim.vt_exceeded() && !chaos => {
+                return Err(format!("{}: virtual-time budget of {budget} ns exceeded", label()))
+            }
+            _ if sim.vt_exceeded() => {
+                format!("virtual-time budget of {budget} ns exceeded after component loss")
+            }
+            Ok(Ok(())) => return Ok(sim.report()),
+            Ok(Err(e)) if !chaos => return Err(format!("{}: {e}", label())),
+            Ok(Err(e)) => format!("verification failed after component loss: {e}"),
+            Err(panic) => {
+                let msg = panic
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| panic.downcast_ref::<&str>().copied())
+                    .unwrap_or("opaque panic");
+                format!("workload aborted after component loss: {msg}")
             }
         };
-        let mut report = sim.report();
-        report.degraded = degraded;
-        Ok(report)
+        Ok(RunReport { degraded: Some(degraded), ..sim.report() })
     }
 
     /// The cell's coordinates as one deterministic JSON object (the
@@ -1207,8 +1174,6 @@ mod tests {
     fn app_ids_round_trip_and_match_table_order() {
         for (id, paper) in AppId::ALL.iter().zip(numa_metrics::paper::PAPER_TABLE3.iter()) {
             assert_eq!(id.name(), paper.0);
-            assert_eq!(AppId::from_name(id.name()), Some(*id));
-            assert_eq!(AppId::from_name(&id.name().to_lowercase()), Some(*id));
         }
     }
 
@@ -1226,6 +1191,80 @@ mod tests {
         assert!(cfg.machine.faults.bus_timeout_rate > 0.0);
         assert_eq!(j.policy().name(), "move-limit");
         cfg.machine.validate().unwrap();
+    }
+
+    /// How a scripted application ends, after optionally wedging until
+    /// the virtual-time budget cuts its run.
+    #[derive(Clone, Copy, Debug)]
+    enum Ending {
+        Verified,
+        Wrong,
+        Panics,
+    }
+
+    struct Scripted {
+        wedge: bool,
+        ending: Ending,
+    }
+
+    impl App for Scripted {
+        fn name(&self) -> &'static str {
+            "scripted"
+        }
+
+        fn run(&self, sim: &mut ace_sim::Simulator, _workers: usize) -> Result<(), String> {
+            if self.wedge {
+                sim.spawn("spinner", |ctx| loop {
+                    ctx.compute(Ns::from_us(50));
+                });
+                sim.run();
+            }
+            match self.ending {
+                Ending::Verified => Ok(()),
+                Ending::Wrong => Err("wrong answer".to_string()),
+                Ending::Panics => panic!("scripted panic"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_cell_run_reports_each_ending_by_whether_it_is_a_chaos_cell() {
+        // `Err` for the sweep on a healthy cell, a degraded row on a
+        // chaos cell; a healthy cell's panic reaches the farm even when
+        // the budget was cut first, and the budget outranks the
+        // application's own verdict everywhere.
+        let mut chaos = Grid::chaos().jobs()[0].clone();
+        chaos.vt_budget = Some(Ns::from_ms(2).0);
+        let healthy = JobSpec { offline_at: None, offline_nodes: None, ..chaos.clone() };
+        assert!(healthy.hard_schedule().is_empty() && !chaos.hard_schedule().is_empty());
+        let budget = "virtual-time budget of 2000000 ns exceeded";
+        let (h, lost) = (healthy.label(), "after component loss");
+        let degraded = |why: &str| Ok(Some(why.to_string()));
+        let wrong = format!("verification failed {lost}: wrong answer");
+        let aborted = format!("workload aborted {lost}: scripted panic");
+        let cut = format!("{budget} {lost}");
+        let cases = [
+            (&healthy, false, Ending::Verified, Ok(None)),
+            (&healthy, false, Ending::Wrong, Err(format!("{h}: wrong answer"))),
+            (&healthy, false, Ending::Panics, Err("panic: scripted panic".to_string())),
+            (&healthy, true, Ending::Verified, Err(format!("{h}: {budget}"))),
+            (&healthy, true, Ending::Wrong, Err(format!("{h}: {budget}"))),
+            (&healthy, true, Ending::Panics, Err("panic: scripted panic".to_string())),
+            (&chaos, false, Ending::Verified, Ok(None)),
+            (&chaos, false, Ending::Wrong, degraded(&wrong)),
+            (&chaos, false, Ending::Panics, degraded(&aborted)),
+            (&chaos, true, Ending::Verified, degraded(&cut)),
+            (&chaos, true, Ending::Wrong, degraded(&cut)),
+            (&chaos, true, Ending::Panics, degraded(&cut)),
+        ];
+        for (spec, wedge, ending, expect) in cases {
+            let app = Scripted { wedge, ending };
+            let got = match catch_unwind(AssertUnwindSafe(|| spec.run_app(&app))) {
+                Ok(report) => report.map(|r| r.degraded),
+                Err(panic) => Err(format!("panic: {}", panic.downcast_ref::<&str>().unwrap())),
+            };
+            assert_eq!(got, expect, "{} wedge={wedge} {ending:?}", spec.label());
+        }
     }
 
     #[test]
@@ -1323,15 +1362,6 @@ mod tests {
     }
 
     #[test]
-    fn topology_axis_names_round_trip() {
-        for t in [TopologyAxis::Flat, TopologyAxis::TwoSocket, TopologyAxis::Mesh { nodes: 6 }] {
-            assert_eq!(TopologyAxis::from_name(&t.label()), Some(t));
-        }
-        assert_eq!(TopologyAxis::from_name("MESH-3"), Some(TopologyAxis::Mesh { nodes: 3 }));
-        assert!(TopologyAxis::from_name("ring").is_none());
-    }
-
-    #[test]
     fn serving_preset_sweeps_rate_skew_and_tenants() {
         let g = Grid::serving();
         let jobs = g.jobs();
@@ -1376,15 +1406,6 @@ mod tests {
     }
 
     #[test]
-    fn policy_axis_names_round_trip() {
-        for p in [PolicyAxis::MoveLimit, PolicyAxis::FlushLimit, PolicyAxis::MoveOrFlush] {
-            assert_eq!(PolicyAxis::from_name(p.label()), Some(p));
-            assert_eq!(PolicyAxis::from_name(&p.label().to_uppercase()), Some(p));
-        }
-        assert!(PolicyAxis::from_name("lru").is_none());
-    }
-
-    #[test]
     fn policy_axis_selects_the_cell_policy() {
         let jobs = Grid::serving().jobs();
         let by = |pol| {
@@ -1417,15 +1438,12 @@ mod tests {
 
     #[test]
     fn kvserve_resolves_by_name_but_stays_out_of_the_paper_table() {
-        assert_eq!(AppId::from_name("kvserve"), Some(AppId::KvServe));
-        assert_eq!(AppId::from_name("KvServe"), Some(AppId::KvServe));
         assert!(!AppId::ALL.contains(&AppId::KvServe));
         assert_eq!(AppId::KvServe.make(Scale::Test).name(), "KvServe");
     }
 
     #[test]
     fn the_naive_primes2_is_a_grid_value_but_not_a_paper_row() {
-        assert_eq!(AppId::from_name("primes2-naive"), Some(AppId::Primes2Naive));
         assert!(!AppId::ALL.contains(&AppId::Primes2Naive));
         assert_eq!(AppId::Primes2Naive.make(Scale::Test).name(), AppId::Primes2Naive.name());
     }

@@ -107,6 +107,15 @@ impl From<Vec<Json>> for Json {
     }
 }
 
+/// An object with one member per `(key, value)` pair, in order: how a
+/// block of counters (`ace_machine::counters!`'s `fields()`) becomes
+/// one JSON object.
+impl<'a, T: Into<Json>> FromIterator<(&'a str, T)> for Json {
+    fn from_iter<I: IntoIterator<Item = (&'a str, T)>>(pairs: I) -> Json {
+        pairs.into_iter().fold(Json::obj(), |j, (key, value)| j.field(key, value))
+    }
+}
+
 impl<T: Into<Json>> From<Option<T>> for Json {
     fn from(v: Option<T>) -> Json {
         match v {

@@ -12,7 +12,7 @@
 //!   runs recording the same latencies produce the same counts in the
 //!   same buckets, and the serialized form is byte-identical.
 //! * **Log scale with sub-buckets.** Each power-of-two octave is split
-//!   into [`SUB_BUCKETS`] linear sub-buckets (the HDR-histogram idea),
+//!   into `SUB_BUCKETS` linear sub-buckets (the HDR-histogram idea),
 //!   bounding the relative quantization error at `1/SUB_BUCKETS`
 //!   (12.5%) across the full `u64` nanosecond range while keeping the
 //!   table a few hundred counters.

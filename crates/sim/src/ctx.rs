@@ -571,7 +571,7 @@ impl ThreadCtx {
     /// across worker counts and access paths.
     ///
     /// The thread idles inline only while its budget lasts; then it
-    /// yields as [`Yield::Parked`] and sleeps on the host until the
+    /// yields as `Yield::Parked` and sleeps on the host until the
     /// clock has reached `t`. The windows in between are idled through
     /// by the scheduler with the very charges this loop would have made
     /// (`Kernel::idle_toward` implements both). The clock is never

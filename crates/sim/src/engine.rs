@@ -24,11 +24,10 @@ struct PendingThread {
 /// allocates, spawns and drives an application to completion), and
 /// returns the run's report.
 ///
-/// This is the single-config entry point the `numa-lab` worker farm
-/// calls once per sweep cell; unlike the panicking harness helpers it
-/// propagates the application's verification failure as a typed `Err`,
-/// so a wrong answer in one grid cell surfaces as that cell's error
-/// instead of tearing down the whole sweep.
+/// Unlike the panicking harness helpers it propagates the application's
+/// verification failure as a typed `Err`, so a caller running many
+/// configurations (the host-time benchmark runs each of its cells this
+/// way) sees a wrong answer as that run's error instead of a panic.
 pub fn run_one(
     cfg: SimConfig,
     policy: Box<dyn CachePolicy>,

@@ -65,15 +65,17 @@ impl RefRun {
 /// A callback receiving every application reference, as runs.
 pub type RefSink = Box<dyn FnMut(&RefRun) + Send>;
 
-/// Counts of application references by distance (in words).
-#[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
-pub struct RefCounters {
-    /// Words referenced in the processor's own local memory.
-    pub local: u64,
-    /// Words referenced in global memory.
-    pub global: u64,
-    /// Words referenced in another processor's local memory.
-    pub remote: u64,
+ace_machine::counters! {
+    /// Counts of application references by distance (in words).
+    #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
+    pub struct RefCounters {
+        /// Words referenced in the processor's own local memory.
+        pub local: u64,
+        /// Words referenced in global memory.
+        pub global: u64,
+        /// Words referenced in another processor's local memory.
+        pub remote: u64,
+    }
 }
 
 impl RefCounters {
@@ -492,13 +494,13 @@ impl Kernel {
         buf
     }
 
-    /// Debug read of the authoritative contents at `addr` (see
-    /// [`Kernel::peek_bytes`]).
+    /// Debug read of the authoritative contents at `addr`, wherever they
+    /// live, without charging time or touching placement.
     pub fn peek_u32(&mut self, addr: VAddr) -> u32 {
         u32::from_le_bytes(self.peek_bytes::<4>(addr))
     }
 
-    /// Debug read of an `f64` (see [`Kernel::peek_bytes`]).
+    /// Debug read of an `f64` (see [`Kernel::peek_u32`]).
     pub fn peek_f64(&mut self, addr: VAddr) -> f64 {
         f64::from_le_bytes(self.peek_bytes::<8>(addr))
     }

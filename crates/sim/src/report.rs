@@ -7,7 +7,7 @@ use numa_metrics::{Json, ServingReport};
 use std::fmt;
 
 /// Everything measured during one run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RunReport {
     /// Policy that was active.
     pub policy: &'static str,
@@ -116,36 +116,18 @@ impl RunReport {
             .field("makespan_ns", self.makespan().0)
             .field("alpha_measured", self.alpha_measured())
             .field("cpu_times", Json::Arr(cpus))
-            .field(
-                "refs",
-                Json::obj()
-                    .field("local", self.refs.local)
-                    .field("global", self.refs.global)
-                    .field("remote", self.refs.remote),
-            )
+            .field("refs", self.refs.fields().collect::<Json>())
             .field("numa", {
                 let value = |name| self.numa.value(name).expect("a NumaStats quantity");
                 let shown = NUMA_WHEN_NONZERO.iter().filter(|(_, guard)| value(guard) > 0);
-                NUMA_ALWAYS
-                    .iter()
-                    .chain(shown.map(|(key, _)| key))
-                    .fold(Json::obj(), |numa, key| numa.field(key, value(key)))
+                let keys = NUMA_ALWAYS.iter().chain(shown.map(|(key, _)| key));
+                keys.map(|&key| (key, value(key))).collect::<Json>()
             })
             .field(
                 "bus",
-                Json::obj()
-                    .field("global_word_transfers", self.bus.global_word_transfers)
-                    .field("copy_word_transfers", self.bus.copy_word_transfers)
-                    .field("remote_word_transfers", self.bus.remote_word_transfers)
-                    .field("total_bytes", self.bus.total_bytes()),
+                self.bus.fields().collect::<Json>().field("total_bytes", self.bus.total_bytes()),
             )
-            .field(
-                "faults",
-                Json::obj()
-                    .field("bus_timeouts", self.faults.bus_timeouts)
-                    .field("bad_frames", self.faults.bad_frames)
-                    .field("corruptions", self.faults.corruptions),
-            );
+            .field("faults", self.faults.fields().collect::<Json>());
         // The serving block appears only when a serving application
         // attached one, so batch reports keep their exact prior bytes.
         if let Some(s) = &self.serving {

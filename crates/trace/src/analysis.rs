@@ -1,7 +1,7 @@
 //! Per-page sharing classification.
 
 use crate::record::Trace;
-use ace_machine::{Access, CpuSet, Distance};
+use ace_machine::{Access, CpuId, CpuSet, Distance};
 use std::collections::BTreeMap;
 
 /// How a page (or object) was actually shared over a run — the
@@ -18,8 +18,8 @@ pub enum PageClass {
     WriteShared,
 }
 
-/// Per-page observation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Per-page (or per-object) observation.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PageUsage {
     /// Processors that read the page.
     pub readers: CpuSet,
@@ -32,6 +32,19 @@ pub struct PageUsage {
 }
 
 impl PageUsage {
+    /// Counts `words` word references of one kind by `cpu`, served at
+    /// distance `dist`.
+    pub fn note(&mut self, cpu: CpuId, kind: Access, dist: Distance, words: u64) {
+        match kind {
+            Access::Fetch => self.readers.insert(cpu),
+            Access::Store => self.writers.insert(cpu),
+        }
+        self.refs += words;
+        if dist == Distance::Local {
+            self.local_refs += words;
+        }
+    }
+
     /// The page's sharing class.
     pub fn class(&self) -> PageClass {
         let mut all = self.readers;
@@ -61,20 +74,8 @@ impl SharingReport {
     pub fn from_trace(trace: &Trace) -> SharingReport {
         let mut pages: BTreeMap<u64, PageUsage> = BTreeMap::new();
         for run in trace.runs() {
-            let u = pages.entry(trace.vpn_of(run)).or_insert(PageUsage {
-                readers: CpuSet::EMPTY,
-                writers: CpuSet::EMPTY,
-                refs: 0,
-                local_refs: 0,
-            });
-            match run.kind {
-                Access::Fetch => u.readers.insert(run.cpu),
-                Access::Store => u.writers.insert(run.cpu),
-            }
-            u.refs += run.total_words();
-            if run.dist == Distance::Local {
-                u.local_refs += run.total_words();
-            }
+            let usage = pages.entry(trace.vpn_of(run)).or_default();
+            usage.note(run.cpu, run.kind, run.dist, run.total_words());
         }
         SharingReport { pages }
     }

@@ -6,11 +6,10 @@
 //! from the trace, classifies each *page*, and reports the objects (and
 //! the reference volume) penalized by colocation.
 
-use crate::analysis::PageClass;
+use crate::analysis::{PageClass, PageUsage, SharingReport};
 use crate::record::Trace;
-use ace_machine::{Access, CpuSet};
 use mach_vm::VAddr;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Named object extents registered by the application harness.
 #[derive(Clone, Debug, Default)]
@@ -66,70 +65,33 @@ pub struct FalseSharingReport {
 impl FalseSharingReport {
     /// Analyzes `trace` against the registered object extents.
     pub fn analyze(trace: &Trace, map: &ObjectMap) -> FalseSharingReport {
-        // Classify pages and objects in one pass.
-        #[derive(Default, Clone, Copy)]
-        struct Obs {
-            readers: CpuSet,
-            writers: CpuSet,
-            refs: u64,
-        }
-        impl Obs {
-            fn class(&self) -> PageClass {
-                let mut all = self.readers;
-                for c in self.writers.iter() {
-                    all.insert(c);
-                }
-                if all.len() <= 1 {
-                    PageClass::Private
-                } else if self.writers.is_empty() {
-                    PageClass::ReadShared
-                } else {
-                    PageClass::WriteShared
-                }
-            }
-        }
-        let mut pages: HashMap<u64, Obs> = HashMap::new();
-        let mut objects: HashMap<usize, Obs> = HashMap::new();
-        // Pages touched by each object.
-        let mut obj_pages: HashMap<usize, Vec<u64>> = HashMap::new();
+        let pages = SharingReport::from_trace(trace).pages;
+        // Each referenced object's usage and the pages it was touched on,
+        // by object index.
+        let mut objects: BTreeMap<usize, (PageUsage, Vec<u64>)> = BTreeMap::new();
         for e in trace.iter() {
+            let Some(oi) = map.object_of(e.addr) else { continue };
+            let (usage, on) = objects.entry(oi).or_default();
+            usage.note(e.cpu, e.kind, e.dist, e.words);
             let vpn = trace.page_size.page_of(e.addr.0);
-            let p = pages.entry(vpn).or_default();
-            match e.kind {
-                Access::Fetch => p.readers.insert(e.cpu),
-                Access::Store => p.writers.insert(e.cpu),
-            }
-            p.refs += e.words;
-            if let Some(oi) = map.object_of(e.addr) {
-                let o = objects.entry(oi).or_default();
-                match e.kind {
-                    Access::Fetch => o.readers.insert(e.cpu),
-                    Access::Store => o.writers.insert(e.cpu),
-                }
-                o.refs += e.words;
-                let v = obj_pages.entry(oi).or_default();
-                if !v.contains(&vpn) {
-                    v.push(vpn);
-                }
+            if !on.contains(&vpn) {
+                on.push(vpn);
             }
         }
-        let mut out = Vec::new();
-        let mut indices: Vec<usize> = objects.keys().copied().collect();
-        indices.sort_unstable();
-        for oi in indices {
-            let o = &objects[&oi];
-            let class = o.class();
-            let on_ws_page = obj_pages[&oi]
-                .iter()
-                .any(|vpn| pages[vpn].class() == PageClass::WriteShared);
-            out.push(ObjectUsage {
-                name: map.name(oi).to_string(),
-                class,
-                refs: o.refs,
-                falsely_shared: on_ws_page && class != PageClass::WriteShared,
-            });
-        }
-        FalseSharingReport { objects: out }
+        let objects = objects
+            .into_iter()
+            .map(|(oi, (usage, on))| {
+                let class = usage.class();
+                let on_ws_page = on.iter().any(|vpn| pages[vpn].class() == PageClass::WriteShared);
+                ObjectUsage {
+                    name: map.name(oi).to_string(),
+                    class,
+                    refs: usage.refs,
+                    falsely_shared: on_ws_page && class != PageClass::WriteShared,
+                }
+            })
+            .collect();
+        FalseSharingReport { objects }
     }
 
     /// Fraction of object references that were falsely shared.
@@ -156,7 +118,7 @@ impl FalseSharingReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ace_machine::{CpuId, Distance, Ns, PageSize};
+    use ace_machine::{Access, CpuId, Distance, Ns, PageSize};
     use ace_sim::RefEvent;
 
     fn ev(cpu: u16, addr: u64, kind: Access) -> RefEvent {

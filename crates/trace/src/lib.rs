@@ -17,10 +17,8 @@
 //! * [`optimal`] — an offline, future-knowledge lower bound on reference
 //!   plus page-movement cost (the paper's unmeasurable T_optimal),
 //!   computed per page by dynamic programming over the trace;
-//! * [`replay`] — replays a trace against the protocol state machine
-//!   under any policy, giving cheap offline policy comparison;
-//! * [`store`] — a line-oriented text format so traces can be captured
-//!   once and analyzed offline.
+//! * [`mod@replay`] — replays a trace against the protocol state machine
+//!   under any policy, giving cheap offline policy comparison.
 //!
 //! # A trace is runs, not references
 //!
@@ -29,10 +27,11 @@
 //! one processor, of one kind, width and distance, on one page, whose
 //! addresses step by a constant stride **and** whose clocks step by a
 //! constant `dt`. The clock step is part of a run because a trace is a
-//! record: [`Trace::iter`] and [`write_trace`] must give back every
-//! reference bit for bit, timestamp included, so a hiccup in either
-//! progression starts a new row and nothing is ever averaged. How the
-//! references fall into rows is unobservable; the analyses exploit it:
+//! record: [`Trace::iter`] must give back every [`ace_sim::RefEvent`]
+//! bit for bit, timestamp included (`tests/trace_runs.rs` compares it
+//! with the per-reference sink), so a hiccup in either progression
+//! starts a new row and nothing is ever averaged. How the references
+//! fall into rows is unobservable; the analyses exploit it:
 //!
 //! * [`replay()`] steps a run's first reference through the protocol and
 //!   charges the rest at the placement that produced. Within a run the
@@ -53,14 +52,12 @@ pub mod falseshare;
 pub mod optimal;
 pub mod record;
 pub mod replay;
-pub mod store;
 
 pub use analysis::{PageClass, SharingReport};
 pub use falseshare::{FalseSharingReport, ObjectMap};
 pub use optimal::{optimal_cost, OptimalReport};
 pub use record::{Recorder, Run, Trace};
 pub use replay::{replay, ReplayReport};
-pub use store::{read_trace, write_trace, TraceFormatError};
 
 #[cfg(test)]
 mod segmentation;

@@ -1,9 +1,8 @@
 //! Trace capture, and the run-compressed form a trace is held in.
 
-use ace_machine::{Access, CpuId, Distance, Ns, PageSize};
+use ace_machine::{Access, CpuId, Distance, IdHashMap, Ns, PageSize};
 use ace_sim::{RefEvent, RefRun, Simulator};
 use mach_vm::VAddr;
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// One row of a [`Trace`]: `count` consecutive references by one
@@ -11,8 +10,9 @@ use std::sync::{Arc, Mutex};
 /// `i` was made at address `addr + i * stride` when the processor's
 /// clock read `t0 + i * dt`. A row of one has no step (both read 0).
 ///
-/// 40 bytes, no packing: `words` stays as wide as [`RefEvent`] and the
-/// text format carry it, so a row can hold whatever `read_trace` accepts.
+/// 40 bytes, and it cannot shrink: `words` is as wide as in
+/// [`RefEvent`], and narrowing it to `u32` would leave 36 bytes of
+/// fields, which the 8-byte alignment of `t0` and `addr` pads back to 40.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Run {
     /// The first element's post-reference clock.
@@ -58,8 +58,8 @@ const BLOCK_ROWS: usize = 1024;
 
 /// A captured reference trace, in global virtual-time order of
 /// execution, held as arithmetic runs (see [`Run`]). How the references
-/// were cut into rows is not observable: [`Trace::iter`], the analyses
-/// and the stored text depend only on the references themselves.
+/// were cut into rows is not observable: [`Trace::iter`] and the
+/// analyses depend only on the references themselves.
 ///
 /// The rows are kept in fixed-size blocks, not one vector: a growing
 /// trace takes one more block and never copies what it holds. A doubling
@@ -208,16 +208,17 @@ fn extend(last: &mut Run, row: &Run, page: PageSize) -> bool {
 }
 
 /// Per-page state of an analysis, numbered densely in order of first
-/// reference.
+/// reference. The index is only probed by page number, never iterated,
+/// so it takes the fixed hasher (DESIGN.md §6l).
 pub(crate) struct PerPage<T> {
-    index: HashMap<u64, u32>,
+    index: IdHashMap<u64, u32>,
     /// Each page's virtual page number and state, by index.
     pub(crate) pages: Vec<(u64, T)>,
 }
 
 impl<T> PerPage<T> {
     pub(crate) fn new() -> PerPage<T> {
-        PerPage { index: HashMap::new(), pages: Vec::new() }
+        PerPage { index: IdHashMap::default(), pages: Vec::new() }
     }
 
     /// The index and state of virtual page `vpn`, `fresh` on first sight.

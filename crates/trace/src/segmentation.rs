@@ -1,12 +1,8 @@
 //! How a trace's references are cut into rows cannot matter: every
-//! analysis, the iterator and the stored bytes are functions of the
-//! references alone.
+//! analysis and the iterator are functions of the references alone.
 
 use crate::optimal::tests::oracle;
-use crate::{
-    optimal_cost, read_trace, replay, write_trace, FalseSharingReport, ObjectMap, SharingReport,
-    Trace,
-};
+use crate::{optimal_cost, replay, FalseSharingReport, ObjectMap, SharingReport, Trace};
 use ace_machine::{Access, CostModel, CpuId, Distance, Ns, PageSize};
 use ace_sim::RefEvent;
 use mach_vm::VAddr;
@@ -68,15 +64,12 @@ fn everything(t: &Trace, objects: &ObjectMap) -> impl PartialEq + std::fmt::Debu
         Box::new(AllLocalPolicy),
     ];
     let replays = policies.map(|mut p| replay(t, p.as_mut(), &costs, PAGE));
-    let mut text = Vec::new();
-    write_trace(t, &mut text).expect("writing to memory");
     (
         replays,
         optimal_cost(t, &costs, PAGE),
         SharingReport::from_trace(t),
         FalseSharingReport::analyze(t, objects),
         t.iter().collect::<Vec<_>>(),
-        text,
     )
 }
 
@@ -120,13 +113,6 @@ proptest! {
         // The frontier is the DP whichever way the rows fall.
         let costs = CostModel::ace();
         prop_assert_eq!(optimal_cost(&random, &costs, PAGE), oracle(&greedy, &costs, PAGE));
-
-        // And a stored trace reads back as the same references.
-        let mut text = Vec::new();
-        write_trace(&random, &mut text).expect("writing to memory");
-        let back = read_trace(&text[..]).expect("reading what was written");
-        prop_assert!(back.iter().eq(refs.iter().copied()));
-        prop_assert_eq!(back.page_size, greedy.page_size);
     }
 }
 
