@@ -26,6 +26,8 @@
 //! execution engine) manipulates the machine only through these types, just
 //! as the paper's pmap layer sat between Mach and the Rosetta hardware.
 
+#![forbid(unsafe_code)]
+
 pub mod bus;
 pub mod clock;
 pub mod config;

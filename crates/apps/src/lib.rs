@@ -23,6 +23,8 @@
 //! measured by tail latency instead of completion time (see
 //! [`kvserve`]).
 
+#![forbid(unsafe_code)]
+
 pub mod app;
 pub mod eval;
 pub mod fft;

@@ -14,6 +14,8 @@
 //! wins, by what factor, where the crossovers are) is the reproduction
 //! target.
 
+#![forbid(unsafe_code)]
+
 pub use numa_metrics::paper::EVAL_CPUS;
 
 /// Prints the standard harness banner.

@@ -47,6 +47,8 @@
 //! * [`policy::MoveOrFlushLimitPolicy`] — both budgets layered; a page
 //!   is pinned when either trips.
 
+#![forbid(unsafe_code)]
+
 pub mod manager;
 pub mod pmap_mgr;
 pub mod policy;

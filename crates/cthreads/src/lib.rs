@@ -18,6 +18,8 @@
 //!   asks for (sections 4.2 and 5): declare objects with their sharing
 //!   class and get a false-sharing-free layout automatically.
 
+#![forbid(unsafe_code)]
+
 pub mod arena;
 pub mod layout;
 pub mod sync;

@@ -33,6 +33,8 @@
 //! farm emits one [`numa_metrics::EventKind::JobCompleted`] event per
 //! finished job into any [`numa_metrics::SharedSink`].
 
+#![forbid(unsafe_code)]
+
 pub mod checkpoint;
 pub mod cli;
 pub mod farm;

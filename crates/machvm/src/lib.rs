@@ -22,6 +22,8 @@
 //!   processor argument, and the `pmap_free_page` / `pmap_free_page_sync`
 //!   lazy-reclamation pair.
 
+#![forbid(unsafe_code)]
+
 pub mod addr;
 pub mod map;
 pub mod object;

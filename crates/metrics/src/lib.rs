@@ -36,6 +36,8 @@
 //! * [`paper`] — the paper's published Table 3/4 values, the single
 //!   source of truth shared by benches, lab, and examples.
 
+#![forbid(unsafe_code)]
+
 pub mod baseline;
 pub mod events;
 pub mod json;

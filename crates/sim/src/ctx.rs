@@ -6,13 +6,13 @@
 //! control operations hand the processor back to the scheduler so that
 //! exactly one simulated thread runs at a time in virtual-time order.
 
-use crate::engine::{Ended, Next, Shared, World};
+use crate::engine::{Next, World};
+use crate::fiber::Suspender;
 use crate::kernel::{Kernel, COMPUTE_CHUNK};
 use ace_machine::{Access, CpuId, Frame, Ns, PageSize};
 use mach_vm::VAddr;
-use std::sync::Arc;
 
-/// A scheduling decision deposited in a parked thread's slot.
+/// What the run's driver resumes a suspended thread with.
 pub(crate) enum Grant {
     /// Run on `cpu` until its clock reaches `budget_end` (at least one
     /// operation is always allowed). The right to run is the run's
@@ -29,6 +29,18 @@ pub(crate) enum Grant {
     },
     /// Unwind and exit without finishing.
     Stop,
+}
+
+/// What a thread hands the run's driver when it stops running.
+pub(crate) enum Handoff {
+    /// The world, and the decision the thread's last yield made: the
+    /// thread to grant it to next, or `None` when the run is over.
+    Pass(Box<World>, Option<Next>),
+    /// The thread panicked, in its body or in the scheduler code its
+    /// yield ran; it still held the world.
+    Panicked(Box<World>, String),
+    /// The thread unwound on [`Grant::Stop`].
+    Stopped,
 }
 
 /// Why a thread hands its processor back to the scheduler.
@@ -85,8 +97,9 @@ pub struct ThreadCtx {
     /// The run's kernel and scheduler: `Some` exactly while this thread
     /// holds the grant, which is whenever its body is executing.
     pub(crate) world: Option<Box<World>>,
-    /// The grant slots shared by the run's threads.
-    pub(crate) shared: Arc<Shared>,
+    /// How this thread hands the world back to the run's driver and waits
+    /// for its next grant.
+    pub(crate) fiber: Suspender<Grant, Handoff>,
     pub(crate) budget_end: Ns,
     pub(crate) over_budget: bool,
     /// Page geometry of the simulated machine (for run splitting).
@@ -131,33 +144,38 @@ impl ThreadCtx {
         self.world.as_ref().expect(HOLDS_GRANT).kernel.machine.n_cpus()
     }
 
-    /// Hands the processor back: books this thread's yield, runs the
-    /// scheduler right here until some thread must really run, and — if
-    /// that is another thread — sends it the world and parks until
-    /// granted again (one host context switch; none if the decision is
-    /// for this thread). Called by every operation once the budget is
-    /// exhausted, and with [`Yield::Done`] when the body has returned
-    /// (there is nothing to park for then).
+    /// Hands the processor back: books this thread's yield and runs the
+    /// scheduler right here until some thread must really run. If that is
+    /// this thread, it simply goes on; otherwise it hands the world and
+    /// the decision to the run's driver and suspends until granted again
+    /// (a switch to the driver's stack and, later, one back; no system
+    /// call either way). Called by every operation once the budget is
+    /// exhausted.
     pub(crate) fn rendezvous(&mut self, why: Yield) {
-        // The world stays in `self` while the scheduler runs, so the
-        // thread's panic handler finds it if the scheduler panics.
-        let w = self.world.as_mut().expect(HOLDS_GRANT);
-        let next = w.sched.decide(&mut w.kernel, Some((self.tid, self.cpu.index(), why)));
-        let world = self.world.take();
-        match next {
-            Some(Next { tid, cpu, budget_end }) => {
-                let grant = Grant::Run { world: world.expect(HOLDS_GRANT), cpu, budget_end };
-                if tid == self.tid {
-                    return self.accept(grant);
-                }
-                self.shared.slots[tid].put(grant);
+        let next = self.decide(why);
+        let world = self.world.take().expect(HOLDS_GRANT);
+        if let Some(Next { tid, cpu, budget_end }) = next {
+            if tid == self.tid {
+                return self.accept(Grant::Run { world, cpu, budget_end });
             }
-            None => self.shared.end.put(Ended { world, panic: None }),
         }
-        if !matches!(why, Yield::Done) {
-            let grant = self.shared.slots[self.tid].take();
-            self.accept(grant);
-        }
+        let grant = self.fiber.suspend(Handoff::Pass(world, next));
+        self.accept(grant);
+    }
+
+    /// The yield after the body has returned: the world and the decision
+    /// for the driver, with nothing left to suspend for.
+    pub(crate) fn finish(&mut self) -> Handoff {
+        let next = self.decide(Yield::Done);
+        Handoff::Pass(self.world.take().expect(HOLDS_GRANT), next)
+    }
+
+    /// Books this thread's yield and decides what runs next. The world
+    /// stays in `self` meanwhile, so if the scheduler panics the thread's
+    /// panic handler finds it.
+    fn decide(&mut self, why: Yield) -> Option<Next> {
+        let w = self.world.as_mut().expect(HOLDS_GRANT);
+        w.sched.decide(&mut w.kernel, Some((self.tid, self.cpu.index(), why)))
     }
 
     /// Takes up a grant, or unwinds quietly if the run is over.
@@ -571,7 +589,7 @@ impl ThreadCtx {
     /// across worker counts and access paths.
     ///
     /// The thread idles inline only while its budget lasts; then it
-    /// yields as `Yield::Parked` and sleeps on the host until the
+    /// yields as `Yield::Parked` and stays suspended until the
     /// clock has reached `t`. The windows in between are idled through
     /// by the scheduler with the very charges this loop would have made
     /// (`Kernel::idle_toward` implements both). The clock is never

@@ -2,7 +2,8 @@
 //! threads deterministically.
 
 use crate::config::{SchedulerKind, SimConfig};
-use crate::ctx::{Grant, StopToken, ThreadCtx, Yield};
+use crate::ctx::{Grant, Handoff, ThreadCtx, Yield};
+use crate::fiber::{Fiber, Stack, Suspender};
 use crate::kernel::Kernel;
 use crate::report::RunReport;
 use ace_machine::{CpuId, HardFault, Machine, MachineEvent, Ns, Prot};
@@ -11,7 +12,7 @@ use numa_core::{AcePmap, CachePolicy};
 use std::cell::{RefCell, RefMut};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 
 /// A closure waiting to be run as a simulated thread.
 struct PendingThread {
@@ -70,6 +71,8 @@ pub struct Simulator {
     /// take `&self`, and not `Sync` because nothing shares a simulator.
     kernel: RefCell<Option<Kernel>>,
     pending: Vec<PendingThread>,
+    /// Stacks of earlier runs' finished threads, for the next run's.
+    stacks: Vec<Stack>,
     /// Next processor for sequential affinity assignment.
     next_cpu: usize,
     /// True once a run was cut short by the virtual-time budget.
@@ -106,6 +109,7 @@ impl Simulator {
             cfg: Arc::new(cfg),
             kernel: RefCell::new(Some(Kernel::new(machine, pmap))),
             pending: Vec::new(),
+            stacks: Vec::new(),
             next_cpu: 0,
             vt_exceeded: false,
             serving: None,
@@ -174,10 +178,10 @@ impl Simulator {
     ///
     /// # Panics
     ///
-    /// With `simulated thread panicked: …` if a thread body (or the
-    /// scheduler, running on a simulated thread's stack) panicked; every
-    /// host thread of the run has been stopped and joined by then, and
-    /// the kernel is back for inspection.
+    /// With `simulated thread panicked: … (thread N "name")` if a thread
+    /// body (or the scheduler, running on a simulated thread's stack)
+    /// panicked; every other thread of the run has been unwound by then,
+    /// and the kernel is back for inspection.
     pub fn run(&mut self) -> RunReport {
         let pending = std::mem::take(&mut self.pending);
         if !pending.is_empty() {
@@ -187,10 +191,9 @@ impl Simulator {
     }
 
     fn run_threads(&mut self, pending: Vec<PendingThread>) {
-        // Queue in spawn order and decide once before any host thread
-        // exists: the schedule cannot depend on which one starts first.
-        // The kernel is still in its cell for this, so a scheduler
-        // panic on the caller's stack cannot drop it.
+        // Queue in spawn order and decide once before any thread has
+        // started. The kernel is still in its cell for this, so a
+        // scheduler panic on the caller's stack cannot drop it.
         let (mut sched, cpus, first) = {
             let mut k = self.kernel();
             let mut sched = Scheduler::new(Arc::clone(&self.cfg), &k, self.next_cpu);
@@ -200,85 +203,47 @@ impl Simulator {
         };
         let mut panic_msg = None;
         // No grant: an earlier run's clocks already exceed the budget.
-        if let Some(next) = first {
+        if let Some(mut next) = first {
             let kernel = self.kernel.take().expect(KERNEL_HOME);
-            let shared = Arc::new(Shared {
-                slots: pending.iter().map(|_| Slot::default()).collect(),
-                end: Slot::default(),
-            });
-            let Next { tid, cpu, budget_end } = next;
-            let world = Box::new(World { kernel, sched });
-            shared.slots[tid].put(Grant::Run { world, cpu, budget_end });
-            let handles: Vec<_> = pending
-                .into_iter()
-                .zip(cpus)
-                .enumerate()
-                .map(|(tid, (p, cpu))| self.start_thread(&shared, tid, cpu, p))
-                .collect();
-            let ended = shared.end.take();
-            // The publisher held the world, so no grant is in flight and
-            // every other live thread is parked on an empty slot.
-            for slot in &shared.slots {
-                slot.put(Grant::Stop);
+            let mut world = Box::new(World { kernel, sched });
+            let (page, fastpath) = (self.cfg.machine.page_size, self.cfg.fastpath);
+            let mut names = Vec::with_capacity(pending.len());
+            let mut fibers = Vec::with_capacity(pending.len());
+            for (tid, (p, cpu)) in pending.into_iter().zip(cpus).enumerate() {
+                names.push(p.name);
+                let stack = self.stacks.pop().unwrap_or_else(Stack::new);
+                let body = simulated_thread(tid, cpu, page, fastpath, p.body);
+                fibers.push(Fiber::new(stack, body));
             }
-            for h in handles {
-                let _ = h.join();
+            // The driver loop: the world goes to the thread the last
+            // decision named and comes back with the next decision.
+            let (world, panic) = loop {
+                let Next { tid, cpu, budget_end } = next;
+                match fibers[tid].resume(Grant::Run { world, cpu, budget_end }) {
+                    Handoff::Pass(w, Some(n)) => (world, next) = (w, n),
+                    Handoff::Pass(w, None) => break (w, None),
+                    Handoff::Panicked(w, msg) => {
+                        break (w, Some(format!("{msg} (thread {tid} \"{}\")", names[tid])))
+                    }
+                    Handoff::Stopped => unreachable!("only a thread without the world stops"),
+                }
+            };
+            // Unwind every thread suspended mid-body, so that its frames
+            // drop what they own.
+            for fiber in fibers.iter_mut().filter(|f| f.is_suspended()) {
+                fiber.resume(Grant::Stop);
             }
-            let world = ended.world.expect("the run's state was dropped with an overwritten grant");
+            self.stacks.extend(fibers.into_iter().map(Fiber::into_stack));
             let World { kernel, sched: at_end } = *world;
             *self.kernel.get_mut() = Some(kernel);
             sched = at_end;
-            panic_msg = ended.panic;
+            panic_msg = panic;
         }
         self.next_cpu = sched.next_cpu;
         self.vt_exceeded |= sched.vt_exceeded;
         if let Some(msg) = panic_msg {
             panic!("simulated thread panicked: {msg}");
         }
-    }
-
-    /// Starts the host thread that carries simulated thread `tid`.
-    fn start_thread(
-        &self,
-        shared: &Arc<Shared>,
-        tid: usize,
-        cpu: CpuId,
-        p: PendingThread,
-    ) -> std::thread::JoinHandle<()> {
-        let mut ctx = ThreadCtx {
-            tid,
-            cpu,
-            world: None,
-            shared: Arc::clone(shared),
-            budget_end: Ns::ZERO,
-            over_budget: false,
-            page: self.cfg.machine.page_size,
-            fastpath: self.cfg.fastpath,
-            tlb: [None; crate::ctx::TLB_ENTRIES],
-            tlb_next: 0,
-        };
-        let body = p.body;
-        std::thread::Builder::new()
-            .name(format!("sim-{}-{}", tid, p.name))
-            .spawn(move || {
-                // The final yield is guarded too: the scheduler it runs
-                // may panic, and that must end the run, not strand it.
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    let first = ctx.shared.slots[tid].take();
-                    ctx.accept(first);
-                    (body)(&mut ctx);
-                    ctx.rendezvous(Yield::Done);
-                }));
-                if let Err(payload) = result {
-                    if payload.downcast_ref::<StopToken>().is_none() {
-                        // A thread panics only while it runs, so it holds
-                        // the world (unless `Slot::put` caught it mid-send).
-                        let panic = Some(panic_text(payload.as_ref()));
-                        ctx.shared.end.put(Ended { world: ctx.world.take(), panic });
-                    }
-                }
-            })
-            .expect("spawning simulated thread")
     }
 
     /// A report of everything measured so far.
@@ -309,70 +274,53 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "<non-string panic>".to_string())
 }
 
-/// A one-value mailbox a host thread parks on.
-pub(crate) struct Slot<T> {
-    value: Mutex<Option<T>>,
-    filled: Condvar,
-}
-
-impl<T> Default for Slot<T> {
-    fn default() -> Self {
-        Slot { value: Mutex::new(None), filled: Condvar::new() }
+/// The fiber body of simulated thread `tid`: takes up its first grant,
+/// runs the application closure, and hands the world back with the
+/// decision of its last yield — or, if it panicked, with the message. A
+/// [`Grant::Stop`] unwinds it quietly.
+fn simulated_thread(
+    tid: usize,
+    cpu: CpuId,
+    page: ace_machine::PageSize,
+    fastpath: bool,
+    body: Box<dyn FnOnce(&mut ThreadCtx) + Send + 'static>,
+) -> impl FnOnce(Grant, Suspender<Grant, Handoff>) -> Handoff + 'static {
+    move |first, fiber| {
+        let mut ctx = ThreadCtx {
+            tid,
+            cpu,
+            world: None,
+            fiber,
+            budget_end: Ns::ZERO,
+            over_budget: false,
+            page,
+            fastpath,
+            tlb: [None; crate::ctx::TLB_ENTRIES],
+            tlb_next: 0,
+        };
+        // The final yield is guarded too: the scheduler it runs may
+        // panic, and that must end the run, not strand it.
+        let ran = catch_unwind(AssertUnwindSafe(|| {
+            ctx.accept(first);
+            body(&mut ctx);
+            ctx.finish()
+        }));
+        ran.unwrap_or_else(|payload| match ctx.world.take() {
+            Some(world) => Handoff::Panicked(world, panic_text(payload.as_ref())),
+            // Only a thread being stopped has no world to hold.
+            None => Handoff::Stopped,
+        })
     }
 }
 
-impl<T> Slot<T> {
-    /// Deposits `v` and wakes the owner. Panics if the previous deposit
-    /// is still unread: a grant goes only to a parked thread and the
-    /// end-of-run `Stop`s go out only after the world's holder published
-    /// the end, so every slot is empty when something is put — and an
-    /// overwritten grant could be the world, which `run` would await
-    /// forever.
-    pub(crate) fn put(&self, v: T) {
-        let unread = self.value.lock().expect("no panic can happen under a slot lock").replace(v);
-        self.filled.notify_one();
-        assert!(unread.is_none(), "a slot's deposit was overwritten unread");
-    }
-
-    /// Blocks until a value has been deposited and removes it.
-    pub(crate) fn take(&self) -> T {
-        let mut value = self.value.lock().expect("no panic can happen under a slot lock");
-        loop {
-            if let Some(v) = value.take() {
-                return v;
-            }
-            value = self.filled.wait(value).expect("no panic can happen under a slot lock");
-        }
-    }
-}
-
-/// Everything a run mutates. One exists per run and one host thread
-/// owns it at any instant — the simulated thread holding the grant, or
-/// [`Simulator::run`] before the first grant and after the end — so
-/// "exactly one simulated thread executes at a time" is what the borrow
-/// checker enforces, with no lock to take.
+/// Everything a run mutates. One exists per run and one party owns it at
+/// any instant — the simulated thread holding the grant, or
+/// [`Simulator::run`] before the first grant, between grants and after
+/// the end — so "exactly one simulated thread executes at a time" is what
+/// the borrow checker enforces, with no lock to take.
 pub(crate) struct World {
     pub(crate) kernel: Kernel,
     pub(crate) sched: Scheduler,
-}
-
-/// The mailboxes the host threads of one run share. There is no engine
-/// thread: whichever simulated thread yields runs the [`Scheduler`]
-/// itself and passes the world on through the grantee's slot.
-pub(crate) struct Shared {
-    /// One grant slot per simulated thread, by tid.
-    pub(crate) slots: Vec<Slot<Grant>>,
-    /// How the run ended, for [`Simulator::run`] to wait on.
-    pub(crate) end: Slot<Ended>,
-}
-
-/// The end of a run, published by whoever held the world then.
-pub(crate) struct Ended {
-    /// The run's state coming home; `None` only if the publisher lost
-    /// it to [`Slot::put`]'s assertion while handing it over.
-    pub(crate) world: Option<Box<World>>,
-    /// The message of the panic that cut the run short, if one did.
-    pub(crate) panic: Option<String>,
 }
 
 /// The scheduler's decision: `tid` runs on `cpu` until its clock
@@ -788,7 +736,7 @@ mod tests {
         ended.map_err(|payload| panic_text(payload.as_ref()))
     }
 
-    /// Counts the thread bodies currently on a host stack: up when a
+    /// Counts the thread bodies currently on a stack: up when a
     /// body starts, down when it returns or is unwound.
     struct Live(Arc<AtomicUsize>);
 
@@ -832,7 +780,7 @@ mod tests {
             s.run();
         })
         .expect_err("the body panic must surface from run()");
-        assert_eq!(err, "simulated thread panicked: boom at 300 us");
+        assert_eq!(err, "simulated thread panicked: boom at 300 us (thread 1 \"t1\")");
         assert_eq!(live.load(Ordering::SeqCst), 0, "a sibling outlived run()");
     }
 
@@ -971,14 +919,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "overwritten unread")]
-    fn a_deposit_is_never_overwritten_unread() {
-        let slot = Slot::default();
-        slot.put(1);
-        slot.put(2);
-    }
-
-    #[test]
     #[should_panic(expected = "already borrowed")]
     fn reentrant_with_kernel_panics_instead_of_deadlocking() {
         let s = sim(1);
@@ -990,7 +930,7 @@ mod tests {
         // More threads than processors under the global queue: which
         // thread gets which processor, and when, depends on the order
         // the threads are queued in. That order is spawn order, never
-        // the order the host threads happened to start in.
+        // the order the threads happened to start in.
         let run = |_: usize| {
             let cfg = SimConfig::small(2)
                 .scheduler(SchedulerKind::GlobalQueue)
@@ -1294,5 +1234,22 @@ mod tests {
         let r2 = s.run();
         assert!(r2.total_user() > r1.total_user());
         assert_eq!(s.with_kernel(|k| k.peek_u32(a + 4)), 2);
+    }
+
+    #[test]
+    fn a_simulator_runs_again_on_another_host_thread() {
+        // Between runs a simulator holds its kernel and the spare stacks
+        // of finished threads, and all of it can move.
+        let mut s = sim(2);
+        s.spawn("here", |ctx| ctx.compute(Ns::from_us(10)));
+        s.run();
+        let r = std::thread::spawn(move || {
+            s.spawn("there", |ctx| ctx.compute(Ns::from_us(20)));
+            s.spawn("and there", |ctx| ctx.compute(Ns::from_us(30)));
+            s.run()
+        })
+        .join()
+        .expect("the second run completes");
+        assert_eq!(r.total_user(), Ns::from_us(60));
     }
 }

@@ -47,6 +47,8 @@
 //!   formulation is kept as the test oracle.
 //! * [`SharingReport::from_trace`] is one map update per run.
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod falseshare;
 pub mod optimal;

@@ -235,10 +235,20 @@ impl<T> PerPage<T> {
 ///
 /// Install before `run`, then [`Recorder::take`] afterwards:
 ///
-/// ```ignore
+/// ```
+/// use ace_machine::Prot;
+/// use ace_sim::{SimConfig, Simulator};
+/// use numa_core::MoveLimitPolicy;
+/// use numa_trace::Recorder;
+///
+/// let mut sim = Simulator::new(SimConfig::small(1), Box::new(MoveLimitPolicy::default()));
+/// let a = sim.alloc(64, Prot::READ_WRITE);
+/// sim.spawn("writer", move |ctx| ctx.write_run(a, 4, &[1, 2, 3]));
 /// let rec = Recorder::install(&sim);
 /// sim.run();
 /// let trace = rec.take(&sim);
+/// assert_eq!(trace.len(), 3);
+/// assert_eq!(trace.runs().count(), 1, "three stores in a row are one run");
 /// ```
 pub struct Recorder {
     buf: Arc<Mutex<Trace>>,

@@ -15,6 +15,8 @@
 //!
 //! See `examples/quickstart.rs` for a five-minute tour.
 
+#![forbid(unsafe_code)]
+
 pub use ace_machine as machine;
 pub use ace_sim as sim;
 pub use cthreads as threads;
