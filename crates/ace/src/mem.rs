@@ -297,7 +297,11 @@ impl PhysMem {
         self.module(frame.region).last_touch[frame.index as usize]
     }
 
-    fn data(&mut self, frame: Frame) -> &mut [u8] {
+    /// The bytes of `frame`, one page of them (zeros if never touched),
+    /// for callers that make many accesses to one page: one lookup, then
+    /// plain slice indexing. Charges nothing.
+    #[inline]
+    pub fn frame_bytes(&mut self, frame: Frame) -> &mut [u8] {
         let page_bytes = self.page_bytes;
         let m = self.module_mut(frame.region);
         m.frames[frame.index as usize]
@@ -313,7 +317,7 @@ impl PhysMem {
     #[inline]
     pub fn read_u32(&mut self, frame: Frame, offset: usize) -> u32 {
         debug_assert!(offset + 4 <= self.page_bytes);
-        let d = self.data(frame);
+        let d = self.frame_bytes(frame);
         let w = &d[offset..offset + 4];
         u32::from_le_bytes([w[0], w[1], w[2], w[3]])
     }
@@ -322,31 +326,31 @@ impl PhysMem {
     #[inline]
     pub fn write_u32(&mut self, frame: Frame, offset: usize, value: u32) {
         debug_assert!(offset + 4 <= self.page_bytes);
-        let d = self.data(frame);
+        let d = self.frame_bytes(frame);
         d[offset..offset + 4].copy_from_slice(&value.to_le_bytes());
     }
 
     /// Reads one byte.
     #[inline]
     pub fn read_u8(&mut self, frame: Frame, offset: usize) -> u8 {
-        self.data(frame)[offset]
+        self.frame_bytes(frame)[offset]
     }
 
     /// Writes one byte.
     #[inline]
     pub fn write_u8(&mut self, frame: Frame, offset: usize, value: u8) {
-        self.data(frame)[offset] = value;
+        self.frame_bytes(frame)[offset] = value;
     }
 
     /// Copies a byte range into `out`.
     pub fn read_bytes(&mut self, frame: Frame, offset: usize, out: &mut [u8]) {
-        let d = self.data(frame);
+        let d = self.frame_bytes(frame);
         out.copy_from_slice(&d[offset..offset + out.len()]);
     }
 
     /// Writes a byte range.
     pub fn write_bytes(&mut self, frame: Frame, offset: usize, src: &[u8]) {
-        let d = self.data(frame);
+        let d = self.frame_bytes(frame);
         d[offset..offset + src.len()].copy_from_slice(src);
     }
 
@@ -443,6 +447,18 @@ mod tests {
         assert_eq!(m.read_u8(f, 100), 7);
         // Untouched bytes read as zero.
         assert_eq!(m.read_u32(f, 8), 0);
+    }
+
+    #[test]
+    fn frame_bytes_is_the_page_the_word_accessors_see() {
+        let mut m = mem();
+        let f = m.alloc(MemRegion::Local(NodeId(0))).unwrap();
+        assert_eq!(m.frame_bytes(f).len(), m.page_bytes());
+        assert!(m.frame_bytes(f).iter().all(|&b| b == 0), "never touched reads as zeros");
+        m.frame_bytes(f)[8..12].copy_from_slice(&0xfeed_f00du32.to_le_bytes());
+        assert_eq!(m.read_u32(f, 8), 0xfeed_f00d);
+        m.write_u32(f, 12, 7);
+        assert_eq!(m.frame_bytes(f)[12..16], 7u32.to_le_bytes());
     }
 
     #[test]

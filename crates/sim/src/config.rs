@@ -56,9 +56,11 @@ pub struct SimConfig {
     /// Structured event sink to install on the simulator (machine tap
     /// plus NUMA-manager sink). `None` — the default — costs nothing.
     pub events: Option<SharedSink>,
-    /// Whether application threads may use the batched-access fast path
-    /// (a per-thread software TLB that charges whole same-page runs in
-    /// one step). Observationally equivalent to the slow
+    /// Whether application threads may use the batched-access fast path:
+    /// a per-thread, direct-mapped software TLB of 256 pages, through
+    /// which each same-page extent of a run is charged in closed form
+    /// and accessed with one page lookup, and `compute` charged in one
+    /// step per budget window. Observationally equivalent to the slow
     /// per-reference path; `false` forces every reference through the
     /// per-reference path (differential testing, debugging).
     pub fastpath: bool,

@@ -59,7 +59,7 @@ pub(crate) enum Yield {
 /// Sent through panic unwinding when the run stops a thread early.
 pub(crate) struct StopToken;
 
-/// One cached translation: the thread's single-entry software TLB.
+/// One cached translation: a slot of the thread's software TLB.
 ///
 /// Filled from the final (successful) step of a slow-path
 /// reference, so the recorded epoch is the MMU's epoch *after* any
@@ -106,17 +106,16 @@ pub struct ThreadCtx {
     pub(crate) page: PageSize,
     /// Whether the batched fast path is enabled for this run.
     pub(crate) fastpath: bool,
-    /// The thread's software TLB. A handful of entries suffices: loops
-    /// alternating between a data page and a (private) stack page are
-    /// the common pattern, and anything larger is covered by the run
-    /// helpers' extent batching.
+    /// The thread's software TLB, direct-mapped: page `vpn` can live
+    /// only in slot `vpn % TLB_ENTRIES`. Its reach is what a strided run
+    /// needs, one entry per page it crosses: a matrix column read at a
+    /// row's stride touches one page per few elements and comes back to
+    /// each page on the next column.
     pub(crate) tlb: [Option<TlbEntry>; TLB_ENTRIES],
-    /// Round-robin replacement cursor for [`ThreadCtx::tlb`].
-    pub(crate) tlb_next: usize,
 }
 
-/// Software-TLB capacity per thread.
-pub(crate) const TLB_ENTRIES: usize = 4;
+/// Software-TLB capacity per thread (8 KB of entries).
+pub(crate) const TLB_ENTRIES: usize = 256;
 
 /// Why a `ThreadCtx::world` is there whenever the thread looks.
 const HOLDS_GRANT: &str = "a simulated thread executes only while it holds the grant";
@@ -206,38 +205,25 @@ impl ThreadCtx {
     }
 
     /// The cached translation usable right now for `vpn` under access
-    /// `kind`: filled on the current processor, for this page, with
-    /// enough permission, at the MMU's current epoch. Finding one whose
-    /// epoch has passed drops every entry (all entries for this MMU
-    /// share its fate, and entries for other processors are unusable
-    /// here anyway).
+    /// `kind`: `vpn`'s slot, if it was filled on the current processor,
+    /// for this page, with enough permission, at the MMU's current
+    /// epoch. A stale entry is not dropped, it simply misses: epochs
+    /// only increase, so it can never match again.
     #[inline]
     fn tlb_lookup(&mut self, vpn: u64, kind: Access) -> Option<TlbEntry> {
+        let e = self.tlb[vpn as usize % TLB_ENTRIES]?;
         let cpu = self.cpu;
-        let entry = self.tlb.iter().flatten().copied().find(|e| {
-            e.cpu == cpu && e.vpn == vpn && (kind == Access::Fetch || e.wrote)
-        })?;
-        if kernel(&mut self.world).machine.mmus[cpu.index()].epoch() != entry.epoch {
-            self.tlb = [None; TLB_ENTRIES];
-            return None;
-        }
-        Some(entry)
+        let usable = e.cpu == cpu
+            && e.vpn == vpn
+            && (kind == Access::Fetch || e.wrote)
+            && kernel(&mut self.world).machine.mmus[cpu.index()].epoch() == e.epoch;
+        usable.then_some(e)
     }
 
-    /// Installs `entry`, replacing any entry for the same page on the
-    /// same processor, else evicting round-robin.
+    /// Installs `entry` in its page's slot, overwriting whatever was there.
     #[inline]
     fn tlb_fill(&mut self, entry: TlbEntry) {
-        if let Some(slot) = self
-            .tlb
-            .iter_mut()
-            .find(|s| s.is_some_and(|e| e.cpu == entry.cpu && e.vpn == entry.vpn))
-        {
-            *slot = Some(entry);
-            return;
-        }
-        self.tlb[self.tlb_next] = Some(entry);
-        self.tlb_next = (self.tlb_next + 1) % TLB_ENTRIES;
+        self.tlb[entry.vpn as usize % TLB_ENTRIES] = Some(entry);
     }
 
     /// Voluntarily gives up the processor (the engine may reschedule).
@@ -332,15 +318,17 @@ impl ThreadCtx {
 
     /// A run of `n` equal-width references starting at `base`, element
     /// `i` at `base + i * stride` (stride in bytes; zero repeats one
-    /// address). `mem` performs the memory side of element `i` given its
-    /// frame and in-page byte offset.
+    /// address). `mem` performs the memory side of element `i` given the
+    /// bytes of its page and its offset in them.
     ///
-    /// With the fast path enabled, maximal same-page extents whose
-    /// translation is cached in the thread's TLB are charged through
-    /// one [`Kernel::charge_run`] call; the first element
-    /// on each page — and every element when the TLB misses, the epoch
-    /// moved, the access kind outruns the cached permission, or the fast
-    /// path is off — goes through [`ThreadCtx::data_op`], taking the
+    /// With the fast path enabled, an element whose page's translation
+    /// is cached in the thread's TLB starts an extent: it and the
+    /// elements after it on the same page, counted in closed form from
+    /// the in-page offset, are charged through one
+    /// [`Kernel::charge_run`] call against one lookup of the page's
+    /// bytes. Every element on a miss — the slot holds another page, the
+    /// epoch moved, the access kind outruns the cached permission, or the
+    /// fast path is off — goes through [`ThreadCtx::data_op`], taking the
     /// ordinary fault path and refilling the TLB from its final
     /// successful translation. Budget boundaries are preserved exactly:
     /// a batched extent stops charging at the element where the slow
@@ -350,11 +338,11 @@ impl ThreadCtx {
         &mut self,
         base: VAddr,
         stride: u64,
-        elem_bytes: u64,
+        elem_bytes: usize,
         kind: Access,
         words: u64,
         n: usize,
-        mem: impl Fn(&mut Kernel, Frame, usize, usize) -> T,
+        mem: impl Fn(&mut [u8], usize, usize) -> T,
     ) -> Vec<T>
     where
         T: Copy,
@@ -363,33 +351,30 @@ impl ThreadCtx {
         let mut i = 0usize;
         while i < n {
             let addr = base + i as u64 * stride;
+            let vpn = self.page.page_of(addr.0);
             if self.fastpath {
                 self.pre();
-                if let Some(entry) = self.tlb_lookup(self.page.page_of(addr.0), kind) {
-                    let cpu = self.cpu;
-                    // Maximal extent of elements on the cached page.
-                    let mut m = 1usize;
-                    while i + m < n {
-                        let a = base.0 + (i + m) as u64 * stride;
-                        if self.page.page_of(a) == entry.vpn
-                            && self.page.page_of(a + elem_bytes - 1) == entry.vpn
-                        {
-                            m += 1;
-                        } else {
-                            break;
-                        }
-                    }
+                if let Some(entry) = self.tlb_lookup(vpn, kind) {
+                    let off = self.page.offset_of(addr.0);
+                    // Elements left on the cached page: this one, and
+                    // one more per whole stride the page has room for.
+                    let room = self.page.bytes() - off - elem_bytes;
+                    let on_page = match stride {
+                        0 => n - i,
+                        _ => (n - i).min(room / stride as usize + 1),
+                    };
                     let k = kernel(&mut self.world);
                     let charged = k.charge_run(
-                        cpu,
+                        self.cpu,
                         kind,
                         entry.frame,
                         addr,
                         stride,
                         words,
-                        m,
+                        on_page,
                         self.budget_end,
                     );
+                    let page = k.machine.mem.frame_bytes(entry.frame);
                     if stride == 0 && charged > 1 {
                         // Every element aliases one location, and no
                         // other thread can run between the elements of
@@ -397,29 +382,22 @@ impl ThreadCtx {
                         // only interleaving points, on both paths) — so
                         // the extent's memory effect is one read,
                         // replicated, or its last write.
-                        let off = self.page.offset_of(addr.0);
-                        let last = i + charged - 1;
-                        let idx = if kind == Access::Fetch { i } else { last };
-                        let v = mem(k, entry.frame, off, idx);
-                        out.extend(std::iter::repeat_n(v, charged));
+                        let idx = if kind == Access::Fetch { i } else { i + charged - 1 };
+                        out.extend(std::iter::repeat_n(mem(page, off, idx), charged));
                     } else {
-                        for j in 0..charged {
-                            let off = self.page.offset_of(addr.0 + j as u64 * stride);
-                            out.push(mem(k, entry.frame, off, i + j));
-                        }
+                        let step = stride as usize;
+                        out.extend((0..charged).map(|j| mem(page, off + j * step, i + j)));
                     }
-                    let clock = k.clock_of(cpu);
+                    let clock = k.clock_of(self.cpu);
                     self.post(clock);
                     i += charged;
                     continue;
                 }
             }
-            let vpn = self.page.page_of(addr.0);
-            let (v, entry) = self.data_op(addr, kind, words, |k, cpu, f, off| {
+            let (v, entry) = self.data_op(addr, kind, words, |k, cpu, frame, off| {
                 let epoch = k.machine.mmus[cpu.index()].epoch();
-                let entry =
-                    TlbEntry { cpu, vpn, frame: f, epoch, wrote: kind == Access::Store };
-                (mem(k, f, off, i), entry)
+                let entry = TlbEntry { cpu, vpn, frame, epoch, wrote: kind == Access::Store };
+                (mem(k.machine.mem.frame_bytes(frame), off, i), entry)
             });
             if self.fastpath {
                 self.tlb_fill(entry);
@@ -440,8 +418,8 @@ impl ThreadCtx {
     pub fn read_run(&mut self, base: VAddr, stride: u64, n: usize) -> Vec<u32> {
         debug_assert_eq!(base.0 % 4, 0, "unaligned word run at {base}");
         debug_assert_eq!(stride % 4, 0, "word run stride {stride} not word-aligned");
-        self.run_op(base, stride, 4, Access::Fetch, 1, n, |k, f, off, _| {
-            k.machine.mem.read_u32(f, off)
+        self.run_op(base, stride, 4, Access::Fetch, 1, n, |page, off, _| {
+            u32::from_le_bytes(page[off..off + 4].try_into().expect("a four-byte slice"))
         })
     }
 
@@ -451,8 +429,8 @@ impl ThreadCtx {
     pub fn write_run(&mut self, base: VAddr, stride: u64, values: &[u32]) {
         debug_assert_eq!(base.0 % 4, 0, "unaligned word run at {base}");
         debug_assert_eq!(stride % 4, 0, "word run stride {stride} not word-aligned");
-        self.run_op(base, stride, 4, Access::Store, 1, values.len(), |k, f, off, i| {
-            k.machine.mem.write_u32(f, off, values[i])
+        self.run_op(base, stride, 4, Access::Store, 1, values.len(), |page, off, i| {
+            page[off..off + 4].copy_from_slice(&values[i].to_le_bytes())
         });
     }
 
@@ -461,10 +439,8 @@ impl ThreadCtx {
     pub fn read_run_f64(&mut self, base: VAddr, stride: u64, n: usize) -> Vec<f64> {
         debug_assert_eq!(base.0 % 8, 0, "unaligned f64 run at {base}");
         debug_assert_eq!(stride % 8, 0, "f64 run stride {stride} not f64-aligned");
-        self.run_op(base, stride, 8, Access::Fetch, 2, n, |k, f, off, _| {
-            let mut buf = [0u8; 8];
-            k.machine.mem.read_bytes(f, off, &mut buf);
-            f64::from_le_bytes(buf)
+        self.run_op(base, stride, 8, Access::Fetch, 2, n, |page, off, _| {
+            f64::from_le_bytes(page[off..off + 8].try_into().expect("an eight-byte slice"))
         })
     }
 
@@ -473,8 +449,8 @@ impl ThreadCtx {
     pub fn write_run_f64(&mut self, base: VAddr, stride: u64, values: &[f64]) {
         debug_assert_eq!(base.0 % 8, 0, "unaligned f64 run at {base}");
         debug_assert_eq!(stride % 8, 0, "f64 run stride {stride} not f64-aligned");
-        self.run_op(base, stride, 8, Access::Store, 2, values.len(), |k, f, off, i| {
-            k.machine.mem.write_bytes(f, off, &values[i].to_le_bytes())
+        self.run_op(base, stride, 8, Access::Store, 2, values.len(), |page, off, i| {
+            page[off..off + 8].copy_from_slice(&values[i].to_le_bytes())
         });
     }
 
@@ -550,25 +526,28 @@ impl ThreadCtx {
     /// Charges `t` of pure compute time (instructions that reference no
     /// writable memory), split into engine-visible chunks.
     ///
-    /// The chunk sequence and the clock at every rendezvous are the same
-    /// on both paths; the fast path merely charges consecutive chunks
-    /// that fit within the current budget in one inner loop, where the
-    /// slow path goes round the outer one once per chunk.
+    /// The clock at every rendezvous is the same on both paths. The slow
+    /// path charges one chunk per trip round the loop; the fast path
+    /// charges in one step everything the slow path would charge before
+    /// its next rendezvous: all that remains if it fits the window, else
+    /// whole chunks up to the first that reaches the budget's end.
     pub fn compute(&mut self, t: Ns) {
         let mut remaining = t;
         while remaining > Ns::ZERO {
             self.pre();
             let k = kernel(&mut self.world);
-            let clock = loop {
-                let step = remaining.min(COMPUTE_CHUNK);
-                k.compute(self.cpu, step);
-                remaining -= step;
-                let clock = k.clock_of(self.cpu);
-                if remaining == Ns::ZERO || clock >= self.budget_end || !self.fastpath {
-                    break clock;
-                }
+            let clock = k.clock_of(self.cpu);
+            let window = self.budget_end.saturating_sub(clock);
+            let step = if !self.fastpath {
+                remaining.min(COMPUTE_CHUNK)
+            } else if remaining <= window {
+                remaining
+            } else {
+                remaining.min(COMPUTE_CHUNK * window.0.div_ceil(COMPUTE_CHUNK.0).max(1))
             };
-            self.post(clock);
+            k.compute(self.cpu, step);
+            remaining -= step;
+            self.post(clock + step);
         }
     }
 

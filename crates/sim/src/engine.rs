@@ -296,7 +296,6 @@ fn simulated_thread(
             page,
             fastpath,
             tlb: [None; crate::ctx::TLB_ENTRIES],
-            tlb_next: 0,
         };
         // The final yield is guarded too: the scheduler it runs may
         // panic, and that must end the run, not strand it.

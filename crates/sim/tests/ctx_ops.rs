@@ -71,6 +71,55 @@ fn compute_is_chunked_but_exact() {
     assert_eq!(r.total_user(), Ns(3_000_001));
 }
 
+/// The fast path's one-step `compute` charges what the slow path's
+/// chunk-by-chunk loop charges before each rendezvous, for lengths on
+/// either side of a chunk (20 µs, `COMPUTE_CHUNK`) and budgets that end
+/// anywhere in them: two threads alternate computes with shared-word
+/// stores between them, so any shifted rendezvous reorders the stores
+/// and shows in the values read, the clocks seen, or the report.
+#[test]
+fn compute_charges_the_same_at_every_budget_boundary_on_both_paths() {
+    let chunk = Ns::from_us(20);
+    let lengths = [Ns(1), chunk - Ns(1), chunk, chunk + Ns(1), chunk * 37 + Ns(5)];
+    let run = |fastpath: bool, lookahead: Ns| {
+        let mut cfg = SimConfig::small(2).fastpath(fastpath);
+        cfg.lookahead = lookahead;
+        let mut s = Simulator::new(cfg, Box::new(MoveLimitPolicy::default()));
+        let a = s.alloc(64, Prot::READ_WRITE);
+        let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        for t in 0..2u64 {
+            let seen = std::sync::Arc::clone(&seen);
+            s.spawn(format!("t{t}"), move |ctx| {
+                for round in 0..6usize {
+                    for (i, &len) in lengths.iter().enumerate() {
+                        // Thread 1 takes the lengths rotated by the
+                        // round, so every pair of lengths meets.
+                        let len = if t == 0 { len } else { lengths[(i + round) % lengths.len()] };
+                        ctx.compute(len);
+                        ctx.write_u32(a + t * 4, (round * 10 + i) as u32);
+                        let other = ctx.read_u32(a + (1 - t) * 4);
+                        // `now` may hand the processor over: never under
+                        // the lock.
+                        let now = ctx.now();
+                        seen.lock().unwrap().push((t, now, other));
+                    }
+                }
+            });
+        }
+        let r = s.run();
+        let clocks: Vec<Ns> = r.cpu_times.iter().map(|c| c.total()).collect();
+        let seen = seen.lock().unwrap().clone();
+        (clocks, r.to_json().to_string_flat(), seen)
+    };
+    for lookahead in [Ns::ZERO, Ns::from_us(500)] {
+        let slow = run(false, lookahead);
+        let fast = run(true, lookahead);
+        assert_eq!(slow.0, fast.0, "per-cpu clocks diverged at lookahead {lookahead:?}");
+        assert_eq!(slow.1, fast.1, "reports diverged at lookahead {lookahead:?}");
+        assert_eq!(slow.2, fast.2, "interleaving diverged at lookahead {lookahead:?}");
+    }
+}
+
 #[test]
 fn lookahead_zero_and_nonzero_agree_on_results() {
     // Timing may differ across lookahead settings (bounded reorder), but

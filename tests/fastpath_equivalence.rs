@@ -21,7 +21,7 @@
 
 use numa_repro::apps::{paper_mix, App, KvServe, Scale, ServeParams};
 use numa_repro::machine::FaultConfig;
-use numa_repro::metrics::{Event, VecSink};
+use numa_repro::metrics::{Event, EventKind, VecSink};
 use numa_repro::numa::{CachePolicy, FlushLimitPolicy, MoveLimitPolicy, MoveOrFlushLimitPolicy};
 use numa_repro::sim::{RefEvent, SimConfig, Simulator};
 use std::sync::{Arc, Mutex};
@@ -414,6 +414,137 @@ fn overload_sweep_is_byte_identical_across_workers_and_paths() {
     assert_eq!(j1, slow, "fast vs slow path diverged");
     assert!(j1.contains("\"shed_queue_full\":"));
     assert!(j1.contains("\"nodes_offlined\":1"), "the chaos cell must kill its node");
+}
+
+/// The software TLB's capacity in pages (`ThreadCtx`'s `TLB_ENTRIES`):
+/// page `vpn` lives only in slot `vpn % TLB_SLOTS`.
+const TLB_SLOTS: u64 = 256;
+
+/// What the striders of [`observe_tlb_edges`] leave besides the
+/// observation: the translations the MMUs made, and for each strider
+/// every processor it ran on and a digest of every value it read.
+struct TlbEdges {
+    obs: Observation,
+    hits: u64,
+    striders: Vec<(Vec<usize>, u64)>,
+}
+
+/// The software TLB's edges, under full observability, on two
+/// processors. Each of two striders reads and writes runs whose strides
+/// span more pages than the TLB has slots (so slots wrap and evict each
+/// other), a run at a stride of exactly `TLB_SLOTS` pages (every
+/// element in one slot), runs with several elements per page
+/// (closed-form extent lengths that vary page by page), and, most of
+/// the time, a column within the TLB's reach. A writer stores into the
+/// pages they read meanwhile, shooting down their copies, so the
+/// striders' MMU epochs bump mid-run. Three threads on two processors
+/// give the global queue someone to move.
+fn observe_tlb_edges(fastpath: bool, scheduler: numa_repro::sim::SchedulerKind) -> TlbEdges {
+    use numa_repro::machine::{Ns, Prot, TopologyBuilder};
+    const PAGE: u64 = 256;
+    const PAGES: u64 = 2 * TLB_SLOTS + 88;
+    const REACH: usize = 240;
+    let sink = Arc::new(Mutex::new(VecSink::new()));
+    let machine = TopologyBuilder::small(2).global_frames(1024).local_frames(1024).config();
+    let mut cfg = SimConfig::small(2).machine(machine).events(sink.clone()).fastpath(fastpath);
+    cfg.scheduler = scheduler;
+    cfg.quantum = Ns::from_ms(50);
+    let mut sim = Simulator::new(cfg, Box::new(MoveLimitPolicy::default()));
+    let refs = Arc::new(Mutex::new(Vec::new()));
+    let tap = Arc::clone(&refs);
+    sim.with_kernel(|k| {
+        k.set_sink(Box::new(move |e: &RefEvent| tap.lock().unwrap().push(*e)))
+    });
+    let a = sim.alloc(PAGES * PAGE, Prot::READ_WRITE);
+    let seen = Arc::new(Mutex::new(vec![(Vec::new(), 0u64); 2]));
+    for id in 0..2usize {
+        let out = Arc::clone(&seen);
+        sim.spawn(format!("strider-{id}"), move |ctx| {
+            let mut digest = 0u64;
+            let mut fold = |v: u64| digest = digest.wrapping_mul(0x100_0000_01b3).wrapping_add(v);
+            // One word a page, drifting a word further in each time,
+            // across more pages than the TLB has slots; then read back.
+            if id == 0 {
+                ctx.write_run(a, PAGE + 4, &(0..560).collect::<Vec<u32>>());
+            }
+            ctx.read_run(a, PAGE + 4, 560).into_iter().for_each(|v| fold(v.into()));
+            for round in 0..32u64 {
+                out.lock().unwrap()[id].0.push(ctx.cpu().index());
+                // Every element in the same slot, evicting the one before.
+                let same_slot = ctx.read_run(a + 160 + (round % 8) * 4, TLB_SLOTS * PAGE, 3);
+                // Several elements per page, a varying number on each.
+                let packed = ctx.read_run(a + (round % 4) * 4, 60, 200);
+                same_slot.into_iter().chain(packed).for_each(|v| fold(v.into()));
+                // Pages only this strider touches, past the wide read.
+                let f64s = a + (PAGES - 16 + 6 * id as u64) * PAGE + 16;
+                ctx.write_run_f64(f64s, 24, &[round as f64 + 0.5; 40]);
+                // Two pages a step, across more pages than the TLB has
+                // slots: every element misses, so only now and then.
+                if round % 6 == 0 {
+                    let wide = ctx.read_run_f64(a + 32, 2 * PAGE + 8, 280);
+                    wide.into_iter().for_each(|v| fold(v.to_bits()));
+                }
+                // A column within reach, read again and again.
+                for col in 0..24u64 {
+                    let column = ctx.read_run(a + 64 + col * 4, PAGE, REACH);
+                    column.into_iter().for_each(|v| fold(v.into()));
+                }
+            }
+            out.lock().unwrap()[id].1 = digest;
+        });
+    }
+    sim.spawn("writer", move |ctx| {
+        for i in 0..24u64 {
+            // Eight pages the striders read, three stores each.
+            ctx.write_u32(a + ((i % 8 * 37) % PAGES) * PAGE + 192, i as u32);
+            ctx.compute(Ns::from_ms(20));
+        }
+    });
+    let report = sim.run();
+    let hits = sim.with_kernel(|k| k.machine.mmus.iter().map(|m| m.stats().hits).sum::<u64>());
+    let events = sink.lock().unwrap().events.clone();
+    let refs = refs.lock().unwrap().clone();
+    let obs = Observation {
+        report_json: report.to_json().to_string_flat(),
+        report_text: format!("{report}"),
+        events,
+        refs,
+    };
+    let striders = seen.lock().unwrap().clone();
+    TlbEdges { obs, hits, striders }
+}
+
+/// The direct-mapped TLB's reach, slot conflicts and stale epochs change
+/// nothing observable, under a scheduler that moves threads between
+/// processors and under the default one; and the reach is really there:
+/// the fast path translates at least ten times less often.
+#[test]
+fn tlb_reach_conflicts_and_staleness_are_invisible() {
+    use numa_repro::sim::SchedulerKind;
+    for scheduler in [SchedulerKind::GlobalQueue, SchedulerKind::Affinity] {
+        let slow = observe_tlb_edges(false, scheduler);
+        let fast = observe_tlb_edges(true, scheduler);
+        let name = format!("TLB edges/{scheduler:?}");
+        if scheduler == SchedulerKind::GlobalQueue {
+            let moved = |cpus: &Vec<usize>| cpus.iter().any(|&c| c != cpus[0]);
+            assert!(
+                slow.striders.iter().all(|(cpus, _)| moved(cpus)),
+                "{name}: a strider never changed processors"
+            );
+        }
+        assert!(
+            slow.obs.events.iter().any(|e| e.kind == EventKind::Shootdown),
+            "{name}: no store shot down a cached translation"
+        );
+        assert_equivalent(&name, &slow.obs, &fast.obs);
+        assert_eq!(slow.striders, fast.striders, "{name}: processors or values read diverged");
+        assert!(
+            fast.hits * 10 <= slow.hits,
+            "{name}: the TLB's reach shrank: {} translations vs {}",
+            fast.hits,
+            slow.hits
+        );
+    }
 }
 
 /// The fast path must actually engage: on a run-shaped workload the MMU
