@@ -19,7 +19,7 @@
 //! stderr, where nondeterminism belongs.
 
 use crate::checkpoint::Checkpoint;
-use crate::farm::{FarmOptions, LabError};
+use crate::farm::LabError;
 use crate::gate::{diff_documents, GateTolerances};
 use crate::grid::{Axis, Grid, JobSpec, AXES};
 use crate::sweep::Sweep;
@@ -28,7 +28,7 @@ use numa_metrics::paper::{PAPER_TABLE3, PAPER_TABLE4};
 use numa_metrics::table::fmt_opt;
 use numa_metrics::{shared, validate, Event, EventKind, EventSink, SharedSink, Table};
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 const DEFAULT_FILE: &str = "BENCH_sweep.json";
 
@@ -58,8 +58,6 @@ OPTIONS:
                        file (<out>.partial) and skip them on the next
                        --resume run; final output is byte-identical to an
                        uninterrupted run
-    --timeout SECS     run/table: wall-clock watchdog per job — a wedged cell
-                       fails the sweep typed instead of hanging it
     --baseline FILE    diff/gate: committed baseline (default: BENCH_sweep.json)
     --current FILE     diff/gate: compare this file instead of running the grid
     --quiet            no progress output on stderr
@@ -88,7 +86,6 @@ struct Opts {
     strict: bool,
     fastpath: bool,
     resume: bool,
-    timeout_secs: Option<u64>,
 }
 
 impl Default for Opts {
@@ -105,7 +102,6 @@ impl Default for Opts {
             strict: false,
             fastpath: true,
             resume: false,
-            timeout_secs: None,
         }
     }
 }
@@ -142,15 +138,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             "--quiet" => opts.quiet = true,
             "--strict" => opts.strict = true,
             "--resume" => opts.resume = true,
-            "--timeout" => {
-                let v = value(&mut it, "--timeout")?;
-                opts.timeout_secs = Some(
-                    v.parse::<u64>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or(format!("--timeout wants a positive number of seconds, got `{v}`"))?,
-                );
-            }
             "--path" => {
                 let v = value(&mut it, "--path")?;
                 opts.fastpath = match v.as_str() {
@@ -213,20 +200,11 @@ fn lookup_grid(opts: &Opts) -> Result<Grid, String> {
     Ok(grid)
 }
 
-fn farm_options(opts: &Opts) -> FarmOptions {
-    FarmOptions {
-        timeout: opts.timeout_secs.map(Duration::from_secs),
-        // A fault-injected cell that fails gets one deterministic
-        // re-run before its failure is reported (see FarmOptions).
-        retry_faulted: true,
-    }
-}
-
 fn run_sweep(grid: Grid, opts: &Opts) -> Result<(Sweep, f64), LabError> {
     let progress: Option<SharedSink> = (!opts.quiet)
         .then(|| shared(StderrProgress { done: 0, started: Instant::now() }) as SharedSink);
     let started = Instant::now();
-    let sweep = Sweep::run_opts(grid, opts.jobs, progress.as_ref(), farm_options(opts))?;
+    let sweep = Sweep::run(grid, opts.jobs, progress.as_ref())?;
     Ok((sweep, started.elapsed().as_secs_f64()))
 }
 
@@ -247,8 +225,7 @@ fn run_sweep_resumable(grid: Grid, opts: &Opts, out: &str) -> Result<(Sweep, f64
     let progress: Option<SharedSink> = (!opts.quiet)
         .then(|| shared(StderrProgress { done: 0, started: Instant::now() }) as SharedSink);
     let started = Instant::now();
-    let sweep =
-        Sweep::run_resumable(grid, opts.jobs, progress.as_ref(), farm_options(opts), &mut cp)?;
+    let sweep = Sweep::run_resumable(grid, opts.jobs, progress.as_ref(), &mut cp)?;
     cp.remove();
     Ok((sweep, started.elapsed().as_secs_f64()))
 }
@@ -563,14 +540,32 @@ mod tests {
     }
 
     #[test]
-    fn resume_and_timeout_flags_parse() {
-        let o = parse_opts(&args(&["--resume", "--timeout", "30"])).unwrap();
-        assert!(o.resume);
-        assert_eq!(o.timeout_secs, Some(30));
+    fn resume_parses_and_timeout_is_a_usage_error() {
+        assert!(parse_opts(&args(&["--resume"])).unwrap().resume);
         assert!(!parse_opts(&args(&[])).unwrap().resume);
-        assert!(parse_opts(&args(&["--timeout", "0"])).is_err());
-        assert!(parse_opts(&args(&["--timeout", "soon"])).is_err());
-        assert!(parse_opts(&args(&["--timeout"])).is_err());
+        // The wall-clock watchdog's flag is gone: it is an unknown option.
+        let gone = format!("--{}", "timeout");
+        let err = parse_opts(&args(&[&gone, "30"])).err().unwrap_or_default();
+        assert_eq!(err, format!("unknown option `{gone}`"));
+        let cmd = args(&["run", "--grid", "smoke", "--out", "x.json", &gone, "30"]);
+        assert_eq!(run(cmd), ExitCode::from(2));
+    }
+
+    #[test]
+    fn a_document_nested_too_deep_is_a_usage_error_not_a_crash() {
+        let dir = std::env::temp_dir();
+        let deep = dir.join(format!("numa-lab-deep-{}.json", std::process::id()));
+        let base = dir.join(format!("numa-lab-base-{}.json", std::process::id()));
+        std::fs::write(&deep, format!("{}{}", "[".repeat(1_000_000), "]".repeat(1_000_000)))
+            .unwrap();
+        std::fs::write(&base, "{}").unwrap();
+        let (deep, base) = (deep.to_str().unwrap(), base.to_str().unwrap());
+        let cmd = ["diff", "--grid", "smoke", "--current", deep, "--baseline", base];
+        let opts = parse_opts(&args(&cmd[1..])).unwrap();
+        let err = cmd_diff(&opts, false).err().unwrap_or_default();
+        assert!(err.contains("nesting deeper than 128"), "got: {err}");
+        assert_eq!(run(args(&cmd)), ExitCode::from(2));
+        let _ = (std::fs::remove_file(deep), std::fs::remove_file(base));
     }
 
     #[test]

@@ -1,23 +1,19 @@
-//! The worker farm: N OS threads draining one job queue.
+//! The worker farm: N scoped OS threads claiming jobs from one cursor.
 //!
 //! Jobs are fully independent deterministic simulations, so the farm's
 //! only correctness obligations are (1) merge results back into **grid
 //! order**, so output is byte-identical whatever the completion order
-//! or worker count, and (2) turn every possible worker misbehaviour —
-//! a failed verification, a panic inside a job, a worker that dies
-//! without reporting, a job that wedges — into a typed [`LabError`]
-//! instead of a hang or a poisoned lock.
+//! or worker count, and (2) turn a failed verification or a panic
+//! inside a job into a typed [`LabError`] instead of a hang or a
+//! poisoned lock.
 //!
-//! Plumbing is `std` only: an `mpsc` channel (behind a mutex) hands
-//! out job indices, a second channel carries `Started`/`Finished`
-//! messages home, and the collector (the calling thread) enforces the
-//! wall-clock watchdog from the `Started` timestamps. Workers are
-//! **detached** threads over `Arc`-shared state rather than scoped
-//! ones: a scope must join every worker before returning, so a single
-//! wedged job would turn the watchdog's typed error back into a hang.
-//! On timeout the farm abandons the stuck worker (it holds only
-//! `Arc` clones, so nothing dangles) and returns
-//! [`LabError::JobTimedOut`] at once.
+//! Plumbing is `std` only: workers run inside one `std::thread::scope`,
+//! claim grid indices from a shared `AtomicUsize`, catch each job's
+//! panic at the job boundary, and return their `(index, outcome)`
+//! pairs; the merge runs after the scope has joined them all. A panic
+//! outside the job boundary is a farm bug and resurfaces from the
+//! join. A run that stops making virtual progress is already a typed
+//! error (`SimConfig::vt_budget`), so there is no wall-clock watchdog.
 //!
 //! Progress is reported through the structured event sink of the
 //! observability pipeline: one [`EventKind::JobCompleted`] per
@@ -28,16 +24,9 @@ use crate::grid::JobSpec;
 use ace_machine::{CpuId, Ns};
 use ace_sim::RunReport;
 use numa_metrics::{Event, EventKind, SharedSink};
-use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
-use std::time::{Duration, Instant};
-
-/// How often the collector wakes to check the watchdog when no results
-/// are arriving.
-const WATCHDOG_TICK: Duration = Duration::from_millis(50);
 
 /// One finished sweep cell.
 #[derive(Clone, Debug)]
@@ -46,22 +35,6 @@ pub struct JobResult {
     pub spec: JobSpec,
     /// Its measurements.
     pub report: RunReport,
-}
-
-/// Knobs of one farm invocation (everything defaults to off).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FarmOptions {
-    /// Wall-clock watchdog: a job still running this long after it
-    /// started fails the sweep with [`LabError::JobTimedOut`] instead
-    /// of hanging it. `None` disables the watchdog.
-    pub timeout: Option<Duration>,
-    /// Give a failing job one second attempt when its spec injects
-    /// hardware faults (`fault_rate > 0`): under injected faults a
-    /// verification failure can be the fault schedule's doing rather
-    /// than a policy bug, and the retry — same seed, same schedule —
-    /// distinguishes "recovered wrong" (fails twice, reported) from a
-    /// transient worker-side issue. Fault-free jobs never retry.
-    pub retry_faulted: bool,
 }
 
 /// Everything that can go wrong running a grid.
@@ -87,23 +60,6 @@ pub enum LabError {
         /// The panic payload, when it was a string.
         message: String,
     },
-    /// A job blew the wall-clock watchdog. The worker running it is
-    /// abandoned (detached, parked on shared `Arc`s), so the sweep
-    /// fails typed instead of hanging.
-    JobTimedOut {
-        /// Grid-order index of the stuck job.
-        job: usize,
-        /// Human label of the stuck job.
-        label: String,
-        /// The watchdog bound that was exceeded, in seconds.
-        seconds: u64,
-    },
-    /// One or more workers died without reporting results (a panic
-    /// outside the job boundary) — the listed jobs never completed.
-    WorkersLost {
-        /// Grid-order indices of the jobs with no result.
-        jobs: Vec<usize>,
-    },
 }
 
 impl std::fmt::Display for LabError {
@@ -115,31 +71,17 @@ impl std::fmt::Display for LabError {
             LabError::JobPanicked { job, label, message } => {
                 write!(f, "job #{job} ({label}) panicked: {message}")
             }
-            LabError::JobTimedOut { job, label, seconds } => {
-                write!(f, "job #{job} ({label}) exceeded the {seconds}s wall-clock watchdog")
-            }
-            LabError::WorkersLost { jobs } => {
-                write!(f, "worker(s) died without reporting; jobs {jobs:?} have no result")
-            }
         }
     }
 }
 
 impl std::error::Error for LabError {}
 
-/// What one worker sends home per job.
+/// What one worker brings home per job.
 enum Outcome {
     Done(Box<RunReport>),
     Failed(String),
     Panicked(String),
-}
-
-/// Worker-to-collector messages. `Started` carries no timestamp — the
-/// collector stamps arrival, which only widens the watchdog window
-/// (never fires it early).
-enum Msg {
-    Started(usize),
-    Finished(usize, usize, Outcome),
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -166,7 +108,8 @@ pub fn run_jobs(
 
 /// [`run_jobs`] with an injectable per-job runner, so tests can
 /// exercise the farm's failure paths (panicking jobs, failing jobs)
-/// without building pathological simulations.
+/// without building pathological simulations, and a resumable sweep
+/// can record each cell as it finishes.
 pub fn run_jobs_with<F>(
     jobs: &[JobSpec],
     n_workers: usize,
@@ -174,179 +117,57 @@ pub fn run_jobs_with<F>(
     runner: F,
 ) -> Result<Vec<JobResult>, LabError>
 where
-    F: Fn(&JobSpec) -> Result<RunReport, String> + Send + Sync + 'static,
+    F: Fn(&JobSpec) -> Result<RunReport, String> + Sync,
 {
-    run_jobs_opts(jobs, n_workers, progress, FarmOptions::default(), runner, |_, _| {})
-}
-
-/// The full-control farm entry point: options (watchdog, fault retry)
-/// plus an `on_complete` hook the collector calls — on the calling
-/// thread, in completion order — for every successfully finished job.
-/// The resume checkpoint hangs off this hook; anything needing
-/// deterministic order should use the returned grid-ordered results
-/// instead.
-pub fn run_jobs_opts<F, C>(
-    jobs: &[JobSpec],
-    n_workers: usize,
-    progress: Option<&SharedSink>,
-    opts: FarmOptions,
-    runner: F,
-    mut on_complete: C,
-) -> Result<Vec<JobResult>, LabError>
-where
-    F: Fn(&JobSpec) -> Result<RunReport, String> + Send + Sync + 'static,
-    C: FnMut(&JobSpec, &RunReport),
-{
-    let n_workers = n_workers.max(1);
-    let (job_tx, job_rx) = mpsc::channel::<usize>();
-    for i in 0..jobs.len() {
-        job_tx.send(i).expect("queue receiver alive");
-    }
-    drop(job_tx);
-    let job_rx = Arc::new(Mutex::new(job_rx));
-    let (res_tx, res_rx) = mpsc::channel::<Msg>();
-    let shared_jobs: Arc<Vec<JobSpec>> = Arc::new(jobs.to_vec());
-    let runner: Arc<F> = Arc::new(runner);
-
-    let mut slots: Vec<Option<Outcome>> = Vec::new();
-    slots.resize_with(jobs.len(), || None);
-
-    for w in 0..n_workers.min(jobs.len().max(1)) {
-        let job_rx = Arc::clone(&job_rx);
-        let res_tx = res_tx.clone();
-        let jobs = Arc::clone(&shared_jobs);
-        let runner = Arc::clone(&runner);
-        thread::spawn(move || loop {
-            // A poisoned queue mutex means another worker panicked
-            // while holding it; this worker just retires — the
-            // collector reports the unfinished jobs.
-            let next = match job_rx.lock() {
-                Ok(rx) => rx.recv(),
-                Err(_) => return,
+    let cursor = AtomicUsize::new(0);
+    let work = |worker: usize| {
+        let mut done = Vec::new();
+        loop {
+            let idx = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(spec) = jobs.get(idx) else { return done };
+            let outcome = match catch_unwind(AssertUnwindSafe(|| runner(spec))) {
+                Ok(Ok(report)) => Outcome::Done(Box::new(report)),
+                Ok(Err(reason)) => Outcome::Failed(reason),
+                Err(payload) => Outcome::Panicked(panic_message(payload)),
             };
-            let Ok(idx) = next else { return };
-            let spec = &jobs[idx];
-            let mut attempts = if opts.retry_faulted && spec.fault_rate > 0.0 { 2 } else { 1 };
-            let outcome = loop {
-                // Each attempt re-arms the watchdog: a retry gets the
-                // full window again.
-                if res_tx.send(Msg::Started(idx)).is_err() {
-                    return;
-                }
-                let outcome = match catch_unwind(AssertUnwindSafe(|| runner(spec))) {
-                    Ok(Ok(report)) => Outcome::Done(Box::new(report)),
-                    Ok(Err(reason)) => Outcome::Failed(reason),
-                    Err(payload) => Outcome::Panicked(panic_message(payload)),
+            if let Some(Ok(mut sink)) = progress.map(|s| s.lock()) {
+                let makespan = match &outcome {
+                    Outcome::Done(r) => r.makespan(),
+                    _ => Ns::ZERO,
                 };
-                attempts -= 1;
-                match outcome {
-                    Outcome::Failed(_) if attempts > 0 => continue,
-                    outcome => break outcome,
-                }
-            };
-            if res_tx.send(Msg::Finished(w, idx, outcome)).is_err() {
-                return;
-            }
-        });
-    }
-    drop(res_tx);
-
-    // Collect until every job reported (or the channel closed because
-    // workers died). `recv_timeout` keeps the watchdog live even when
-    // nothing is finishing; expiry is also checked on every message so
-    // a busy channel cannot starve it.
-    let mut pending = jobs.len();
-    let mut started: HashMap<usize, Instant> = HashMap::new();
-    while pending > 0 {
-        if let Some(bound) = opts.timeout {
-            // Deterministic victim choice: the lowest-indexed job over
-            // the bound, not HashMap iteration order.
-            let expired = started
-                .iter()
-                .filter(|(_, since)| since.elapsed() >= bound)
-                .map(|(&idx, _)| idx)
-                .min();
-            if let Some(idx) = expired {
-                return Err(LabError::JobTimedOut {
-                    job: jobs[idx].id,
-                    label: jobs[idx].label(),
-                    seconds: bound.as_secs(),
+                sink.record(&Event {
+                    t: makespan,
+                    cpu: CpuId((worker % CpuId::MAX_CPUS) as u16),
+                    kind: EventKind::JobCompleted { job: spec.id as u32, of: jobs.len() as u32 },
                 });
             }
+            done.push((idx, outcome));
         }
-        let msg = if opts.timeout.is_some() {
-            match res_rx.recv_timeout(WATCHDOG_TICK) {
-                Ok(msg) => msg,
-                Err(mpsc::RecvTimeoutError::Timeout) => continue,
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            }
-        } else {
-            match res_rx.recv() {
-                Ok(msg) => msg,
-                Err(_) => break,
-            }
-        };
-        match msg {
-            Msg::Started(idx) => {
-                started.insert(idx, Instant::now());
-            }
-            Msg::Finished(worker, idx, outcome) => {
-                started.remove(&idx);
-                pending -= 1;
-                if let Some(sink) = progress {
-                    let makespan = match &outcome {
-                        Outcome::Done(r) => r.makespan(),
-                        _ => Ns::ZERO,
-                    };
-                    if let Ok(mut sink) = sink.lock() {
-                        sink.record(&Event {
-                            t: makespan,
-                            cpu: CpuId((worker % CpuId::MAX_CPUS) as u16),
-                            kind: EventKind::JobCompleted {
-                                job: jobs[idx].id as u32,
-                                of: jobs.len() as u32,
-                            },
-                        });
-                    }
-                }
-                if let Outcome::Done(report) = &outcome {
-                    on_complete(&jobs[idx], report);
-                }
-                slots[idx] = Some(outcome);
-            }
-        }
-    }
+    };
+    let mut outcomes: Vec<(usize, Outcome)> = thread::scope(|s| {
+        let workers: Vec<_> =
+            (0..n_workers.max(1).min(jobs.len())).map(|w| s.spawn(move || work(w))).collect();
+        workers.into_iter().flat_map(|h| h.join().unwrap_or_else(|p| resume_unwind(p))).collect()
+    });
 
     // Errors surface in grid order, so which failure is reported does
     // not depend on scheduling.
-    let mut results = Vec::with_capacity(jobs.len());
-    let mut lost = Vec::new();
-    for (idx, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Some(Outcome::Done(report)) => {
-                results.push(JobResult { spec: jobs[idx].clone(), report: *report })
+    outcomes.sort_unstable_by_key(|&(idx, _)| idx);
+    outcomes
+        .into_iter()
+        .map(|(idx, outcome)| {
+            let spec = &jobs[idx];
+            match outcome {
+                Outcome::Done(report) => Ok(JobResult { spec: spec.clone(), report: *report }),
+                Outcome::Failed(reason) => {
+                    Err(LabError::JobFailed { job: spec.id, label: spec.label(), reason })
+                }
+                Outcome::Panicked(message) => {
+                    Err(LabError::JobPanicked { job: spec.id, label: spec.label(), message })
+                }
             }
-            Some(Outcome::Failed(reason)) => {
-                return Err(LabError::JobFailed {
-                    job: jobs[idx].id,
-                    label: jobs[idx].label(),
-                    reason,
-                })
-            }
-            Some(Outcome::Panicked(message)) => {
-                return Err(LabError::JobPanicked {
-                    job: jobs[idx].id,
-                    label: jobs[idx].label(),
-                    message,
-                })
-            }
-            None => lost.push(jobs[idx].id),
-        }
-    }
-    if !lost.is_empty() {
-        return Err(LabError::WorkersLost { jobs: lost });
-    }
-    Ok(results)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -354,7 +175,7 @@ mod tests {
     use super::*;
     use crate::grid::Grid;
     use numa_metrics::{shared, VecSink};
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Arc, Mutex};
 
     fn tiny_jobs(n: usize) -> Vec<JobSpec> {
         let mut jobs = Grid::smoke().jobs();
@@ -461,132 +282,5 @@ mod tests {
         let jobs = tiny_jobs(2);
         let sink = shared(VecSink::new());
         run_jobs(&jobs, 2, Some(&sink)).unwrap();
-    }
-
-    #[test]
-    fn a_wedged_job_times_out_typed_instead_of_hanging() {
-        let jobs = tiny_jobs(4);
-        let opts =
-            FarmOptions { timeout: Some(Duration::from_millis(200)), ..FarmOptions::default() };
-        let before = Instant::now();
-        let err = run_jobs_opts(
-            &jobs,
-            2,
-            None,
-            opts,
-            |spec| {
-                if spec.id == 1 {
-                    // Wedge well past the watchdog; the thread is
-                    // abandoned and exits on its own later.
-                    std::thread::sleep(Duration::from_secs(5));
-                }
-                spec.run()
-            },
-            |_, _| {},
-        )
-        .unwrap_err();
-        assert!(
-            before.elapsed() < Duration::from_secs(4),
-            "watchdog must fire without joining the stuck worker"
-        );
-        match err {
-            LabError::JobTimedOut { job, label, seconds } => {
-                assert_eq!(job, 1);
-                assert!(!label.is_empty());
-                assert_eq!(seconds, 0, "sub-second bound truncates to 0s in the message");
-            }
-            other => panic!("expected JobTimedOut, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn fault_injected_jobs_get_one_retry() {
-        let mut jobs = tiny_jobs(2);
-        jobs[0].fault_rate = 0.01;
-        let calls = Arc::new(AtomicUsize::new(0));
-        let seen = Arc::clone(&calls);
-        let opts = FarmOptions { retry_faulted: true, ..FarmOptions::default() };
-        let results = run_jobs_opts(
-            &jobs,
-            1,
-            None,
-            opts,
-            move |spec| {
-                if spec.id == 0 && seen.fetch_add(1, Ordering::SeqCst) == 0 {
-                    Err("transient fault-schedule casualty".to_string())
-                } else {
-                    spec.run()
-                }
-            },
-            |_, _| {},
-        )
-        .unwrap();
-        assert_eq!(results.len(), 2);
-        assert_eq!(calls.load(Ordering::SeqCst), 2, "first attempt failed, retry ran");
-    }
-
-    #[test]
-    fn retries_are_bounded_and_fault_free_jobs_never_retry() {
-        let mut jobs = tiny_jobs(2);
-        jobs[0].fault_rate = 0.01;
-        let calls = Arc::new(AtomicUsize::new(0));
-        let seen = Arc::clone(&calls);
-        let opts = FarmOptions { retry_faulted: true, ..FarmOptions::default() };
-        let err = run_jobs_opts(
-            &jobs,
-            1,
-            None,
-            opts,
-            move |spec| {
-                if spec.id == 0 {
-                    seen.fetch_add(1, Ordering::SeqCst);
-                    Err("fails every time".to_string())
-                } else {
-                    spec.run()
-                }
-            },
-            |_, _| {},
-        )
-        .unwrap_err();
-        assert!(matches!(err, LabError::JobFailed { job: 0, .. }), "got {err:?}");
-        assert_eq!(calls.load(Ordering::SeqCst), 2, "exactly one retry, then typed failure");
-
-        // A fault-free job gets no second chance even with the knob on.
-        let calls = Arc::new(AtomicUsize::new(0));
-        let seen = Arc::clone(&calls);
-        let err = run_jobs_opts(
-            &tiny_jobs(1),
-            1,
-            None,
-            opts,
-            move |_| {
-                seen.fetch_add(1, Ordering::SeqCst);
-                Err("no faults injected".to_string())
-            },
-            |_, _| {},
-        )
-        .unwrap_err();
-        assert!(matches!(err, LabError::JobFailed { job: 0, .. }));
-        assert_eq!(calls.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn on_complete_sees_every_finished_job() {
-        let jobs = tiny_jobs(3);
-        let mut seen = Vec::new();
-        let results = run_jobs_opts(
-            &jobs,
-            2,
-            None,
-            FarmOptions::default(),
-            JobSpec::run,
-            |spec, report| seen.push((spec.id, report.makespan())),
-        )
-        .unwrap();
-        seen.sort_unstable_by_key(|&(id, _)| id);
-        assert_eq!(seen.len(), 3);
-        for (i, r) in results.iter().enumerate() {
-            assert_eq!(seen[i], (r.spec.id, r.report.makespan()));
-        }
     }
 }

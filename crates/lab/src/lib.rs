@@ -10,11 +10,10 @@
 //!   order; every axis, from application and placement to the serving
 //!   and overload knobs, is one row of the table that expansion,
 //!   serialization, labels and listings all iterate;
-//! * [`farm`] — run the jobs on a farm of OS threads (`std::thread` +
-//!   channels, nothing else) and merge results back **in grid order**,
-//!   so the output is byte-identical whatever `--jobs` is; worker
-//!   failures — including a wedged job, caught by the wall-clock
-//!   watchdog — become typed [`LabError`]s, never hangs;
+//! * [`farm`] — run the jobs on a farm of scoped OS threads (one
+//!   atomic cursor, nothing else) and merge results back **in grid
+//!   order**, so the output is byte-identical whatever `--jobs` is; a
+//!   failed or panicking job becomes a typed [`LabError`], never a hang;
 //! * [`checkpoint`] — the `--resume` sidecar: completed cells persisted
 //!   as exact integers next to the output file, so an interrupted sweep
 //!   restarts where it stopped and still emits byte-identical output;
@@ -43,7 +42,7 @@ pub mod grid;
 pub mod sweep;
 
 pub use checkpoint::Checkpoint;
-pub use farm::{run_jobs, run_jobs_opts, run_jobs_with, FarmOptions, JobResult, LabError};
+pub use farm::{run_jobs, run_jobs_with, JobResult, LabError};
 pub use gate::{diff_documents, GateTolerances};
 pub use grid::{AppId, Grid, JobSpec, Placement};
 pub use sweep::{ModelRow, Sweep, SCHEMA};

@@ -13,10 +13,11 @@
 //! prints them, and nothing else solves the model.
 
 use crate::checkpoint::Checkpoint;
-use crate::farm::{self, FarmOptions, JobResult, LabError};
+use crate::farm::{self, JobResult, LabError};
 use crate::grid::{Grid, JobSpec, Placement};
 use numa_metrics::paper::{paper_alpha, paper_beta_gamma};
 use numa_metrics::{Json, Model, ServingReport, SharedSink};
+use std::sync::{Mutex, PoisonError};
 use Class::{Bytes, Count, Factor, Identity, Time};
 
 /// Schema tag of the sweep document.
@@ -85,19 +86,7 @@ impl Sweep {
         n_workers: usize,
         progress: Option<&SharedSink>,
     ) -> Result<Sweep, LabError> {
-        Sweep::run_opts(grid, n_workers, progress, FarmOptions::default())
-    }
-
-    /// [`Sweep::run`] with farm options (wall-clock watchdog, bounded
-    /// retry of fault-injected cells).
-    pub fn run_opts(
-        grid: Grid,
-        n_workers: usize,
-        progress: Option<&SharedSink>,
-        opts: FarmOptions,
-    ) -> Result<Sweep, LabError> {
-        let results =
-            farm::run_jobs_opts(&grid.jobs(), n_workers, progress, opts, JobSpec::run, |_, _| {})?;
+        let results = farm::run_jobs(&grid.jobs(), n_workers, progress)?;
         Ok(Sweep { grid, results })
     }
 
@@ -109,22 +98,25 @@ impl Sweep {
         grid: Grid,
         n_workers: usize,
         progress: Option<&SharedSink>,
-        opts: FarmOptions,
         checkpoint: &mut Checkpoint,
     ) -> Result<Sweep, String> {
         let jobs = grid.jobs();
         let done = checkpoint.completed_results(&jobs);
         let have: std::collections::HashSet<usize> = done.iter().map(|r| r.spec.id).collect();
         let todo: Vec<JobSpec> = jobs.iter().filter(|j| !have.contains(&j.id)).cloned().collect();
-        let mut io_err: Option<String> = None;
-        let fresh =
-            farm::run_jobs_opts(&todo, n_workers, progress, opts, JobSpec::run, |spec, report| {
-                if io_err.is_none() {
-                    io_err = checkpoint.record(spec, report).err();
-                }
-            })
-            .map_err(|e| e.to_string())?;
-        if let Some(e) = io_err {
+        // The checkpoint and the first I/O error it raised.
+        let recorder = Mutex::new((checkpoint, None::<String>));
+        let fresh = farm::run_jobs_with(&todo, n_workers, progress, |spec| {
+            let report = spec.run()?;
+            let mut guard = recorder.lock().unwrap_or_else(PoisonError::into_inner);
+            let (checkpoint, io_err) = &mut *guard;
+            if io_err.is_none() {
+                *io_err = checkpoint.record(spec, &report).err();
+            }
+            Ok(report)
+        })
+        .map_err(|e| e.to_string())?;
+        if let (_, Some(e)) = recorder.into_inner().unwrap_or_else(PoisonError::into_inner) {
             return Err(format!("sweep ran but checkpointing failed: {e}"));
         }
         let mut by_id: std::collections::BTreeMap<usize, JobResult> =
@@ -575,9 +567,11 @@ mod tests {
         }
         let mut cp = Checkpoint::load_or_create(&path, &g).unwrap();
         assert_eq!(cp.completed_ids(), vec![0, 1]);
-        let resumed =
-            Sweep::run_resumable(g, 2, None, FarmOptions::default(), &mut cp).unwrap();
+        let resumed = Sweep::run_resumable(g, 2, None, &mut cp).unwrap();
         assert_eq!(resumed.to_json().to_string_flat(), expected);
+        // Every freshly run cell was recorded on the way.
+        let all: Vec<usize> = (0..uninterrupted.results.len()).collect();
+        assert_eq!(cp.completed_ids(), all);
         cp.remove();
         assert!(!path.exists());
     }

@@ -6,7 +6,7 @@
 //!    hang.
 
 use numa_apps::Scale;
-use numa_lab::{run_jobs_with, Grid, LabError, Sweep};
+use numa_lab::{run_jobs, run_jobs_with, Grid, LabError, Sweep};
 
 #[test]
 fn jobs_1_and_jobs_8_produce_byte_identical_json() {
@@ -58,4 +58,5 @@ fn more_workers_than_jobs_is_fine() {
     grid.apps.truncate(1);
     let sweep = Sweep::run(grid, 64, None).unwrap();
     assert_eq!(sweep.results.len(), 3);
+    assert!(run_jobs(&[], 64, None).unwrap().is_empty(), "an empty grid runs nothing");
 }

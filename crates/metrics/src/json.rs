@@ -7,10 +7,11 @@
 //! * **Determinism** — object members render in insertion order and
 //!   numbers format identically on every run, so two runs of the same
 //!   seeded simulation produce byte-identical report files.
-//! * **Verifiability** — [`validate`] is a tiny recursive-descent
-//!   checker the CI smoke job (and the harness itself) runs over every
-//!   emitted file, so a malformed report fails fast instead of breaking
-//!   a downstream consumer.
+//! * **Verifiability** — [`validate`] is [`parse`] with the value
+//!   dropped, run over every emitted file, so a malformed report fails
+//!   fast instead of breaking a downstream consumer. There is one
+//!   grammar, and its nesting is bounded (`MAX_DEPTH`), so no input
+//!   can overflow the stack.
 
 use std::fmt;
 
@@ -187,18 +188,16 @@ impl fmt::Display for Json {
     }
 }
 
-/// Validates that `s` is one well-formed JSON document. Returns the
-/// byte offset and a description of the first problem found.
+/// How deep arrays and objects may nest. The parser recurses once per
+/// level, so the bound is what keeps a hostile document from
+/// overflowing the stack; the deepest committed report nests 9 levels.
+const MAX_DEPTH: usize = 128;
+
+/// Validates that `s` is one well-formed JSON document: [`parse`], with
+/// the value dropped. Returns the byte offset and a description of the
+/// first problem found.
 pub fn validate(s: &str) -> Result<(), String> {
-    let bytes = s.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing bytes at offset {pos}"));
-    }
-    Ok(())
+    parse(s).map(drop)
 }
 
 /// Parses one JSON document into a [`Json`] value — the read side of
@@ -208,12 +207,13 @@ pub fn validate(s: &str) -> Result<(), String> {
 /// Numbers with no fraction or exponent that fit an `i64` come back as
 /// [`Json::Int`]; everything else numeric comes back as [`Json::Num`].
 /// Object member order is preserved, so `parse(x).to_string_flat()`
-/// round-trips documents this crate produced.
+/// round-trips documents this crate produced. Nesting deeper than
+/// `MAX_DEPTH` is an error.
 pub fn parse(s: &str) -> Result<Json, String> {
     let bytes = s.as_bytes();
     let mut pos = 0usize;
     skip_ws(bytes, &mut pos);
-    let v = build_value(bytes, &mut pos)?;
+    let v = build_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing bytes at offset {pos}"));
@@ -221,10 +221,14 @@ pub fn parse(s: &str) -> Result<Json, String> {
     Ok(v)
 }
 
-fn build_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// One value that sits inside `depth` open arrays and objects.
+fn build_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".to_string()),
+        Some(b'[' | b'{') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at offset {pos}"))
+        }
         Some(b'n') => expect(b, pos, "null").map(|()| Json::Null),
         Some(b't') => expect(b, pos, "true").map(|()| Json::Bool(true)),
         Some(b'f') => expect(b, pos, "false").map(|()| Json::Bool(false)),
@@ -238,7 +242,7 @@ fn build_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(build_value(b, pos)?);
+                items.push(build_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -263,7 +267,7 @@ fn build_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = build_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, ":")?;
-                let value = build_value(b, pos)?;
+                let value = build_value(b, pos, depth + 1)?;
                 members.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -344,63 +348,6 @@ fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
         Ok(())
     } else {
         Err(format!("expected `{lit}` at offset {pos}"))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'n') => expect(b, pos, "null"),
-        Some(b't') => expect(b, pos, "true"),
-        Some(b'f') => expect(b, pos, "false"),
-        Some(b'"') => parse_string(b, pos),
-        Some(b'[') => {
-            *pos += 1;
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(());
-            }
-            loop {
-                parse_value(b, pos)?;
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(format!("expected `,` or `]` at offset {pos}")),
-                }
-            }
-        }
-        Some(b'{') => {
-            *pos += 1;
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(());
-            }
-            loop {
-                skip_ws(b, pos);
-                parse_string(b, pos)?;
-                skip_ws(b, pos);
-                expect(b, pos, ":")?;
-                parse_value(b, pos)?;
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at offset {pos}")),
-                }
-            }
-        }
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
-        Some(c) => Err(format!("unexpected byte `{}` at offset {pos}", *c as char)),
     }
 }
 

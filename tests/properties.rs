@@ -387,8 +387,76 @@ fn json_parse_rejects_what_json_cannot_say() {
         assert!(parse(bad).is_err(), "parse accepted {bad:?}");
         assert!(validate(bad).is_err(), "validate accepted {bad:?}");
     }
-    // Lexically valid escape, semantically impossible code point: the
-    // grammar checker passes it, materialization refuses it.
-    assert!(validate("\"\\ud800\"").is_ok());
+    // Lexically valid escape, semantically impossible code point: there
+    // is one grammar, and it refuses it in both entry points.
+    assert!(validate("\"\\ud800\"").is_err());
     assert!(parse("\"\\ud800\"").is_err(), "unpaired surrogate materialized");
+}
+
+#[test]
+fn json_nesting_is_bounded_not_a_stack_overflow() {
+    const DEEP: usize = 1_000_000;
+    let array = format!("{}{}", "[".repeat(DEEP), "]".repeat(DEEP));
+    let object = format!("{}1{}", "{\"k\":".repeat(DEEP), "}".repeat(DEEP));
+    for doc in [&array, &object] {
+        let err = parse(doc).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "got: {err}");
+        assert!(validate(doc).is_err());
+    }
+    // Shallow nesting still parses.
+    assert!(parse(&format!("{}{}", "[".repeat(100), "]".repeat(100))).is_ok());
+}
+
+#[test]
+fn json_parse_survives_mutated_baselines() {
+    use rand::{Rng, SeedableRng};
+    let root = env!("CARGO_MANIFEST_DIR");
+    let mut files: Vec<(String, String)> = std::fs::read_dir(root)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name.starts_with("BENCH_") && name.ends_with(".json"))
+        .map(|name| {
+            let text = std::fs::read_to_string(format!("{root}/{name}")).unwrap();
+            (name, text)
+        })
+        .collect();
+    files.sort();
+    assert!(files.len() >= 8, "found {} committed BENCH_*.json", files.len());
+    for (seed, (name, text)) in files.iter().enumerate() {
+        let doc = parse(text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(&doc.to_string_flat(), text, "{name} does not round-trip");
+
+        let bytes = text.as_bytes();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed as u64);
+        for _ in 0..300 {
+            let mut m = bytes.to_vec();
+            let at = rng.random_range(0..m.len());
+            let truncated = match rng.random_range(0u8..4) {
+                0 => {
+                    m[at] = rng.random_range(0u8..255);
+                    false
+                }
+                1 => {
+                    m.truncate(at);
+                    true
+                }
+                2 => {
+                    let open = if rng.random_range(0u8..2) == 0 { b'[' } else { b'{' };
+                    let run = rng.random_range(1usize..400);
+                    m.splice(at..at, std::iter::repeat_n(open, run));
+                    false
+                }
+                _ => {
+                    let closers: Vec<usize> =
+                        (0..m.len()).filter(|&i| matches!(m[i], b']' | b'}')).collect();
+                    m.remove(closers[rng.random_range(0..closers.len())]);
+                    false
+                }
+            };
+            // Must return, never panic; a proper prefix of one object
+            // is never a whole document.
+            let result = parse(&String::from_utf8_lossy(&m));
+            assert!(!truncated || result.is_err(), "{name}: prefix of {at} bytes parsed");
+        }
+    }
 }
