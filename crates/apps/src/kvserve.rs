@@ -18,14 +18,17 @@
 //! simulation starts: arrival times (uniform-jitter open loop at the
 //! configured rate), tenants (zipf-skewed across `tenants` equal key
 //! ranges), keys (zipfian within the tenant, exponent `zipf_s`, hot
-//! set shifted halfway through the run), and the get/put mix. Workers
+//! set shifted halfway through the run), and the get/put mix. The same
+//! pass admits and routes each request as it is drawn, so the stream
+//! exists only once, as the workers' queues (16 bytes a request). Workers
 //! pace themselves with [`ace_sim::ThreadCtx::wait_until`]: a request
 //! is served no earlier than its arrival, and latency is completion
 //! minus scheduled arrival — so queueing delay under overload is part
 //! of the tail, exactly as in a real open-loop benchmark.
 //!
-//! Routing keeps verification exact under any worker count: puts for a
-//! shard always go to one worker (shard-affine, in arrival order), so
+//! Routing, decided in the generation pass, keeps verification exact
+//! under any worker count: puts for a shard always go to one worker
+//! (shard-affine, `(key % shards) % workers`, in arrival order), so
 //! the final value of every key equals a host-side replay; gets are
 //! sprayed round-robin across workers (that is what makes hot pages
 //! *read-shared* and the placement policy's life interesting) and are
@@ -74,7 +77,7 @@ use cthreads::Barrier;
 use mach_vm::VAddr;
 use numa_metrics::{LatencyHistogram, ServingReport, ShedReason};
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Fixed generator seed: every run of the same parameters sees the
 /// same request stream.
@@ -101,7 +104,8 @@ pub struct ServeParams {
     /// cell of a sweep does the same total work (section 3.1's
     /// methodology).
     pub shards: usize,
-    /// Total requests in the run.
+    /// Total requests in the run (at most 2^20, and no key may be put
+    /// 2^20 times: each put bumps the key's 20-bit stored version).
     pub requests: usize,
     /// Open-loop arrival rate in requests per second of virtual time.
     pub rate: u64,
@@ -242,32 +246,38 @@ impl ServeParams {
     }
 }
 
-/// One generated request.
-#[derive(Clone, Copy, Debug)]
+/// One generated request (16 bytes).
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct Request {
     /// Scheduled arrival instant (virtual time, ns).
     at: u64,
-    /// The key addressed.
-    key: u32,
-    /// The tenant issuing it (admission quotas are per tenant).
-    tenant: u32,
-    /// `Some(stored word)` for a put, `None` for a get.
-    put: Option<u32>,
+    /// The word a put stores, or the key a get reads: the key is
+    /// `word & KEY_MASK` either way.
+    word: u32,
+    /// A put (else a get).
+    put: bool,
 }
 
-/// The pre-generated workload: the request stream plus the host-side
-/// ground truth verification needs.
+/// The generated load, admitted and routed: each worker's queue plus
+/// the host-side ground truth verification needs.
+#[derive(Debug, PartialEq)]
 struct Workload {
-    requests: Vec<Request>,
+    /// Each worker's admitted requests, in arrival order.
+    queues: Vec<Vec<Request>>,
     /// Total puts per key == the final version of that key.
     puts_per_key: Vec<u32>,
     gets: u64,
     puts: u64,
+    /// Requests the tenant quotas shed before routing.
+    shed_quota: u64,
 }
 
-/// Generates the whole request stream from one seeded RNG. Arrival
-/// times are monotone, so the stream is already in arrival order.
-fn generate(p: &ServeParams) -> Result<Workload, ParamError> {
+/// Generates the request stream from one seeded RNG in arrival order
+/// (arrival times are monotone) and, in the same pass, admits each
+/// request past its tenant's quota and routes it to a worker's queue.
+/// A key put to 2^20 times would wrap its stored-word version field,
+/// and is a typed error.
+fn generate(p: &ServeParams, workers: usize) -> Result<Workload, ParamError> {
     let mut rng = Rng::new(SERVE_SEED);
     let tenant_pick = Zipf::new(p.tenants, 1.0)?;
     let range_of = |t: usize| {
@@ -279,10 +289,22 @@ fn generate(p: &ServeParams) -> Result<Workload, ParamError> {
         .map(|t| Zipf::new(range_of(t).1, p.zipf_s))
         .collect::<Result<_, _>>()?;
     let gap = 1_000_000_000 / p.rate;
+    // Per-tenant admission: a token bucket in virtual time, judged at
+    // arrival before routing, so a rejected request never reaches a
+    // worker queue. Tokens are scaled by 1e9 (the bucket refills
+    // `tenant_quota` tokens per second and arrival times are
+    // nanoseconds), and the bucket starts full with a quarter-second
+    // burst. Pure host-side integer arithmetic: it costs no virtual
+    // time and with the quota disabled every request is routed.
+    const TOKEN: u128 = 1_000_000_000;
+    let burst = TOKEN * 1.max(p.tenant_quota / 4) as u128;
+    let mut tokens = vec![burst; p.tenants];
+    let mut refilled_at = vec![p.start_ns; p.tenants];
     let mut at = p.start_ns;
     let mut versions = vec![0u32; p.keys];
-    let mut requests = Vec::with_capacity(p.requests);
-    let (mut gets, mut puts) = (0u64, 0u64);
+    let mut queues: Vec<Vec<Request>> =
+        (0..workers).map(|_| Vec::with_capacity(p.requests.div_ceil(workers))).collect();
+    let (mut gets, mut puts, mut shed_quota, mut rr) = (0u64, 0u64, 0u64, 0usize);
     for i in 0..p.requests {
         // Uniform jitter around the mean inter-arrival gap keeps the
         // stream open-loop but aperiodic.
@@ -296,17 +318,44 @@ fn generate(p: &ServeParams) -> Result<Workload, ParamError> {
         let rank = if i >= p.requests / 2 { (rank + span / 2) % span } else { rank };
         let key = (base + rank) as u32;
         let put = rng.next_below(1000) < p.put_permille as u64;
-        let put = if put {
-            versions[key as usize] += 1;
+        let word = if put {
+            let version = &mut versions[key as usize];
+            *version += 1;
+            if *version >> (32 - KEY_BITS) != 0 {
+                return Err(ParamError::Exceeds {
+                    what: "puts to one key",
+                    got: *version as usize,
+                    limit: (1 << (32 - KEY_BITS)) - 1,
+                    bound: "the stored-word version field",
+                });
+            }
             puts += 1;
-            Some((versions[key as usize] << KEY_BITS) | (key & KEY_MASK))
+            (*version << KEY_BITS) | key
         } else {
             gets += 1;
-            None
+            key
         };
-        requests.push(Request { at, key, tenant: tenant as u32, put });
+        if p.tenant_quota > 0 {
+            let refill = (at - refilled_at[tenant]) as u128 * p.tenant_quota as u128;
+            tokens[tenant] = burst.min(tokens[tenant] + refill);
+            refilled_at[tenant] = at;
+            if tokens[tenant] < TOKEN {
+                shed_quota += 1;
+                continue;
+            }
+            tokens[tenant] -= TOKEN;
+        }
+        // Route: puts shard-affine (per-key arrival order preserved),
+        // gets round-robin (hot pages become read-shared).
+        let w = if put {
+            (key as usize % p.shards) % workers
+        } else {
+            rr += 1;
+            (rr - 1) % workers
+        };
+        queues[w].push(Request { at, word, put });
     }
-    Ok(Workload { requests, puts_per_key: versions, gets, puts })
+    Ok(Workload { queues, puts_per_key: versions, gets, puts, shed_quota })
 }
 
 /// What one worker brings home.
@@ -355,7 +404,7 @@ impl App for KvServe {
     fn run(&self, sim: &mut Simulator, workers: usize) -> Result<(), String> {
         let p = self.params.clone();
         p.validate().map_err(|e| format!("KvServe parameters: {e}"))?;
-        let wl = generate(&p).map_err(|e| format!("KvServe generator: {e}"))?;
+        let wl = generate(&p, workers).map_err(|e| format!("KvServe generator: {e}"))?;
         let slots = p.keys.div_ceil(p.shards);
         // One allocation per shard: allocations are page-granular, so
         // shards are page-aligned and never share a page.
@@ -366,48 +415,10 @@ impl App for KvServe {
         let addr_of = |key: u32, shard_base: &[VAddr]| {
             shard_base[key as usize % p.shards] + (key as u64 / p.shards as u64) * 4
         };
-        // Per-tenant admission: a token bucket in virtual time, judged
-        // at arrival before routing, so a rejected request never
-        // reaches a worker queue. Tokens are scaled by 1e9 (the bucket
-        // refills `tenant_quota` tokens per second and arrival times
-        // are nanoseconds), and the bucket starts full with a
-        // quarter-second burst. Pure host-side integer arithmetic: it
-        // costs no virtual time and with the quota disabled the stream
-        // reaches routing untouched.
-        const TOKEN: u128 = 1_000_000_000;
-        let burst = TOKEN * 1.max(p.tenant_quota / 4) as u128;
-        let mut tokens = vec![burst; p.tenants];
-        let mut refilled_at = vec![p.start_ns; p.tenants];
-        let mut shed_quota = 0u64;
-        // Route: puts shard-affine (per-key arrival order preserved),
-        // gets round-robin (hot pages become read-shared).
-        let mut queues: Vec<Vec<Request>> = vec![Vec::new(); workers];
-        let mut rr = 0usize;
-        for r in &wl.requests {
-            if p.tenant_quota > 0 {
-                let t = r.tenant as usize;
-                let refill = (r.at - refilled_at[t]) as u128 * p.tenant_quota as u128;
-                tokens[t] = burst.min(tokens[t] + refill);
-                refilled_at[t] = r.at;
-                if tokens[t] < TOKEN {
-                    shed_quota += 1;
-                    continue;
-                }
-                tokens[t] -= TOKEN;
-            }
-            let w = match r.put {
-                Some(_) => (r.key as usize % p.shards) % workers,
-                None => {
-                    rr += 1;
-                    (rr - 1) % workers
-                }
-            };
-            queues[w].push(*r);
-        }
-        let puts_per_key = Arc::new(wl.puts_per_key.clone());
+        let puts_per_key = Arc::new(wl.puts_per_key);
         let outs: Vec<Arc<Mutex<WorkerOut>>> =
             (0..workers).map(|_| Arc::new(Mutex::new(WorkerOut::default()))).collect();
-        for (w, queue) in queues.into_iter().enumerate() {
+        for (w, queue) in wl.queues.into_iter().enumerate() {
             let bases = shard_base.clone();
             let bound = Arc::clone(&puts_per_key);
             let out = Arc::clone(&outs[w]);
@@ -464,40 +475,34 @@ impl App for KvServe {
                             continue;
                         }
                     }
-                    let addr = bases[req.key as usize % shards]
-                        + (req.key as u64 / shards as u64) * 4;
-                    match req.put {
-                        Some(word) => {
-                            ctx.compute(PUT_WORK);
-                            ctx.write_u32(addr, word);
-                            o.puts += 1;
-                            o.served_puts.push((req.key, word));
-                        }
-                        None => {
-                            ctx.compute(GET_WORK);
-                            let word = ctx.read_u32(addr);
-                            o.gets += 1;
-                            let (k, v) = (word & KEY_MASK, word >> KEY_BITS);
-                            if o.error.is_none() {
-                                if k != req.key & KEY_MASK {
-                                    o.error = Some(format!(
-                                        "get of key {} read a word tagged {k}",
-                                        req.key
-                                    ));
-                                } else if v > bound[req.key as usize] {
-                                    o.error = Some(format!(
-                                        "get of key {} saw version {v}, only {} were written",
-                                        req.key, bound[req.key as usize]
-                                    ));
-                                } else if v < seen[req.key as usize] {
-                                    o.error = Some(format!(
-                                        "get of key {} went backwards: {v} after {}",
-                                        req.key, seen[req.key as usize]
-                                    ));
-                                }
+                    let key = req.word & KEY_MASK;
+                    let addr = bases[key as usize % shards] + (key as u64 / shards as u64) * 4;
+                    if req.put {
+                        ctx.compute(PUT_WORK);
+                        ctx.write_u32(addr, req.word);
+                        o.puts += 1;
+                        o.served_puts.push((key, req.word));
+                    } else {
+                        ctx.compute(GET_WORK);
+                        let word = ctx.read_u32(addr);
+                        o.gets += 1;
+                        let (k, v) = (word & KEY_MASK, word >> KEY_BITS);
+                        if o.error.is_none() {
+                            if k != key {
+                                o.error = Some(format!("get of key {key} read a word tagged {k}"));
+                            } else if v > bound[key as usize] {
+                                o.error = Some(format!(
+                                    "get of key {key} saw version {v}, only {} were written",
+                                    bound[key as usize]
+                                ));
+                            } else if v < seen[key as usize] {
+                                o.error = Some(format!(
+                                    "get of key {key} went backwards: {v} after {}",
+                                    seen[key as usize]
+                                ));
                             }
-                            seen[req.key as usize] = v;
                         }
+                        seen[key as usize] = v;
                     }
                     let done = ctx.now().0;
                     let lat = done.saturating_sub(req.at);
@@ -509,16 +514,13 @@ impl App for KvServe {
                 // A panic elsewhere may have poisoned the mutex; the
                 // measurements are still good, so store them either way
                 // instead of compounding one panic with another.
-                match out.lock() {
-                    Ok(mut g) => *g = o,
-                    Err(poisoned) => *poisoned.into_inner() = o,
-                }
+                *out.lock().unwrap_or_else(PoisonError::into_inner) = o;
             });
         }
         sim.run();
         let limited = p.queue_depth > 0 || p.deadline_ns > 0 || p.tenant_quota > 0;
         let mut report = ServingReport {
-            requests: wl.requests.len() as u64,
+            requests: p.requests as u64,
             gets: 0,
             puts: 0,
             admitted: 0,
@@ -529,7 +531,7 @@ impl App for KvServe {
             latency: LatencyHistogram::new(),
             goodput: LatencyHistogram::new(),
         };
-        report.shed(ShedReason::QuotaExceeded, shed_quota);
+        report.shed(ShedReason::QuotaExceeded, wl.shed_quota);
         // Expected final state: the version-0 initialization overridden
         // by every put a worker actually served, in service order. Each
         // key's puts are confined to one worker in arrival order, so
@@ -540,10 +542,7 @@ impl App for KvServe {
             // A panicked worker poisons the mutex; take the data anyway
             // (the chaos harness needs a deterministic report, not a
             // second panic).
-            let o = match out.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            let o = out.lock().unwrap_or_else(PoisonError::into_inner);
             for &(key, word) in &o.served_puts {
                 expected[key as usize] = word;
             }
@@ -573,7 +572,7 @@ impl App for KvServe {
         for key in 0..p.keys as u32 {
             let expect = expected[key as usize];
             if !limited {
-                let full = (wl.puts_per_key[key as usize] << KEY_BITS) | (key & KEY_MASK);
+                let full = (puts_per_key[key as usize] << KEY_BITS) | (key & KEY_MASK);
                 if expect != full {
                     return Err(format!(
                         "key {key}: a generated put was never served (word {expect:#x}, \
@@ -598,7 +597,7 @@ impl App for KvServe {
         if !balanced {
             return Err(format!(
                 "shed ledger out of balance: {} generated, {} admitted + {} shed",
-                wl.requests.len(),
+                p.requests,
                 gets + puts,
                 shed_total
             ));
@@ -623,6 +622,152 @@ mod tests {
 
     fn quick() -> ServeParams {
         ServeParams { requests: 384, ..ServeParams::for_scale(Scale::Test) }
+    }
+
+    /// A request as the two-pass generator drew it.
+    struct Drawn {
+        at: u64,
+        key: u32,
+        tenant: u32,
+        put: Option<u32>,
+    }
+
+    /// The two-pass reference: draw the whole stream, then admit and
+    /// route it, as KvServe did before generation and routing became
+    /// one pass.
+    fn generate_then_route(p: &ServeParams, workers: usize) -> Workload {
+        let mut rng = Rng::new(SERVE_SEED);
+        let tenant_pick = Zipf::new(p.tenants, 1.0).unwrap();
+        let range_of = |t: usize| {
+            let base = t * p.keys / p.tenants;
+            let end = (t + 1) * p.keys / p.tenants;
+            (base, end - base)
+        };
+        let tenant_keys: Vec<Zipf> =
+            (0..p.tenants).map(|t| Zipf::new(range_of(t).1, p.zipf_s).unwrap()).collect();
+        let gap = 1_000_000_000 / p.rate;
+        let mut at = p.start_ns;
+        let mut versions = vec![0u32; p.keys];
+        let mut stream = Vec::with_capacity(p.requests);
+        let (mut gets, mut puts) = (0u64, 0u64);
+        for i in 0..p.requests {
+            at += gap / 2 + rng.next_below(gap.max(1));
+            let tenant = tenant_pick.sample(&mut rng);
+            let (base, span) = range_of(tenant);
+            let rank = tenant_keys[tenant].sample(&mut rng);
+            let rank = if i >= p.requests / 2 { (rank + span / 2) % span } else { rank };
+            let key = (base + rank) as u32;
+            let put = rng.next_below(1000) < p.put_permille as u64;
+            let put = if put {
+                versions[key as usize] += 1;
+                puts += 1;
+                Some((versions[key as usize] << KEY_BITS) | (key & KEY_MASK))
+            } else {
+                gets += 1;
+                None
+            };
+            stream.push(Drawn { at, key, tenant: tenant as u32, put });
+        }
+        const TOKEN: u128 = 1_000_000_000;
+        let burst = TOKEN * 1.max(p.tenant_quota / 4) as u128;
+        let mut tokens = vec![burst; p.tenants];
+        let mut refilled_at = vec![p.start_ns; p.tenants];
+        let mut shed_quota = 0u64;
+        let mut queues: Vec<Vec<Request>> = vec![Vec::new(); workers];
+        let mut rr = 0usize;
+        for r in &stream {
+            if p.tenant_quota > 0 {
+                let t = r.tenant as usize;
+                let refill = (r.at - refilled_at[t]) as u128 * p.tenant_quota as u128;
+                tokens[t] = burst.min(tokens[t] + refill);
+                refilled_at[t] = r.at;
+                if tokens[t] < TOKEN {
+                    shed_quota += 1;
+                    continue;
+                }
+                tokens[t] -= TOKEN;
+            }
+            let w = match r.put {
+                Some(_) => (r.key as usize % p.shards) % workers,
+                None => {
+                    rr += 1;
+                    (rr - 1) % workers
+                }
+            };
+            let word = r.put.unwrap_or(r.key);
+            queues[w].push(Request { at: r.at, word, put: r.put.is_some() });
+        }
+        Workload { queues, puts_per_key: versions, gets, puts, shed_quota }
+    }
+
+    #[test]
+    fn one_pass_load_matches_the_two_pass_reference() {
+        let check = |p: &ServeParams, workers: usize| {
+            let label = format!("{p:?} workers {workers}");
+            let one = generate(p, workers).expect("valid parameters");
+            assert_eq!(one, generate_then_route(p, workers), "{label}");
+            assert!(one.gets > 0 && one.puts > 0, "{label}: a mixed stream");
+            let routed: usize = one.queues.iter().map(Vec::len).sum();
+            assert_eq!(routed as u64 + one.shed_quota, p.requests as u64, "{label}");
+            one.shed_quota
+        };
+        // Quota off, the overload grid's 800 req/s at its 32k req/s
+        // rate, and `serve_sat`'s 400k req/s, whose quarter-second
+        // burst outlasts this short stream. An odd request count puts
+        // the phase change between two requests of a pair.
+        for quota in [0, 800, 400_000] {
+            for tenants in [1, 3] {
+                for workers in 1..=4 {
+                    let p = ServeParams {
+                        requests: 4097,
+                        rate: 32_000,
+                        tenants,
+                        tenant_quota: quota,
+                        ..ServeParams::for_scale(Scale::Test)
+                    };
+                    assert_eq!(check(&p, workers) > 0, quota == 800, "quota {quota}");
+                }
+            }
+        }
+        // Past the 400k burst, that quota sheds too.
+        let p = ServeParams {
+            requests: (1 << 18) + 1,
+            rate: 2_000_000,
+            tenant_quota: 400_000,
+            ..ServeParams::for_scale(Scale::Test)
+        };
+        assert!(check(&p, 3) > 0, "a 2M req/s stream exhausts a 400k req/s bucket");
+    }
+
+    #[test]
+    fn a_key_put_two_to_the_twenty_times_is_a_typed_error() {
+        // One key, every request a put: the 2^20th put would store
+        // version 2^20, which wraps the 20-bit field to version 0.
+        let single = |requests| ServeParams {
+            keys: 1,
+            shards: 1,
+            put_permille: 1000,
+            requests,
+            ..ServeParams::for_scale(Scale::Test)
+        };
+        let p = single(1 << 20);
+        p.validate().expect("2^20 requests are within the request bound");
+        let mut sim = Simulator::new(SimConfig::small(1), Box::new(MoveLimitPolicy::default()));
+        let err = KvServe::new(p.clone()).run(&mut sim, 1).expect_err("fails before it runs");
+        assert!(err.contains("the stored-word version field"), "got: {err}");
+        let err = generate(&p, 1).expect_err("the version field would wrap");
+        assert_eq!(
+            err,
+            ParamError::Exceeds {
+                what: "puts to one key",
+                got: 1 << 20,
+                limit: (1 << 20) - 1,
+                bound: "the stored-word version field",
+            }
+        );
+        let wl = generate(&single((1 << 20) - 1), 1).expect("the last version fits");
+        assert_eq!(wl.puts_per_key, vec![(1 << 20) - 1]);
+        assert_eq!(wl.queues[0].last().map(|r| r.word), Some(0xFFFF_F000));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::engine::{Next, World};
 use crate::fiber::Suspender;
-use crate::kernel::{Kernel, COMPUTE_CHUNK};
+use crate::kernel::{chunk_step, Kernel};
 use ace_machine::{Access, CpuId, Frame, Ns, PageSize};
 use mach_vm::VAddr;
 
@@ -538,13 +538,7 @@ impl ThreadCtx {
             let k = kernel(&mut self.world);
             let clock = k.clock_of(self.cpu);
             let window = self.budget_end.saturating_sub(clock);
-            let step = if !self.fastpath {
-                remaining.min(COMPUTE_CHUNK)
-            } else if remaining <= window {
-                remaining
-            } else {
-                remaining.min(COMPUTE_CHUNK * window.0.div_ceil(COMPUTE_CHUNK.0).max(1))
-            };
+            let step = chunk_step(remaining, window, self.fastpath);
             k.compute(self.cpu, step);
             remaining -= step;
             self.post(clock + step);
@@ -561,7 +555,9 @@ impl ThreadCtx {
     }
 
     /// Idles until this processor's clock reaches `t`, charging pure
-    /// compute in `COMPUTE_CHUNK` steps; returns immediately when the
+    /// compute exactly as [`ThreadCtx::compute`] would: one closed-form
+    /// step per grant on the fast path, 20 µs chunks on the slow path,
+    /// the same clock at every rendezvous; returns immediately when the
     /// clock is already past `t`. Open-loop workloads use this to pace
     /// request arrivals on the virtual-time axis: the schedule is a
     /// pure function of the arrival times, so runs are byte-identical
@@ -570,17 +566,18 @@ impl ThreadCtx {
     /// The thread idles inline only while its budget lasts; then it
     /// yields as `Yield::Parked` and stays suspended until the
     /// clock has reached `t`. The windows in between are idled through
-    /// by the scheduler with the very charges this loop would have made
-    /// (`Kernel::idle_toward` implements both). The clock is never
-    /// jumped to `t`: it is shared with any thread scheduled onto the
-    /// same processor, and daemon ticks and hard failures key off the
-    /// clocks at every window boundary in between.
+    /// by the scheduler with the very charges this thread would have
+    /// made (`Kernel::idle_toward` implements both, on the same path).
+    /// The clock is never jumped past a window's end toward `t`: it is
+    /// shared with any thread scheduled onto the same processor, and
+    /// daemon ticks and hard failures key off the clocks at every
+    /// window boundary in between.
     pub fn wait_until(&mut self, t: Ns) {
         loop {
             if self.over_budget {
                 self.rendezvous(Yield::Parked(t));
             }
-            if kernel(&mut self.world).idle_toward(self.cpu, t, self.budget_end) {
+            if kernel(&mut self.world).idle_toward(self.cpu, t, self.budget_end, self.fastpath) {
                 return;
             }
             self.over_budget = true;

@@ -597,7 +597,7 @@ impl Scheduler {
             let tid = self.cpus[cpu].current.expect("picked a runnable cpu");
             let cpu_id = CpuId::from(cpu);
             if let Some(until) = self.threads[tid].parked_until {
-                if !k.idle_toward(cpu_id, until, budget_end) {
+                if !k.idle_toward(cpu_id, until, budget_end, self.cfg.fastpath) {
                     self.budget_yield(k, tid, cpu);
                     continue;
                 }

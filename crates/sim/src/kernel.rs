@@ -104,11 +104,26 @@ impl RefCounters {
 /// indicates a protocol bug rather than a legal fault storm.
 const MAX_FAULT_RETRIES: usize = 16;
 
-/// Upper bound on a single inline compute or idle charge; longer ones
-/// are split so budget boundaries stay tight. One value for
-/// `ThreadCtx::compute`, `ThreadCtx::wait_until` and the scheduler's
-/// idling of a parked thread, which must charge the same sequence.
+/// Upper bound on a single inline compute or idle charge on the slow
+/// path; longer ones are split so budget boundaries stay tight. One
+/// value for `ThreadCtx::compute`, `ThreadCtx::wait_until` and the
+/// scheduler's idling of a parked thread, which must charge the same
+/// sequence: [`chunk_step`]'s.
 pub(crate) const COMPUTE_CHUNK: Ns = Ns::from_us(20);
+
+/// The next step of a charge of `need` with `window` left in the grant:
+/// one chunk on the slow path, and on the fast path every chunk the
+/// slow path would charge before its next rendezvous (all of `need` if
+/// it fits, which also keeps an unbounded window out of the product).
+pub(crate) fn chunk_step(need: Ns, window: Ns, fast: bool) -> Ns {
+    if !fast {
+        need.min(COMPUTE_CHUNK)
+    } else if need <= window {
+        need
+    } else {
+        need.min(COMPUTE_CHUNK * window.0.div_ceil(COMPUTE_CHUNK.0).max(1))
+    }
+}
 
 /// The assembled kernel. All state of one simulation lives here; during
 /// a run it travels with the grant, so whoever runs owns it.
@@ -455,21 +470,22 @@ impl Kernel {
         self.machine.clocks.charge_user(cpu, t);
     }
 
-    /// Idles `cpu` toward the instant `t` within one grant: charges
-    /// [`COMPUTE_CHUNK`]-sized steps of user time (the last one shortened
-    /// to land on `t`) and stops after the first step that drives the clock to
+    /// Idles `cpu` toward the instant `t` in [`chunk_step`]s of user
+    /// time, stopping after the first step that drives the clock to
     /// `budget_end`, where the idling thread must yield. True once the
-    /// clock has reached `t`, false if the grant ran out first. Shared
-    /// by `ThreadCtx::wait_until` and the scheduler's idling of a
-    /// parked thread, so the two cannot charge different sequences.
-    pub(crate) fn idle_toward(&mut self, cpu: CpuId, t: Ns, budget_end: Ns) -> bool {
+    /// clock has reached `t`, false if the grant ran out first (even on
+    /// reaching `t`). Shared by `ThreadCtx::wait_until` and the
+    /// scheduler's idling of a parked thread, so the two cannot charge
+    /// different sequences.
+    pub(crate) fn idle_toward(&mut self, cpu: CpuId, t: Ns, budget_end: Ns, fast: bool) -> bool {
         loop {
             let now = self.clock_of(cpu);
             if now >= t {
                 return true;
             }
-            self.compute(cpu, (t - now).min(COMPUTE_CHUNK));
-            if self.clock_of(cpu) >= budget_end {
+            let step = chunk_step(t - now, budget_end.saturating_sub(now), fast);
+            self.compute(cpu, step);
+            if now + step >= budget_end {
                 return false;
             }
         }

@@ -270,3 +270,125 @@ fn seeded_mixes_of_waits_and_work_agree() {
         });
     }
 }
+
+/// Both schedulers on both access paths: the four corners every
+/// boundary case below runs under.
+fn modes() -> impl Iterator<Item = (SchedulerKind, bool)> {
+    [SchedulerKind::Affinity, SchedulerKind::GlobalQueue]
+        .into_iter()
+        .flat_map(|s| [(s, true), (s, false)])
+}
+
+#[test]
+fn lone_waiter_with_an_unbounded_budget_lands_on_its_target() {
+    // One thread on one processor has no one to yield to, so its grant
+    // never ends: the closed form must take the whole wait in one step
+    // without multiplying its way past the top of the clock.
+    let target = Ns(1_000_000_007);
+    for (scheduler, fast) in modes() {
+        let cfg = SimConfig::small(1).scheduler(scheduler).fastpath(fast);
+        let m = same_both_ways(&format!("{scheduler:?} fast {fast}"), |wait| {
+            let mut sim = Simulator::new(cfg.clone(), Box::new(MoveLimitPolicy::default()));
+            sim.spawn("waiter", move |ctx| wait(ctx, target));
+            sim.run();
+            measured(&sim)
+        });
+        assert_eq!(m.0[0].user, target, "{scheduler:?} fast {fast}: user time is the wait");
+        assert_eq!(m.0[0].system, Ns::ZERO);
+    }
+}
+
+#[test]
+fn target_landing_exactly_on_the_budget_end() {
+    // The first grant starts at 0 and ends at the quantum (one
+    // processor, a computer queued behind the waiter) or at the
+    // lookahead (two processors, both at 0), so a wait for exactly that
+    // instant reaches its target and spends its grant in the same step.
+    let quantum = Ns::from_us(100);
+    let lookahead = Ns::from_us(60);
+    for (scheduler, fast) in modes() {
+        for (cpus, target) in [(1, quantum), (2, lookahead)] {
+            let cfg = SimConfig::small(cpus)
+                .scheduler(scheduler)
+                .quantum(quantum)
+                .lookahead(lookahead)
+                .fastpath(fast);
+            same_both_ways(&format!("{scheduler:?} fast {fast} cpus {cpus}"), |wait| {
+                let mut sim = Simulator::new(cfg.clone(), Box::new(MoveLimitPolicy::default()));
+                let a = sim.alloc(256, Prot::READ_WRITE);
+                sim.spawn("waiter", move |ctx| {
+                    wait(ctx, target);
+                    ctx.write_u32(a, 1);
+                    wait(ctx, target * 3);
+                    let _ = ctx.read_u32(a + 4);
+                });
+                sim.spawn("computer", move |ctx| {
+                    for i in 0..8u32 {
+                        ctx.compute(Ns::from_us(45));
+                        ctx.write_u32(a + 4, i);
+                    }
+                });
+                sim.run();
+                measured(&sim)
+            });
+        }
+    }
+}
+
+#[test]
+fn waiter_parks_with_its_budget_already_spent() {
+    // No lookahead and two waiters in lockstep: whichever processor is
+    // picked is granted up to the other's clock, which equals its own,
+    // so it idles through an empty window and must still step a chunk.
+    // A compute that overshoots its grant leaves the thread past its
+    // budget's end when it next waits.
+    for (scheduler, fast) in modes() {
+        let cfg = SimConfig::small(2).scheduler(scheduler).fastpath(fast);
+        same_both_ways(&format!("{scheduler:?} fast {fast}"), |wait| {
+            let mut sim = Simulator::new(cfg.clone(), Box::new(MoveLimitPolicy::default()));
+            for t in 0..2u64 {
+                sim.spawn(format!("t{t}"), move |ctx| {
+                    wait(ctx, Ns(500_003));
+                    ctx.compute(Ns::from_us(33 + t * 7));
+                    wait(ctx, Ns(900_017));
+                });
+            }
+            sim.run();
+            measured(&sim)
+        });
+    }
+}
+
+#[test]
+fn targets_inside_the_first_chunk() {
+    // Waits no longer than one 20 us chunk, from wherever the thread's
+    // clock happens to be, next to a thread that also computes.
+    for (scheduler, fast) in modes() {
+        for lookahead in lookaheads() {
+            let cfg = SimConfig::small(2)
+                .scheduler(scheduler)
+                .quantum(Ns::from_us(150))
+                .lookahead(lookahead)
+                .fastpath(fast);
+            same_both_ways(&format!("{scheduler:?} fast {fast} lookahead {lookahead:?}"), |wait| {
+                let mut sim = Simulator::new(cfg.clone(), Box::new(MoveLimitPolicy::default()));
+                let a = sim.alloc(256, Prot::READ_WRITE);
+                for t in 0..3u64 {
+                    sim.spawn(format!("t{t}"), move |ctx| {
+                        let shorts = [1, 7_000, 19_999, 20_000].into_iter().cycle();
+                        for (i, short) in shorts.take(12).enumerate() {
+                            let now = ctx.now();
+                            wait(ctx, now + Ns(short + t));
+                            ctx.write_u32(a + t * 4, i as u32);
+                            if t == 2 {
+                                ctx.compute(Ns::from_us(27));
+                            }
+                        }
+                    });
+                }
+                sim.run();
+                measured(&sim)
+            });
+        }
+    }
+}
