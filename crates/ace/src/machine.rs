@@ -252,6 +252,27 @@ impl Machine {
         self.ref_cost(cpu, kind, region) * words
     }
 
+    /// Everything that prices a word-reference from `cpu` to memory in
+    /// `region`, in one lookup: the distance class and the per-word
+    /// fetch and store costs ([`Machine::distance`] and
+    /// [`Machine::access_cost`] of one word, for both kinds). A cache
+    /// of translations keeps them with each one.
+    #[inline]
+    pub fn word_costs(&self, cpu: CpuId, region: MemRegion) -> (Distance, Ns, Ns) {
+        match region {
+            MemRegion::Global => {
+                let c = &self.config.costs;
+                (Distance::Global, c.global_fetch, c.global_store)
+            }
+            MemRegion::Local(node) => {
+                let home = self.home_of(cpu);
+                let row = self.config.topology.hop_cost(self.config.topology.hops(home, node));
+                let dist = if node == home { Distance::Local } else { Distance::Remote };
+                (dist, row.fetch, row.store)
+            }
+        }
+    }
+
     /// Charges `n` identical accesses in one arithmetic step. Requires
     /// [`Machine::batchable`] for the frame's distance; bus counters, the
     /// processor clock and the frame's last touch end up exactly where
@@ -267,13 +288,35 @@ impl Machine {
         n: u64,
     ) -> Ns {
         let dist = self.distance(cpu, frame.region);
+        let dt = self.access_cost(cpu, kind, frame.region, words);
+        self.charge_priced_n(cpu, kind, frame, dist, dt, words, n)
+    }
+
+    /// [`Machine::charge_access_n`] past its lookups: the caller passes
+    /// `frame`'s distance from `cpu` and the per-element cost `dt`
+    /// ([`Machine::access_cost`] of `words` words), which stay fixed
+    /// for as long as a translation does, so a caller that cached them
+    /// with one charges from its cache.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    pub fn charge_priced_n(
+        &mut self,
+        cpu: CpuId,
+        kind: Access,
+        frame: Frame,
+        dist: Distance,
+        dt: Ns,
+        words: u64,
+        n: u64,
+    ) -> Ns {
         debug_assert!(self.batchable(dist), "batched charge behind a bus queue");
+        debug_assert_eq!(dist, self.distance(cpu, frame.region), "stale distance");
+        debug_assert_eq!(dt, self.access_cost(cpu, kind, frame.region, words), "stale cost");
         match dist {
             Distance::Global => self.bus.add_global(words * n),
             Distance::Remote => self.bus.add_remote(words * n),
             Distance::Local => {}
         }
-        let dt = self.access_cost(cpu, kind, frame.region, words);
         let t = dt * n;
         self.clocks.charge_user(cpu, t);
         let now = self.clocks.cpu(cpu).total();

@@ -9,7 +9,7 @@
 use crate::engine::{Next, World};
 use crate::fiber::Suspender;
 use crate::kernel::{chunk_step, Kernel};
-use ace_machine::{Access, CpuId, Frame, Ns, PageSize};
+use ace_machine::{Access, CpuId, Distance, Frame, Ns, PageSize};
 use mach_vm::VAddr;
 
 /// What the run's driver resumes a suspended thread with.
@@ -63,7 +63,10 @@ pub(crate) struct StopToken;
 ///
 /// Filled from the final (successful) step of a slow-path
 /// reference, so the recorded epoch is the MMU's epoch *after* any
-/// `pmap_enter` the fault path performed. The entry is usable only
+/// `pmap_enter` the fault path performed. Like a hardware TLB entry it
+/// carries what an access needs besides the frame: the frame's distance
+/// from the processor and the per-word fetch and store costs, which a
+/// hit charges without looking them up again. The entry is usable only
 /// while all of the following hold ([`ThreadCtx::tlb_lookup`] is the
 /// one place that checks them):
 ///
@@ -88,6 +91,32 @@ pub(crate) struct TlbEntry {
     /// True when captured from a store translation (write permission
     /// proven, modified bit set).
     wrote: bool,
+    /// How far `frame` is from `cpu`.
+    dist: Distance,
+    /// Per-word cost of a fetch from `cpu` to `frame`.
+    fetch: Ns,
+    /// Per-word cost of a store from `cpu` to `frame`.
+    store: Ns,
+}
+
+impl TlbEntry {
+    /// The entry for page `vpn`, which an access of `kind` from `cpu`
+    /// has just translated to `frame`.
+    fn capture(k: &Kernel, cpu: CpuId, vpn: u64, frame: Frame, kind: Access) -> TlbEntry {
+        let m = &k.machine;
+        let (dist, fetch, store) = m.word_costs(cpu, frame.region);
+        let epoch = m.mmus[cpu.index()].epoch();
+        TlbEntry { cpu, vpn, frame, epoch, wrote: kind == Access::Store, dist, fetch, store }
+    }
+
+    /// Per-word cost of an access of `kind` through this entry.
+    #[inline]
+    fn cost(&self, kind: Access) -> Ns {
+        match kind {
+            Access::Fetch => self.fetch,
+            Access::Store => self.store,
+        }
+    }
 }
 
 /// Execution context of one simulated thread.
@@ -114,7 +143,7 @@ pub struct ThreadCtx {
     pub(crate) tlb: [Option<TlbEntry>; TLB_ENTRIES],
 }
 
-/// Software-TLB capacity per thread (8 KB of entries).
+/// Software-TLB capacity per thread (12 KB of entries).
 pub(crate) const TLB_ENTRIES: usize = 256;
 
 /// Why a `ThreadCtx::world` is there whenever the thread looks.
@@ -280,9 +309,10 @@ impl ThreadCtx {
 
     /// A single reference served through the software TLB when possible:
     /// the scalar counterpart of [`ThreadCtx::run_op`]. A hit charges
-    /// through [`Kernel::charge_run`] (identical per-element charges,
-    /// counters, and sink events to a slow-path success step, minus the
-    /// redundant hardware translation); a miss takes [`ThreadCtx::data_op`]
+    /// through [`Kernel::charge_run`] from the entry's distance and cost
+    /// (identical per-element charges, counters, and sink events to a
+    /// slow-path success step, minus the redundant hardware translation
+    /// and cost lookups); a miss takes [`ThreadCtx::data_op`]
     /// verbatim and refills the TLB from its final successful
     /// translation.
     fn scalar_op<R>(
@@ -300,16 +330,15 @@ impl ThreadCtx {
         if let Some(entry) = self.tlb_lookup(vpn, kind) {
             let cpu = self.cpu;
             let k = kernel(&mut self.world);
-            k.charge_run(cpu, kind, entry.frame, addr, 0, words, 1, self.budget_end);
-            let v = f(k, cpu, entry.frame, self.page.offset_of(addr.0));
+            let (frame, dist, word) = (entry.frame, entry.dist, entry.cost(kind));
+            k.charge_run(cpu, kind, frame, dist, word, addr, 0, words, 1, self.budget_end);
+            let v = f(k, cpu, frame, self.page.offset_of(addr.0));
             let clock = k.clock_of(cpu);
             self.post(clock);
             return v;
         }
         let (v, entry) = self.data_op(addr, kind, words, |k, cpu, frame, off| {
-            let epoch = k.machine.mmus[cpu.index()].epoch();
-            let entry =
-                TlbEntry { cpu, vpn, frame, epoch, wrote: kind == Access::Store };
+            let entry = TlbEntry::capture(k, cpu, vpn, frame, kind);
             (f(k, cpu, frame, off), entry)
         });
         self.tlb_fill(entry);
@@ -327,10 +356,11 @@ impl ThreadCtx {
     /// the in-page offset, are charged through one
     /// [`Kernel::charge_run`] call against one lookup of the page's
     /// bytes. Every element on a miss — the slot holds another page, the
-    /// epoch moved, the access kind outruns the cached permission, or the
-    /// fast path is off — goes through [`ThreadCtx::data_op`], taking the
-    /// ordinary fault path and refilling the TLB from its final
-    /// successful translation. Budget boundaries are preserved exactly:
+    /// epoch moved, or the access kind outruns the cached permission —
+    /// goes through [`ThreadCtx::data_op`], taking the ordinary fault
+    /// path and refilling the TLB from its final successful translation.
+    /// With the fast path off every element goes through `data_op` and
+    /// nothing is cached. Budget boundaries are preserved exactly:
     /// a batched extent stops charging at the element where the slow
     /// path would have rendezvoused.
     #[allow(clippy::too_many_arguments)]
@@ -347,61 +377,68 @@ impl ThreadCtx {
     where
         T: Copy,
     {
+        if !self.fastpath {
+            return (0..n)
+                .map(|i| {
+                    self.data_op(base + i as u64 * stride, kind, words, |k, _, frame, off| {
+                        mem(k.machine.mem.frame_bytes(frame), off, i)
+                    })
+                })
+                .collect();
+        }
         let mut out = Vec::with_capacity(n);
         let mut i = 0usize;
         while i < n {
             let addr = base + i as u64 * stride;
             let vpn = self.page.page_of(addr.0);
-            if self.fastpath {
-                self.pre();
-                if let Some(entry) = self.tlb_lookup(vpn, kind) {
-                    let off = self.page.offset_of(addr.0);
-                    // Elements left on the cached page: this one, and
-                    // one more per whole stride the page has room for.
-                    let room = self.page.bytes() - off - elem_bytes;
-                    let on_page = match stride {
-                        0 => n - i,
-                        _ => (n - i).min(room / stride as usize + 1),
-                    };
-                    let k = kernel(&mut self.world);
-                    let charged = k.charge_run(
-                        self.cpu,
-                        kind,
-                        entry.frame,
-                        addr,
-                        stride,
-                        words,
-                        on_page,
-                        self.budget_end,
-                    );
-                    let page = k.machine.mem.frame_bytes(entry.frame);
-                    if stride == 0 && charged > 1 {
-                        // Every element aliases one location, and no
-                        // other thread can run between the elements of
-                        // one charged extent (budget boundaries are the
-                        // only interleaving points, on both paths) — so
-                        // the extent's memory effect is one read,
-                        // replicated, or its last write.
-                        let idx = if kind == Access::Fetch { i } else { i + charged - 1 };
-                        out.extend(std::iter::repeat_n(mem(page, off, idx), charged));
-                    } else {
-                        let step = stride as usize;
-                        out.extend((0..charged).map(|j| mem(page, off + j * step, i + j)));
-                    }
-                    let clock = k.clock_of(self.cpu);
-                    self.post(clock);
-                    i += charged;
-                    continue;
+            self.pre();
+            if let Some(entry) = self.tlb_lookup(vpn, kind) {
+                let off = self.page.offset_of(addr.0);
+                // Elements left on the cached page: this one, and
+                // one more per whole stride the page has room for.
+                let room = self.page.bytes() - off - elem_bytes;
+                let on_page = match stride as usize {
+                    0 => n - i,
+                    s if s > room => 1,
+                    s => (n - i).min(room / s + 1),
+                };
+                let k = kernel(&mut self.world);
+                let charged = k.charge_run(
+                    self.cpu,
+                    kind,
+                    entry.frame,
+                    entry.dist,
+                    entry.cost(kind),
+                    addr,
+                    stride,
+                    words,
+                    on_page,
+                    self.budget_end,
+                );
+                let page = k.machine.mem.frame_bytes(entry.frame);
+                if stride == 0 && charged > 1 {
+                    // Every element aliases one location, and no
+                    // other thread can run between the elements of
+                    // one charged extent (budget boundaries are the
+                    // only interleaving points, on both paths) — so
+                    // the extent's memory effect is one read,
+                    // replicated, or its last write.
+                    let idx = if kind == Access::Fetch { i } else { i + charged - 1 };
+                    out.extend(std::iter::repeat_n(mem(page, off, idx), charged));
+                } else {
+                    let step = stride as usize;
+                    out.extend((0..charged).map(|j| mem(page, off + j * step, i + j)));
                 }
+                let clock = k.clock_of(self.cpu);
+                self.post(clock);
+                i += charged;
+                continue;
             }
             let (v, entry) = self.data_op(addr, kind, words, |k, cpu, frame, off| {
-                let epoch = k.machine.mmus[cpu.index()].epoch();
-                let entry = TlbEntry { cpu, vpn, frame, epoch, wrote: kind == Access::Store };
+                let entry = TlbEntry::capture(k, cpu, vpn, frame, kind);
                 (mem(k.machine.mem.frame_bytes(frame), off, i), entry)
             });
-            if self.fastpath {
-                self.tlb_fill(entry);
-            }
+            self.tlb_fill(entry);
             out.push(v);
             i += 1;
         }

@@ -125,6 +125,23 @@ pub(crate) fn chunk_step(need: Ns, window: Ns, fast: bool) -> Ns {
     }
 }
 
+/// How many of `max_n` (at least 1) references costing `cost` each one
+/// charge admits with `window` left before the budget's end: the
+/// elements up to the first that reaches the end, and at least one.
+/// All of them when the last starts inside the window, which takes one
+/// overflow-safe compare; the division runs only when they do not fit,
+/// the rule [`chunk_step`] follows too. An unbounded window never
+/// divides, nor does a scalar reference with any window left.
+fn budget_fit(cost: Ns, window: Ns, max_n: usize) -> usize {
+    if cost.0.saturating_mul(max_n as u64 - 1) < window.0 {
+        max_n
+    } else {
+        // `cost × (max_n − 1) ≥ window` here, so the quotient is below
+        // `max_n`; a zero cost leaves only a zero window to get here.
+        window.0.div_ceil(cost.0.max(1)).max(1) as usize
+    }
+}
+
 /// The assembled kernel. All state of one simulation lives here; during
 /// a run it travels with the grant, so whoever runs owns it.
 pub struct Kernel {
@@ -243,7 +260,9 @@ impl Kernel {
 
     /// Charges up to `max_n` same-page references of `words` words each
     /// against an already-translated `frame` in one call — the batched
-    /// fast path's charging core.
+    /// fast path's charging core. The caller passes what it cached with
+    /// the translation: `frame`'s distance `dist` from `cpu` and the
+    /// per-word cost `word` of an access of `kind` there.
     ///
     /// Each element is charged exactly as [`Kernel::access_step`]'s
     /// success branch would charge it (machine access cost, bus traffic,
@@ -266,13 +285,14 @@ impl Kernel {
         cpu: CpuId,
         kind: Access,
         frame: ace_machine::Frame,
+        dist: Distance,
+        word: Ns,
         first: VAddr,
         stride: u64,
         words: u64,
         max_n: usize,
         budget_end: Ns,
     ) -> usize {
-        let dist = self.machine.distance(cpu, frame.region);
         // With no bus queue advancing per element at this distance the
         // loop below is pure arithmetic over a constant per-element cost,
         // so charge the whole extent in closed form: exactly as many
@@ -282,15 +302,9 @@ impl Kernel {
         // machine tap's `Access` run and the reference sink's run say.
         if self.machine.batchable(dist) && max_n > 0 {
             let clock0 = self.clock_of(cpu);
-            let cost = self.machine.access_cost(cpu, kind, frame.region, words);
-            let t = cost.0;
-            let fit = if t == 0 || budget_end.0 <= clock0.0 {
-                if t == 0 { max_n } else { 1 }
-            } else {
-                (budget_end.0 - clock0.0).div_ceil(t) as usize
-            };
-            let charged = fit.clamp(1, max_n);
-            self.machine.charge_access_n(cpu, kind, frame, words, charged as u64);
+            let cost = word * words;
+            let charged = budget_fit(cost, budget_end.saturating_sub(clock0), max_n);
+            self.machine.charge_priced_n(cpu, kind, frame, dist, cost, words, charged as u64);
             self.refs.add(dist, words * charged as u64);
             if let Some(sink) = self.sink.as_mut() {
                 let first = RefEvent { t: clock0 + cost, cpu, addr: first, kind, dist, words };
@@ -741,6 +755,60 @@ mod tests {
         assert_eq!(k.pmap.view(lp).state, StateKind::LocalWritable(NodeId(0)));
         assert_eq!(k.peek_u32(a), 5, "syscall write preserved the value");
         assert!(k.machine.clocks.cpu(CpuId(0)).system >= Ns::from_us(100));
+    }
+
+    /// `charge_run`'s fit rule against the division it replaces: at
+    /// every window, on both sides of every element boundary, and at
+    /// extent lengths whose span `cost × (max_n − 1)` just fits in a
+    /// `u64` or just overflows it, the charge counts
+    /// `max_n.min(window.div_ceil(cost)).max(1)` elements and leaves the
+    /// clock one cost further per element.
+    #[test]
+    fn charge_run_fits_the_budget_as_the_division_does() {
+        let mut k = kernel(1);
+        let cpu = CpuId(0);
+        let a = k.alloc(64, Prot::READ_WRITE).unwrap();
+        let (frame, _) = k.resolve(cpu, a, Access::Store, 1).unwrap();
+        let dist = k.machine.distance(cpu, frame.region);
+        for (kind, words) in [(Access::Fetch, 1), (Access::Store, 2)] {
+            let word = k.machine.access_cost(cpu, kind, frame.region, 1);
+            let cost = (word * words).0;
+            // The longest extent whose span does not overflow.
+            let edge = u64::MAX / cost + 1;
+            let windows =
+                [0, 1, cost - 1, cost, cost + 1, 5 * cost - 1, 5 * cost, 5 * cost + 1, u64::MAX];
+            for window in windows {
+                let mut lens = vec![1, 2, 3, 5, 6, 1000];
+                if window < u64::MAX {
+                    // Past the first few the budget ends the extent, so
+                    // these charge only a handful of elements.
+                    lens.extend([edge - 1, edge, edge + 1, u64::MAX]);
+                }
+                for max_n in lens {
+                    let clock0 = k.clock_of(cpu);
+                    let budget_end = Ns(clock0.0.saturating_add(window));
+                    let left = budget_end.0 - clock0.0;
+                    let want = max_n.min(left.div_ceil(cost)).max(1);
+                    let local0 = k.refs.local;
+                    let charged = k.charge_run(
+                        cpu,
+                        kind,
+                        frame,
+                        dist,
+                        word,
+                        a,
+                        4,
+                        words,
+                        max_n as usize,
+                        budget_end,
+                    );
+                    let case = format!("{kind:?} cost {cost}, window {window}, max_n {max_n}");
+                    assert_eq!(charged as u64, want, "{case}: charged");
+                    assert_eq!(k.clock_of(cpu), clock0 + Ns(cost * want), "{case}: clock");
+                    assert_eq!(k.refs.local - local0, words * want, "{case}: words");
+                }
+            }
+        }
     }
 
     #[test]

@@ -22,7 +22,9 @@
 use numa_repro::apps::{paper_mix, App, KvServe, Scale, ServeParams};
 use numa_repro::machine::FaultConfig;
 use numa_repro::metrics::{Event, EventKind, VecSink};
-use numa_repro::numa::{CachePolicy, FlushLimitPolicy, MoveLimitPolicy, MoveOrFlushLimitPolicy};
+use numa_repro::numa::{
+    CachePolicy, FlushLimitPolicy, MoveLimitPolicy, MoveOrFlushLimitPolicy, StateKind,
+};
 use numa_repro::sim::{RefEvent, SimConfig, Simulator};
 use std::sync::{Arc, Mutex};
 
@@ -568,4 +570,197 @@ fn fast_path_skips_translations_but_nothing_else() {
         fast * 10 < slow,
         "fast path should eliminate most translations: {fast} vs {slow}"
     );
+}
+
+/// The processors each mirror-image thread of [`observe_cpu_swap`] ran
+/// its reads on, in order.
+type CpusSeen = Vec<Vec<usize>>;
+
+/// A thread moved to a processor whose MMU epoch equals the one its
+/// cached entry was filled at, under full observability. Two nodes, the
+/// global queue, two mirror-image threads and a bystander that only
+/// computes: each mirror thread writes and reads its own page, so the
+/// two MMUs' epochs step alike, then computes past its quantum. The
+/// bystander takes the first processor given up, and the other mirror
+/// thread's processor goes to the first thread, whose entry for its
+/// page now matches that MMU's epoch. Only the entry's processor tells
+/// it belongs to another MMU: reusing it would skip the fault the slow
+/// path takes there and charge the old processor's local frame at the
+/// old processor's distance and cost.
+fn observe_cpu_swap(fastpath: bool) -> (Observation, CpusSeen) {
+    use numa_repro::machine::{Ns, Prot};
+    use numa_repro::sim::SchedulerKind;
+    const PAGE: u64 = 256;
+    let sink = Arc::new(Mutex::new(VecSink::new()));
+    let mut cfg = SimConfig::small(2).events(sink.clone()).fastpath(fastpath);
+    cfg.scheduler = SchedulerKind::GlobalQueue;
+    cfg.quantum = Ns::from_us(200);
+    let mut sim = Simulator::new(cfg, Box::new(MoveLimitPolicy::default()));
+    let refs = Arc::new(Mutex::new(Vec::new()));
+    let tap = Arc::clone(&refs);
+    sim.with_kernel(|k| {
+        k.set_sink(Box::new(move |e: &RefEvent| tap.lock().unwrap().push(*e)))
+    });
+    let a = sim.alloc(2 * PAGE, Prot::READ_WRITE);
+    let seen = Arc::new(Mutex::new(vec![Vec::new(); 2]));
+    for id in 0..2u64 {
+        let out = Arc::clone(&seen);
+        sim.spawn(format!("mirror-{id}"), move |ctx| {
+            let page = a + id * PAGE;
+            ctx.write_u32(page + 8, 100 + id as u32);
+            assert_eq!(ctx.read_u32(page + 8), 100 + id as u32);
+            let before = ctx.cpu().index();
+            ctx.compute(Ns::from_ms(1));
+            let after = ctx.cpu().index();
+            assert_eq!(ctx.read_u32(page + 8), 100 + id as u32);
+            assert_eq!(ctx.read_run(page, 4, 4)[2], 100 + id as u32);
+            ctx.write_u32(page + 12, 200 + id as u32);
+            out.lock().unwrap()[id as usize] = vec![before, after];
+        });
+    }
+    sim.spawn("bystander", move |ctx| ctx.compute(Ns::from_ms(1)));
+    let report = sim.run();
+    let events = sink.lock().unwrap().events.clone();
+    let refs = refs.lock().unwrap().clone();
+    let obs = Observation {
+        report_json: report.to_json().to_string_flat(),
+        report_text: format!("{report}"),
+        events,
+        refs,
+    };
+    let seen = seen.lock().unwrap().clone();
+    (obs, seen)
+}
+
+/// `tlb_lookup`'s processor check is what stands between a moved thread
+/// and an entry of the processor it left when the two MMUs' epochs are
+/// equal: without it the fast path skips a fault and mischarges.
+#[test]
+fn an_entry_stays_with_its_processor_when_epochs_meet() {
+    let (slow, slow_cpus) = observe_cpu_swap(false);
+    let (fast, fast_cpus) = observe_cpu_swap(true);
+    assert!(
+        slow_cpus.iter().any(|cpus| cpus[0] != cpus[1]),
+        "no mirror thread changed processors: {slow_cpus:?}"
+    );
+    assert_eq!(slow_cpus, fast_cpus, "the paths scheduled differently");
+    assert_equivalent("processor swap", &slow, &fast);
+}
+
+/// A policy that hosts logical page `p` on node `p % 4`: on a 2×2 mesh
+/// a thread on node 0 finds its pages zero, one and two hops away.
+struct HostByPage;
+
+impl CachePolicy for HostByPage {
+    fn name(&self) -> &'static str {
+        "host-by-page"
+    }
+    fn decide(
+        &mut self,
+        lpage: numa_repro::vm::LPageId,
+        _: numa_repro::machine::Access,
+        _: numa_repro::machine::CpuId,
+    ) -> numa_repro::numa::Placement {
+        numa_repro::numa::Placement::RemoteAt(numa_repro::machine::NodeId((lpage.0 % 4) as u16))
+    }
+}
+
+/// One thread on a 2×2 mesh storing to and then fetching from pages
+/// hosted at every hop count, under full observability; also returns
+/// its pages' final states. The store fills each page's entry, so
+/// the fetches after it hit an entry filled by a store and must charge
+/// the fetch row of the page's hop count, not the store row.
+fn observe_mesh_hops(fastpath: bool) -> (Observation, Vec<StateKind>) {
+    use numa_repro::machine::{Prot, TopologyBuilder};
+    const PAGES: u64 = 8;
+    let sink = Arc::new(Mutex::new(VecSink::new()));
+    let machine = TopologyBuilder::mesh(4, 1).config();
+    let page = machine.page_size.bytes() as u64;
+    let cfg = SimConfig::small(4).machine(machine).events(sink.clone()).fastpath(fastpath);
+    let mut sim = Simulator::new(cfg, Box::new(HostByPage));
+    let refs = Arc::new(Mutex::new(Vec::new()));
+    let tap = Arc::clone(&refs);
+    sim.with_kernel(|k| {
+        k.set_sink(Box::new(move |e: &RefEvent| tap.lock().unwrap().push(*e)))
+    });
+    let a = sim.alloc(PAGES * page, Prot::READ_WRITE);
+    sim.spawn("hopper", move |ctx| {
+        for round in 0..3u32 {
+            for p in 0..PAGES {
+                let base = a + p * page;
+                let v = round * 100 + p as u32;
+                ctx.write_u32(base + 16, v);
+                assert_eq!(ctx.read_u32(base + 16), v);
+                assert_eq!(ctx.read_run(base, 4, 12)[4], v);
+                ctx.write_run(base + 64, 8, &[v; 6]);
+                assert_eq!(ctx.read_run_f64(base + 128, 8, 5), [0.0; 5]);
+            }
+        }
+    });
+    let report = sim.run();
+    let states = sim.with_kernel(|k| {
+        (0..PAGES)
+            .map(|p| {
+                let lpage = k.vm.resident_lpage(k.task, a + p * page).expect("touched");
+                k.pmap.view(lpage).state
+            })
+            .collect()
+    });
+    let events = sink.lock().unwrap().events.clone();
+    let refs = refs.lock().unwrap().clone();
+    let obs = Observation {
+        report_json: report.to_json().to_string_flat(),
+        report_text: format!("{report}"),
+        events,
+        refs,
+    };
+    (obs, states)
+}
+
+/// Costs cached in a TLB entry are right at every hop count of a
+/// multi-hop machine, for both access kinds of a store-filled entry.
+#[test]
+fn cached_costs_match_every_hop_count_on_a_mesh() {
+    use numa_repro::machine::NodeId;
+    let (slow, states) = observe_mesh_hops(false);
+    let (fast, _) = observe_mesh_hops(true);
+    let hosts: Vec<_> = (0..8).map(|p| StateKind::RemoteShared(NodeId(p % 4))).collect();
+    assert_eq!(states, hosts, "the pages must sit at every hop count from node 0");
+    assert_equivalent("mesh hops", &slow, &fast);
+}
+
+/// How often the fast path still translates on `stream_1cpu`'s largest
+/// cell: FFT-256 on one processor, all pages local. Its column gathers
+/// step two pages per element and can conflict in the direct-mapped
+/// slots. Prints MMU translations (`Mmu::stats().hits`) per reference
+/// and per charged run, which is one TLB lookup on the fast path
+/// (`--nocapture` shows them). The slow path is not run: it translates
+/// every reference but the second half of a test-and-set, and its 36
+/// million references take minutes in a debug build.
+#[test]
+#[ignore = "FFT at the paper's size; CI runs it via --ignored"]
+fn fft256_translations_per_reference() {
+    use numa_repro::apps::Fft;
+    use numa_repro::numa::AllLocalPolicy;
+    use numa_repro::sim::RefRun;
+    let mut sim = Simulator::new(SimConfig::ace(1), Box::new(AllLocalPolicy));
+    let seen = Arc::new(Mutex::new((0u64, 0u64)));
+    let tally = Arc::clone(&seen);
+    sim.with_kernel(|k| {
+        k.set_run_sink(Box::new(move |run: &RefRun| {
+            let mut t = tally.lock().unwrap();
+            *t = (t.0 + 1, t.1 + run.count);
+        }))
+    });
+    Fft::with_dim(256).unwrap().run(&mut sim, 1).expect("FFT-256 verifies");
+    let translations = sim.with_kernel(|k| k.machine.mmus[0].stats().hits);
+    let (runs, refs) = *seen.lock().unwrap();
+    let share = translations as f64 / refs as f64;
+    println!(
+        "FFT-256, one processor, fast path: {translations} translations for {refs} \
+         references ({:.2} %) in {runs} charged runs ({:.2} %)",
+        100.0 * share,
+        100.0 * translations as f64 / runs as f64
+    );
+    assert!(share < 0.1, "the software TLB served under nine references in ten");
 }
