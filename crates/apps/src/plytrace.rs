@@ -143,17 +143,67 @@ impl PlyTrace {
         (zfix << 12) | (t.color & 0xFFF)
     }
 
-    /// Clamped bounding box of a triangle.
-    fn bbox(&self, t: &Tri) -> (usize, usize, usize, usize) {
+    /// Bounding box of a triangle, clamped to a `size` x `size` frame.
+    fn bbox(size: usize, t: &Tri) -> (usize, usize, usize, usize) {
         let xs = [t.v[0].0, t.v[1].0, t.v[2].0];
         let ys = [t.v[0].1, t.v[1].1, t.v[2].1];
         let fmin = |a: &[f64]| a.iter().cloned().fold(f64::INFINITY, f64::min);
         let fmax = |a: &[f64]| a.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let x0 = fmin(&xs).floor().max(0.0) as usize;
         let y0 = fmin(&ys).floor().max(0.0) as usize;
-        let x1 = (fmax(&xs).ceil() as usize).min(self.size - 1);
-        let y1 = (fmax(&ys).ceil() as usize).min(self.size - 1);
+        let x1 = (fmax(&xs).ceil() as usize).min(size - 1);
+        let y1 = (fmax(&ys).ceil() as usize).min(size - 1);
         (x0, y0, x1, y1)
+    }
+
+    /// Calls `f(p, word)` for every pixel `p` (row-major) that a triangle
+    /// of `scene` covers, with the word that triangle stores there. It
+    /// walks each triangle's [`PlyTrace::bbox`], as the rasterizer does:
+    /// a covered pixel's centre lies inside the triangle, so at least half
+    /// a pixel inside `floor(min)..=ceil(max)` on both axes.
+    fn for_each_cover(size: usize, scene: &[Tri], mut f: impl FnMut(usize, u32)) {
+        for t in scene {
+            let (x0, y0, x1, y1) = Self::bbox(size, t);
+            for py in y0..=y1 {
+                for px in x0..=x1 {
+                    if let Some(l) = Self::bary(t, px, py) {
+                        f(py * size + px, Self::fb_word(t, l));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Checks a snapshot of the frame buffer (`fb`, row-major): every
+    /// pixel's packed word must belong to a triangle covering that pixel,
+    /// and covered pixels must be non-empty. (Depth-test races can only
+    /// select a non-minimal *covering* triangle, never corrupt values; the
+    /// engine's determinism makes the selection reproducible.) Reports the
+    /// first failing pixel in row-major order. Costs one [`PlyTrace::bary`]
+    /// per pixel of each triangle's bounding box.
+    fn check_frame(&self, scene: &[Tri], fb: &[u32]) -> Result<(), String> {
+        let size = self.size;
+        let mut covered = vec![false; fb.len()];
+        let mut matched = vec![false; fb.len()];
+        Self::for_each_cover(size, scene, |p, word| {
+            covered[p] = true;
+            matched[p] |= word == fb[p];
+        });
+        for (p, &got) in fb.iter().enumerate() {
+            let (px, py) = (p % size, p / size);
+            if !covered[p] {
+                if got != 0 {
+                    return Err(format!("pixel ({px},{py}) written but uncovered: {got:#x}"));
+                }
+            } else if got == 0 {
+                return Err(format!("covered pixel ({px},{py}) never written"));
+            } else if !matched[p] {
+                return Err(format!(
+                    "pixel ({px},{py}) holds {got:#x} matching no covering triangle"
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -164,7 +214,7 @@ impl App for PlyTrace {
 
     fn run(&self, sim: &mut Simulator, workers: usize) -> Result<(), String> {
         let size = self.size;
-        let scene = self.scene();
+        let scene = std::sync::Arc::new(self.scene());
         let ntris = scene.len();
         // Scene storage: 10 f64-slots per triangle (x,y,z per vertex,
         // color in the last slot).
@@ -175,14 +225,14 @@ impl App for PlyTrace {
         let bar = Barrier::new(ctl, workers as u32);
         // One work item per object (polygon list).
         let pile = WorkPile::new(ctl + 16, self.objects as u64);
-        let shared_scene = std::sync::Arc::new(scene);
         let nworkers = workers;
         for t in 0..workers {
-            let scene = std::sync::Arc::clone(&shared_scene);
+            let scene = std::sync::Arc::clone(&scene);
             // Private stack for transform/set-up spills.
             let stack = sim.alloc(2048, Prot::READ_WRITE);
             sim.spawn(format!("plytrace-{t}"), move |ctx| {
                 let tri_addr = |i: usize| scene_mem + (i as u64) * 80;
+                let evens: Vec<u32> = (0..SETUP_REFS).step_by(2).map(|r| r as u32).collect();
                 // Each thread loads a contiguous block of objects into
                 // shared memory (contiguous, so a scene page has one
                 // writer and stays cacheable).
@@ -221,12 +271,9 @@ impl App for PlyTrace {
                         // the odd ones read back, each half one
                         // stride-two-words run.
                         ctx.compute(SETUP_COST);
-                        let evens: Vec<u32> =
-                            (0..SETUP_REFS).step_by(2).map(|r| r as u32).collect();
                         ctx.write_run(stack, 8, &evens);
                         let _ = ctx.read_run(stack + 4, 8, SETUP_REFS as usize / 2);
-                        let this = PlyTrace { size, objects: 0, seed: 0 };
-                        let (x0, y0, x1, y1) = this.bbox(&tri);
+                        let (x0, y0, x1, y1) = PlyTrace::bbox(size, &tri);
                         for py in y0..=y1 {
                             // Per-scanline set-up re-reads the vertex
                             // data (replicated, hence local), one
@@ -254,20 +301,38 @@ impl App for PlyTrace {
             });
         }
         sim.run();
-        // Verify: every pixel's packed word must belong to a triangle
-        // covering that pixel, and covered pixels must be non-empty.
-        // (Depth-test races can only select a non-minimal *covering*
-        // triangle, never corrupt values; the engine's determinism makes
-        // the selection reproducible.)
-        let scene = self.scene();
+        let fb: Vec<u32> = sim.with_kernel(|k| {
+            (0..size * size).map(|p| k.peek_u32(fbuf + (p as u64) * 4)).collect()
+        });
+        self.check_frame(&scene, &fb)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::eval::measure_once;
+    use ace_sim::SimConfig;
+    use numa_core::MoveLimitPolicy;
+
+    #[test]
+    fn scene_is_deterministic() {
+        let a = PlyTrace::new(Scale::Test).scene();
+        let b = PlyTrace::new(Scale::Test).scene();
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(&b) {
+            assert_eq!(x.v, y.v);
+            assert_eq!(x.color, y.color);
+        }
+    }
+
+    /// The same check by every triangle at every pixel: the oracle for
+    /// [`PlyTrace::check_frame`].
+    fn check_frame_by_pixel(size: usize, scene: &[Tri], fb: &[u32]) -> Result<(), String> {
         for py in 0..size {
             for px in 0..size {
-                let pf = fbuf + ((py * size + px) as u64) * 4;
-                let got = sim.with_kernel(|k| k.peek_u32(pf));
-                let covering: Vec<u32> = scene
-                    .iter()
-                    .filter_map(|t| Self::bary(t, px, py).map(|l| Self::fb_word(t, l)))
-                    .collect();
+                let got = fb[py * size + px];
+                let covering = covering_at(scene, px, py);
                 if covering.is_empty() {
                     if got != 0 {
                         return Err(format!(
@@ -288,23 +353,158 @@ impl App for PlyTrace {
         }
         Ok(())
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::eval::measure_once;
-    use ace_sim::SimConfig;
-    use numa_core::MoveLimitPolicy;
+    /// The words of every triangle covering the pixel, in scene order.
+    fn covering_at(scene: &[Tri], px: usize, py: usize) -> Vec<u32> {
+        scene
+            .iter()
+            .filter_map(|t| PlyTrace::bary(t, px, py).map(|l| PlyTrace::fb_word(t, l)))
+            .collect()
+    }
+
+    /// Requires the bounding-box walk to find, at every pixel, exactly the
+    /// covering words the every-triangle scan finds, in scene order.
+    fn assert_same_covers(size: usize, scene: &[Tri]) {
+        let mut walked = vec![Vec::new(); size * size];
+        PlyTrace::for_each_cover(size, scene, |p, word| walked[p].push(word));
+        for py in 0..size {
+            for px in 0..size {
+                assert_eq!(
+                    walked[py * size + px],
+                    covering_at(scene, px, py),
+                    "pixel ({px},{py}) of a {size}x{size} frame"
+                );
+            }
+        }
+    }
+
+    /// The frame a sequential rasterizer leaves: the least word per pixel.
+    fn render(size: usize, scene: &[Tri]) -> Vec<u32> {
+        let mut fb = vec![0u32; size * size];
+        PlyTrace::for_each_cover(size, scene, |p, word| {
+            if fb[p] == 0 || word < fb[p] {
+                fb[p] = word;
+            }
+        });
+        fb
+    }
+
+    /// A scene of `n` triangles that straddle the frame's edges and
+    /// corners, leave it entirely, shrink below a pixel, run their edges
+    /// through pixel centres, or have no area at all.
+    fn edge_scene(rng: &mut StdRng, size: usize, n: usize) -> Vec<Tri> {
+        let s = size as f64;
+        let half = |(x, y): (f64, f64)| ((2.0 * x).round() / 2.0, (2.0 * y).round() / 2.0);
+        (0..n)
+            .map(|i| {
+                // Anchored on an edge, at a corner or outside, or anywhere.
+                let edge = [0.0, s, rng.random_range(-s..2.0 * s)];
+                let (ax, ay) = match rng.random_range(0..4u32) {
+                    0 => (edge[rng.random_range(0..2usize)], rng.random_range(0.0..s)),
+                    1 => (rng.random_range(0.0..s), edge[rng.random_range(0..2usize)]),
+                    2 => (edge[rng.random_range(0..3usize)], edge[rng.random_range(0..3usize)]),
+                    _ => (rng.random_range(0.0..s), rng.random_range(0.0..s)),
+                };
+                let r: f64 = [0.3, 2.0, s / 4.0, s][rng.random_range(0..4usize)];
+                let mut pts = [(0.0, 0.0); 3];
+                for p in &mut pts {
+                    *p = (ax + rng.random_range(-r..r), ay + rng.random_range(-r..r));
+                }
+                let [a, b, c] = pts;
+                let (ha, hb) = (half(a), half(b));
+                let k = rng.random_range(-2.0..3.0);
+                let v = match rng.random_range(0..7u32) {
+                    0 => [a, a, b],
+                    1 => [a, a, a],
+                    2 => [a, b, (a.0 + k * (b.0 - a.0), a.1 + k * (b.1 - a.1))],
+                    // Whole and half coordinates: edges along rows and
+                    // columns of pixel centres, then flat along one.
+                    3 => [ha, hb, (ha.0, hb.1)],
+                    4 => [ha, (ha.0, hb.1), (ha.0, 2.0 * hb.1 - ha.1)],
+                    5 => [ha, (hb.0, ha.1), (2.0 * hb.0 - ha.0, ha.1)],
+                    _ => [a, b, c],
+                };
+                let mut depth = || rng.random_range(0.1..0.9);
+                let z = [depth(), depth(), depth()];
+                Tri { v, z, color: 0x100 + i as u32 }
+            })
+            .collect()
+    }
 
     #[test]
-    fn scene_is_deterministic() {
-        let a = PlyTrace::new(Scale::Test).scene();
-        let b = PlyTrace::new(Scale::Test).scene();
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.v, y.v);
-            assert_eq!(x.color, y.color);
+    fn bbox_walk_covers_what_the_full_scan_covers() {
+        for scale in [Scale::Test, Scale::Bench] {
+            let app = PlyTrace::new(scale);
+            let scene = app.scene();
+            assert_same_covers(app.size, &scene);
+            let fb = render(app.size, &scene);
+            assert!(fb.iter().any(|&w| w != 0));
+            assert_eq!(app.check_frame(&scene, &fb), Ok(()));
+            assert_eq!(check_frame_by_pixel(app.size, &scene, &fb), Ok(()));
+        }
+    }
+
+    #[test]
+    fn bbox_walk_covers_what_the_full_scan_covers_on_edge_scenes() {
+        let mut rng = StdRng::seed_from_u64(41);
+        for _ in 0..200 {
+            let size = rng.random_range(1..25usize);
+            let scene = edge_scene(&mut rng, size, 24);
+            assert_same_covers(size, &scene);
+            let app = PlyTrace { size, objects: 0, seed: 0 };
+            let fb = render(size, &scene);
+            assert_eq!(app.check_frame(&scene, &fb), Ok(()));
+            // A word in every pixel, some of them foreign: both checks must
+            // name the same pixel and the same fault.
+            let noisy: Vec<u32> = fb
+                .iter()
+                .map(|&w| match rng.random_range(0..8u32) {
+                    0 => 0,
+                    1 => 0x1234,
+                    _ => w,
+                })
+                .collect();
+            assert_eq!(
+                app.check_frame(&scene, &noisy),
+                check_frame_by_pixel(size, &scene, &noisy)
+            );
+        }
+    }
+
+    #[test]
+    fn check_frame_names_each_fault_as_the_full_scan_does() {
+        let app = PlyTrace::new(Scale::Test);
+        let scene = app.scene();
+        let fb = render(app.size, &scene);
+        let at = |p: usize| (p % app.size, p / app.size);
+        let uncovered = (0..fb.len()).find(|&p| fb[p] == 0).unwrap();
+        // Covered by two triangles or more, so the one a depth race could
+        // leave differs from the least word.
+        let shared = (0..fb.len())
+            .find(|&p| covering_at(&scene, at(p).0, at(p).1).len() > 1)
+            .unwrap();
+        let ((ux, uy), (sx, sy)) = (at(uncovered), at(shared));
+        let foreign = fb[shared] ^ 0x1000;
+        let cases = [
+            (uncovered, 0x1abc, format!("pixel ({ux},{uy}) written but uncovered: 0x1abc")),
+            (shared, 0, format!("covered pixel ({sx},{sy}) never written")),
+            (
+                shared,
+                foreign,
+                format!("pixel ({sx},{sy}) holds {foreign:#x} matching no covering triangle"),
+            ),
+        ];
+        for (p, word, want) in cases {
+            let mut bad = fb.clone();
+            bad[p] = word;
+            assert_eq!(app.check_frame(&scene, &bad), Err(want.clone()));
+            assert_eq!(check_frame_by_pixel(app.size, &scene, &bad), Err(want));
+        }
+        // Every covering triangle's word passes, not only the least one.
+        for word in covering_at(&scene, sx, sy) {
+            let mut raced = fb.clone();
+            raced[shared] = word;
+            assert_eq!(app.check_frame(&scene, &raced), Ok(()));
         }
     }
 
