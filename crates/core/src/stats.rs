@@ -35,15 +35,12 @@ ace_machine::counters! {
         pub pins: u64,
         /// Pages pinned in global memory (or re-homed) by a flush-aware
         /// policy: the *invalidation* budget was exhausted, not the move
-        /// budget. Always zero under the paper's move-limit policy, so
-        /// reports serialize it only when nonzero and every pre-existing
-        /// baseline keeps its exact bytes.
+        /// budget. Always zero under the paper's move-limit policy.
         pub flush_pins: u64,
         /// Cached copies invalidated by coherence cleanups (the flush/
         /// sync-flush entries of Tables 1 and 2). Excludes capacity
         /// evictions and pressure-daemon flushes — this is exactly the
         /// traffic a flush-aware policy accounts against its budget.
-        /// Serialized only alongside `flush_pins` (see above).
         pub coherence_invalidations: u64,
         /// Zero-fills performed directly into local memory (the lazy
         /// zero-fill optimization).
@@ -81,13 +78,11 @@ ace_machine::counters! {
         /// low watermark.
         pub pressure_ticks: u64,
         /// High-water mark of simultaneously allocated frames in any single
-        /// local memory (observability for pressure experiments; not
-        /// serialized into reports).
+        /// local memory (observability for pressure experiments; printed,
+        /// not serialized).
         pub local_peak_frames: u64,
         /// Replicas copied from a nearby sibling replica instead of the
-        /// global frame. Possible only on hierarchical machines, so reports
-        /// serialize it only when nonzero (flat reports keep their exact
-        /// pre-topology bytes).
+        /// global frame. Possible only on hierarchical machines.
         pub near_replications: u64,
         /// Local memory modules taken offline by scheduled hard failures.
         pub nodes_offlined: u64,
@@ -107,16 +102,6 @@ ace_machine::counters! {
 }
 
 impl NumaStats {
-    /// A counter, or one of the derived totals reports serialize or
-    /// gate on, by name.
-    pub fn value(&self, name: &str) -> Option<u64> {
-        match name {
-            "recovery_actions" => Some(self.recovery_actions()),
-            "hard_failure_actions" => Some(self.hard_failure_actions()),
-            _ => self.fields().find(|&(field, _)| field == name).map(|(_, v)| v),
-        }
-    }
-
     /// Total page copies performed (replications + migrations + syncs).
     pub fn total_page_copies(&self) -> u64 {
         self.replications + self.migrations + self.syncs
@@ -133,8 +118,7 @@ impl NumaStats {
 
     /// Total hard-failure recovery work: nodes lost, pages re-homed or
     /// lost with them, threads drained, placements permanently
-    /// degraded. Zero unless a hard failure was scheduled, so reports
-    /// from failure-free runs stay byte-identical.
+    /// degraded. Zero unless a hard failure was scheduled.
     pub fn hard_failure_actions(&self) -> u64 {
         self.nodes_offlined
             + self.pages_rehomed

@@ -548,10 +548,11 @@ impl Axis {
 type Preset = (&'static str, fn() -> Grid);
 
 /// Every built-in preset, in `numa-lab list` order.
-const PRESETS: [Preset; 12] = [
+const PRESETS: [Preset; 13] = [
     ("paper", Grid::paper),
     ("paper-bench", Grid::paper_bench),
     ("smoke", Grid::smoke),
+    ("policies", Grid::policies),
     ("threshold", Grid::threshold),
     ("page-size", Grid::page_size),
     ("speedup", Grid::speedup),
@@ -608,6 +609,27 @@ impl Grid {
             apps: vec![AppId::IMatMult, AppId::Gfetch],
             cpus: vec![4],
             ..Grid::paper()
+        }
+    }
+
+    /// The policy comparison: the smoke grid's applications under
+    /// every pinning rule side by side — move-limit at the default
+    /// threshold and at 0, all-global, never-pin (all-local), and
+    /// move-limit whose pins are reconsidered every 8 daemon ticks —
+    /// next to the T_local baseline. This is the grid behind
+    /// `BENCH_policies.json`.
+    pub fn policies() -> Grid {
+        Grid {
+            name: "policies".to_string(),
+            placements: vec![
+                Placement::Local,
+                Placement::Global,
+                Placement::Numa,
+                Placement::NeverPin,
+                Placement::Reconsider { period: 8 },
+            ],
+            thresholds: vec![MoveLimitPolicy::DEFAULT_THRESHOLD, 0],
+            ..Grid::smoke()
         }
     }
 
@@ -1171,6 +1193,30 @@ mod tests {
     }
 
     #[test]
+    fn policies_preset_runs_every_policy_of_the_comparison() {
+        let jobs = Grid::named("policies").unwrap().jobs();
+        for app in [AppId::IMatMult, AppId::Gfetch] {
+            let cells: Vec<_> = jobs
+                .iter()
+                .filter(|j| j.app == app)
+                .map(|j| (j.placement.label(), j.policy().name(), j.threshold, j.cpus))
+                .collect();
+            let expected = [
+                ("local", "move-limit", None, 1),
+                ("global", "all-global", None, 4),
+                ("numa", "move-limit", Some(4), 4),
+                ("numa", "move-limit", Some(0), 4),
+                ("never-pin", "all-local", None, 4),
+                ("reconsider-8", "reconsider", Some(4), 4),
+                ("reconsider-8", "reconsider", Some(0), 4),
+            ];
+            let expected: Vec<_> =
+                expected.iter().map(|&(l, p, t, c)| (l.to_string(), p, t, c)).collect();
+            assert_eq!(cells, expected, "{}", app.name());
+        }
+    }
+
+    #[test]
     fn app_ids_round_trip_and_match_table_order() {
         for (id, paper) in AppId::ALL.iter().zip(numa_metrics::paper::PAPER_TABLE3.iter()) {
             assert_eq!(id.name(), paper.0);
@@ -1535,9 +1581,11 @@ mod tests {
     fn an_axis_a_preset_leaves_empty_is_mentioned_nowhere() {
         // Byte-compatibility, for every (preset, emit-only-when-set axis)
         // pair at once: a grid that leaves the axis empty serializes
-        // exactly as it did before the axis existed — the axis is in
-        // neither the grid document, nor any job document, nor any label.
-        let quoted = |key: &str| format!("\"{key}\"");
+        // exactly as it did before the axis existed — the axis is a key
+        // of neither the grid document nor any job document, and in no
+        // label. (A key, not any string: the `policies` grid's name is
+        // the policy axis's list key.)
+        let quoted = |key: &str| format!("\"{key}\":");
         for name in Grid::preset_names() {
             let g = Grid::named(name).unwrap();
             let grid_doc = g.to_json().to_string_flat();
@@ -1579,8 +1627,8 @@ mod tests {
         // table-driven expansion must yield the same cells in the same
         // order. Four of the presets have no committed document to pin
         // them otherwise. `threshold` and `page-size` were later reshaped
-        // into the bench binaries' experiments and `speedup` added; their
-        // rows were recorded then.
+        // into the bench binaries' experiments and `speedup` and
+        // `policies` added; their rows were recorded then.
         let mixed = |mut g: Grid| {
             g.apps = vec![AppId::Gfetch, AppId::KvServe];
             g
@@ -1588,10 +1636,11 @@ mod tests {
         let mut clamp = Grid::chaos();
         clamp.cpus = vec![2];
         clamp.offline_nodes = vec![1, 8];
-        let at_parent: [(Grid, usize, u64); 15] = [
+        let at_parent: [(Grid, usize, u64); 16] = [
             (Grid::paper(), 24, 17769952996750020396),
             (Grid::paper_bench(), 24, 17769952996750020396),
             (Grid::smoke(), 6, 1756335651542545867),
+            (Grid::policies(), 14, 9325919003048114891),
             (Grid::threshold(), 14, 1075114687477495436),
             (Grid::page_size(), 30, 16286528200713031365),
             (Grid::speedup(), 16, 15653979394277048321),

@@ -150,7 +150,7 @@ impl LatencyHistogram {
     }
 
     /// [`Self::to_sparse`] as JSON: `[[index, count], ...]`, the form
-    /// reports and checkpoints store.
+    /// checkpoints store.
     pub fn sparse_json(&self) -> Json {
         let pair = |(i, c): (usize, u64)| Json::Arr(vec![Json::from(i), Json::from(c)]);
         Json::Arr(self.to_sparse().into_iter().map(pair).collect())
@@ -233,10 +233,8 @@ impl std::fmt::Display for ShedReason {
 /// Everything a serving workload measures: request counts, the latency
 /// distribution, and — when admission control or deadlines are engaged
 /// — the shed ledger and the goodput distribution. Attached to a run
-/// report only by serving applications, so batch runs serialize
-/// byte-identically to reports that predate this type; the overload
-/// fields serialize only when `limited` is set, so serving runs with
-/// every knob disabled stay byte-identical too.
+/// report only by serving applications; the overload fields are read
+/// only when `limited` is set.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ServingReport {
     /// Total requests generated (every arrival, served or shed).
@@ -254,7 +252,7 @@ pub struct ServingReport {
     /// Requests rejected by per-tenant admission control.
     pub shed_quota: u64,
     /// True when any overload knob (queue bound, deadline, quota) was
-    /// engaged; gates serialization of the overload fields.
+    /// engaged; gates the overload fields in sweeps and checkpoints.
     pub limited: bool,
     /// Per-request virtual-time latency (completion minus scheduled
     /// arrival, so queueing delay under overload is part of it) of
@@ -303,47 +301,7 @@ impl ServingReport {
     pub fn ledger_balanced(&self) -> bool {
         self.requests == self.admitted + self.shed_total()
     }
-
-    /// The report as one deterministic JSON object: counts, the four
-    /// headline percentiles, the exact maximum, and the sparse buckets
-    /// (so a consumer can re-derive any other quantile). When `limited`
-    /// is set the shed ledger, goodput percentiles, and goodput buckets
-    /// appear too; when clear the layout is byte-identical to reports
-    /// that predate admission control.
-    pub fn to_json(&self) -> Json {
-        SERVING_BLOCK
-            .iter()
-            .filter(|(_, overload, _)| self.limited || !overload)
-            .fold(Json::obj(), |j, (key, _, value)| j.field(key, value(self)))
-    }
 }
-
-type ServingLeaf = (&'static str, bool, fn(&ServingReport) -> Json);
-
-/// [`ServingReport::to_json`] in serialization order: key, whether the
-/// leaf belongs to the overload ledger (serialized only on `limited`
-/// reports), and value.
-const SERVING_BLOCK: [ServingLeaf; 19] = [
-    ("requests", false, |s| s.requests.into()),
-    ("gets", false, |s| s.gets.into()),
-    ("puts", false, |s| s.puts.into()),
-    ("admitted", true, |s| s.admitted.into()),
-    ("shed_queue_full", true, |s| s.shed_queue_full.into()),
-    ("shed_deadline", true, |s| s.shed_deadline.into()),
-    ("shed_quota", true, |s| s.shed_quota.into()),
-    ("p50_ns", false, |s| s.latency.p50().into()),
-    ("p95_ns", false, |s| s.latency.p95().into()),
-    ("p99_ns", false, |s| s.latency.p99().into()),
-    ("p999_ns", false, |s| s.latency.p999().into()),
-    ("max_ns", false, |s| s.latency.max_ns().into()),
-    ("goodput_p50_ns", true, |s| s.goodput.p50().into()),
-    ("goodput_p95_ns", true, |s| s.goodput.p95().into()),
-    ("goodput_p99_ns", true, |s| s.goodput.p99().into()),
-    ("goodput_p999_ns", true, |s| s.goodput.p999().into()),
-    ("goodput_max_ns", true, |s| s.goodput.max_ns().into()),
-    ("buckets", false, |s| s.latency.sparse_json()),
-    ("goodput_buckets", true, |s| s.goodput.sparse_json()),
-];
 
 #[cfg(test)]
 mod tests {
@@ -463,28 +421,13 @@ mod tests {
     }
 
     #[test]
-    fn serving_report_serializes_deterministically() {
-        let mut latency = LatencyHistogram::new();
-        latency.record(1_000);
-        latency.record(9_000);
-        let r = ServingReport::unlimited(2, 1, 1, latency);
-        let s = r.to_json().to_string_flat();
-        assert_eq!(s, r.to_json().to_string_flat());
-        crate::json::validate(&s).unwrap();
-        assert!(s.starts_with("{\"requests\":2,\"gets\":1,\"puts\":1,\"p50_ns\":"));
-        assert!(s.contains("\"max_ns\":9000"));
-        assert!(s.contains("\"buckets\":[["));
-    }
-
-    #[test]
-    fn unlimited_report_hides_every_overload_field() {
+    fn unlimited_report_serves_every_request() {
         let mut latency = LatencyHistogram::new();
         latency.record(500);
         let r = ServingReport::unlimited(1, 1, 0, latency);
-        let s = r.to_json().to_string_flat();
-        for hidden in ["admitted", "shed_", "goodput"] {
-            assert!(!s.contains(hidden), "`{hidden}` must not serialize unlimited: {s}");
-        }
+        assert!(!r.limited);
+        assert_eq!((r.admitted, r.shed_total()), (1, 0));
+        assert_eq!(r.goodput, r.latency);
         assert!(r.ledger_balanced());
     }
 
@@ -512,19 +455,6 @@ mod tests {
         r.shed(ShedReason::QuotaExceeded, 1);
         assert_eq!(r.shed_total(), 3);
         assert!(r.ledger_balanced());
-        let s = r.to_json().to_string_flat();
-        crate::json::validate(&s).unwrap();
-        assert!(s.contains(
-            "\"admitted\":2,\"shed_queue_full\":1,\"shed_deadline\":1,\"shed_quota\":1"
-        ));
-        assert!(s.contains("\"goodput_p50_ns\":"));
-        assert!(s.contains("\"goodput_max_ns\":1000"));
-        assert!(s.contains("\"goodput_buckets\":[["));
-        // Field order is fixed: the ledger sits between the counts and
-        // the latency percentiles.
-        let ledger = s.find("\"admitted\"").unwrap();
-        assert!(s.find("\"puts\"").unwrap() < ledger);
-        assert!(ledger < s.find("\"p50_ns\"").unwrap());
     }
 
     #[test]

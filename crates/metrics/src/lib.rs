@@ -25,7 +25,8 @@
 //! * [`events`] — the unified structured [`Event`] stream and the
 //!   [`EventSink`] trait every layer of the simulator emits into;
 //! * [`telemetry`] — [`Telemetry`], an aggregating sink producing
-//!   per-page lifecycles, histograms, and per-CPU reference timelines;
+//!   per-page lifecycles, a recovery-latency histogram, and per-CPU
+//!   reference timelines;
 //! * [`json`] — the dependency-free [`Json`] serializer, [`validate`]
 //!   checker and [`parse`] reader behind every machine-readable report;
 //! * [`latency`] — fixed-bucket log-scale [`LatencyHistogram`]s with
@@ -54,4 +55,4 @@ pub use json::{Json, parse, validate};
 pub use latency::{HistogramError, LatencyHistogram, ServingReport, ShedReason};
 pub use model::{Model, ModelError};
 pub use table::Table;
-pub use telemetry::{Histogram, PageLifecycle, Telemetry};
+pub use telemetry::{PageLifecycle, Telemetry};

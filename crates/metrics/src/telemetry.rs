@@ -1,6 +1,5 @@
-//! Aggregation over the event stream: per-page lifecycle histories,
-//! move-count and fault-recovery-latency histograms, and per-CPU
-//! reference timelines.
+//! Aggregation over the event stream: per-page lifecycle histories, a
+//! fault-recovery-latency histogram, and per-CPU reference timelines.
 //!
 //! [`Telemetry`] is an [`EventSink`]; install one (via
 //! [`crate::events::shared`]) and every aggregate here is maintained
@@ -10,86 +9,9 @@
 
 use crate::events::{Event, EventKind, EventSink, RecoveryAction};
 use crate::json::Json;
+use crate::latency::LatencyHistogram;
 use ace_machine::{Distance, Ns};
 use std::collections::HashMap;
-
-/// A power-of-two-bucketed histogram of `u64` samples.
-///
-/// Bucket 0 counts exact zeros; bucket `i ≥ 1` counts samples in
-/// `[2^(i-1), 2^i)`. This keeps the histogram tiny (≤ 65 buckets)
-/// while spanning the ten orders of magnitude between a one-word
-/// access and a whole run.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Histogram {
-    counts: Vec<u64>,
-    samples: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Histogram {
-        Histogram::default()
-    }
-
-    fn bucket_of(v: u64) -> usize {
-        if v == 0 {
-            0
-        } else {
-            (64 - v.leading_zeros()) as usize
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, v: u64) {
-        let b = Self::bucket_of(v);
-        if self.counts.len() <= b {
-            self.counts.resize(b + 1, 0);
-        }
-        self.counts[b] += 1;
-        self.samples += 1;
-        self.sum = self.sum.saturating_add(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Number of samples recorded.
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
-
-    /// Largest sample recorded (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Mean of all samples (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.samples == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.samples as f64
-        }
-    }
-
-    /// Serializes as `{samples, mean, max, buckets: [{lo, hi, n}]}`,
-    /// omitting empty buckets.
-    pub fn to_json(&self) -> Json {
-        let mut buckets = Vec::new();
-        for (i, &n) in self.counts.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            let (lo, hi) = if i == 0 { (0u64, 0u64) } else { (1u64 << (i - 1), (1u64 << i) - 1) };
-            buckets.push(Json::obj().field("lo", lo).field("hi", hi).field("n", n));
-        }
-        Json::obj()
-            .field("samples", self.samples)
-            .field("mean", self.mean())
-            .field("max", self.max)
-            .field("buckets", buckets)
-    }
-}
 
 /// The life of one logical page, reconstructed from its events:
 /// allocation (first sight), replications, moves, pinning,
@@ -169,7 +91,7 @@ pub struct Telemetry {
     pages: HashMap<u32, PageLifecycle>,
     /// Latency from a recovery action to the processor's next
     /// successful page copy or state change, in virtual nanoseconds.
-    recovery_latency: Histogram,
+    recovery_latency: LatencyHistogram,
     /// Open recovery windows: processor index → window start.
     pending_recovery: HashMap<u16, Ns>,
     /// Reference timelines, indexed by processor.
@@ -204,7 +126,7 @@ impl Telemetry {
         assert!(bucket_width.0 > 0, "timeline bucket width must be positive");
         Telemetry {
             pages: HashMap::new(),
-            recovery_latency: Histogram::new(),
+            recovery_latency: LatencyHistogram::new(),
             pending_recovery: HashMap::new(),
             timelines: Vec::new(),
             bucket_width,
@@ -227,21 +149,10 @@ impl Telemetry {
         self.pages.len()
     }
 
-    /// Histogram of per-page move counts (one sample per tracked page).
-    pub fn move_histogram(&self) -> Histogram {
-        let mut h = Histogram::new();
-        let mut ids: Vec<&u32> = self.pages.keys().collect();
-        ids.sort_unstable();
-        for id in ids {
-            h.record(u64::from(self.pages[id].moves));
-        }
-        h
-    }
-
     /// Histogram of fault-recovery latencies (virtual ns from a
     /// recovery action to the processor's next completed copy or state
     /// change).
-    pub fn recovery_latency(&self) -> &Histogram {
+    pub fn recovery_latency(&self) -> &LatencyHistogram {
         &self.recovery_latency
     }
 
@@ -323,8 +234,13 @@ impl Telemetry {
         Json::obj()
             .field("events", self.events_seen)
             .field("pages_tracked", self.pages.len())
-            .field("move_histogram", self.move_histogram().to_json())
-            .field("recovery_latency_ns", self.recovery_latency.to_json())
+            .field(
+                "recovery_latency_ns",
+                Json::obj()
+                    .field("samples", self.recovery_latency.total())
+                    .field("max", self.recovery_latency.max_ns())
+                    .field("buckets", self.recovery_latency.sparse_json()),
+            )
             .field("timeline_bucket_ns", self.bucket_width.0)
             .field("cpu_timelines", timelines)
             .field("pages", pages)
@@ -453,24 +369,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_powers_of_two() {
-        let mut h = Histogram::new();
-        for v in [0, 1, 1, 2, 3, 4, 1000] {
-            h.record(v);
-        }
-        assert_eq!(h.samples(), 7);
-        assert_eq!(h.max(), 1000);
-        // 0 → bucket 0; 1 → bucket 1; 2,3 → bucket 2; 4 → bucket 3;
-        // 1000 → bucket 10.
-        assert_eq!(h.counts[0], 1);
-        assert_eq!(h.counts[1], 2);
-        assert_eq!(h.counts[2], 2);
-        assert_eq!(h.counts[3], 1);
-        assert_eq!(h.counts[10], 1);
-        validate(&h.to_json().to_string_flat()).unwrap();
-    }
-
-    #[test]
     fn lifecycle_tracks_the_paper_sequence() {
         // alloc → replicate → move ×2 → pin → free, as one page would
         // live under the move-limit policy.
@@ -493,7 +391,7 @@ mod tests {
         assert_eq!(lc.pinned_at, Some(Ns(50)));
         assert_eq!(lc.freed_at, Some(Ns(60)));
         assert_eq!(lc.history.len(), 6);
-        assert_eq!(t.move_histogram().samples(), 1);
+        assert_eq!(t.pages_tracked(), 1);
         validate(&t.to_json().to_string_flat()).unwrap();
     }
 
@@ -513,8 +411,8 @@ mod tests {
             from: ace_machine::MemRegion::Global,
             to: ace_machine::MemRegion::Local(NodeId(2)),
         }));
-        assert_eq!(t.recovery_latency().samples(), 1);
-        assert_eq!(t.recovery_latency().max(), 300);
+        assert_eq!(t.recovery_latency().total(), 1);
+        assert_eq!(t.recovery_latency().max_ns(), 300);
     }
 
     #[test]

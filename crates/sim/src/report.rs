@@ -3,7 +3,7 @@
 use crate::kernel::RefCounters;
 use ace_machine::{BusStats, CpuTime, FaultStats, Ns};
 use numa_core::NumaStats;
-use numa_metrics::{Json, ServingReport};
+use numa_metrics::ServingReport;
 use std::fmt;
 
 /// Everything measured during one run.
@@ -22,45 +22,14 @@ pub struct RunReport {
     /// Hardware faults injected by the machine's fault injector.
     pub faults: FaultStats,
     /// Request counts and tail latency, attached only by serving
-    /// workloads ([`crate::Simulator::attach_serving`]). `None` — every
-    /// batch workload — keeps the serialized report byte-identical to
-    /// pre-serving reports.
+    /// workloads ([`crate::Simulator::attach_serving`]). `None` on every
+    /// batch workload.
     pub serving: Option<ServingReport>,
     /// Typed reason the workload could not finish verified after a hard
     /// component loss (data destroyed by a typed zero-fill, a wedged
-    /// run cut by the virtual-time budget). `None` — every healthy run —
-    /// keeps the serialized report byte-identical to pre-chaos reports.
+    /// run cut by the virtual-time budget). `None` on every healthy run.
     pub degraded: Option<String>,
 }
-
-/// The `numa` block of [`RunReport::to_json`], in serialization order
-/// (names as [`NumaStats::value`] knows them): first the counters every
-/// report carries...
-const NUMA_ALWAYS: [&str; 15] = [
-    "requests", "read_requests", "write_requests", "replications", "migrations", "syncs",
-    "flushes", "shootdowns", "to_global", "to_remote", "pins", "zero_fill_local",
-    "zero_fill_global", "local_pressure_fallbacks", "recovery_actions",
-];
-
-/// ...then the counters that postdate a committed baseline, each with
-/// the quantity that must be nonzero for it to appear: a run whose
-/// pressure, flush-aware policy, hierarchy or hard-failure machinery
-/// never acted serializes byte-identically to reports that predate it.
-/// (Invalidations happen under every policy; only a flush *pin* shows
-/// them. A flat machine can never replicate from a sibling node.)
-const NUMA_WHEN_NONZERO: [(&str, &str); 11] = [
-    ("reclaims", "reclaims"),
-    ("degradations", "degradations"),
-    ("pressure_ticks", "pressure_ticks"),
-    ("flush_pins", "flush_pins"),
-    ("coherence_invalidations", "flush_pins"),
-    ("near_replications", "near_replications"),
-    ("nodes_offlined", "hard_failure_actions"),
-    ("pages_rehomed", "hard_failure_actions"),
-    ("pages_lost", "hard_failure_actions"),
-    ("threads_drained", "hard_failure_actions"),
-    ("dead_node_fallbacks", "hard_failure_actions"),
-];
 
 impl RunReport {
     /// Total user time across all processors (the paper's T measure).
@@ -93,50 +62,6 @@ impl RunReport {
     /// (wall-clock) time of the run.
     pub fn makespan(&self) -> Ns {
         self.cpu_times.iter().map(|t| t.total()).max().unwrap_or(Ns::ZERO)
-    }
-
-    /// The full report as a machine-readable JSON value. Field order is
-    /// fixed, so identical runs serialize to identical strings.
-    pub fn to_json(&self) -> Json {
-        let cpus: Vec<Json> = self
-            .cpu_times
-            .iter()
-            .enumerate()
-            .map(|(i, t)| {
-                Json::obj()
-                    .field("cpu", i)
-                    .field("user_ns", t.user.0)
-                    .field("system_ns", t.system.0)
-            })
-            .collect();
-        let mut j = Json::obj()
-            .field("policy", self.policy)
-            .field("user_s", self.user_secs())
-            .field("system_s", self.system_secs())
-            .field("makespan_ns", self.makespan().0)
-            .field("alpha_measured", self.alpha_measured())
-            .field("cpu_times", Json::Arr(cpus))
-            .field("refs", self.refs.fields().collect::<Json>())
-            .field("numa", {
-                let value = |name| self.numa.value(name).expect("a NumaStats quantity");
-                let shown = NUMA_WHEN_NONZERO.iter().filter(|(_, guard)| value(guard) > 0);
-                let keys = NUMA_ALWAYS.iter().chain(shown.map(|(key, _)| key));
-                keys.map(|&key| (key, value(key))).collect::<Json>()
-            })
-            .field(
-                "bus",
-                self.bus.fields().collect::<Json>().field("total_bytes", self.bus.total_bytes()),
-            )
-            .field("faults", self.faults.fields().collect::<Json>());
-        // The serving block appears only when a serving application
-        // attached one, so batch reports keep their exact prior bytes.
-        if let Some(s) = &self.serving {
-            j = j.field("serving", s.to_json());
-        }
-        if let Some(d) = &self.degraded {
-            j = j.field("degraded", d.as_str());
-        }
-        j
     }
 }
 
@@ -256,21 +181,23 @@ impl fmt::Display for RunReport {
 mod tests {
     use super::*;
 
-    #[test]
-    fn totals_and_makespan() {
-        let r = RunReport {
-            policy: "test",
-            cpu_times: vec![
-                CpuTime { user: Ns(100), system: Ns(10) },
-                CpuTime { user: Ns(50), system: Ns(70) },
-            ],
+    fn report(policy: &'static str) -> RunReport {
+        RunReport {
+            policy,
+            cpu_times: vec![CpuTime { user: Ns(100), system: Ns(10) }],
             refs: RefCounters { local: 3, global: 1, remote: 0 },
             numa: NumaStats::default(),
             bus: BusStats::default(),
             faults: FaultStats::default(),
             serving: None,
             degraded: None,
-        };
+        }
+    }
+
+    #[test]
+    fn totals_and_makespan() {
+        let mut r = report("test");
+        r.cpu_times.push(CpuTime { user: Ns(50), system: Ns(70) });
         assert_eq!(r.total_user(), Ns(150));
         assert_eq!(r.total_system(), Ns(80));
         assert_eq!(r.makespan(), Ns(120));
@@ -281,80 +208,25 @@ mod tests {
     }
 
     #[test]
-    fn json_is_valid_and_deterministic() {
-        let r = RunReport {
-            policy: "test",
-            cpu_times: vec![CpuTime { user: Ns(100), system: Ns(10) }],
-            refs: RefCounters { local: 3, global: 1, remote: 0 },
-            numa: NumaStats::default(),
-            bus: BusStats::default(),
-            faults: FaultStats::default(),
-            serving: None,
-            degraded: None,
-        };
-        let a = r.to_json().to_string_flat();
-        let b = r.to_json().to_string_flat();
-        assert_eq!(a, b);
-        numa_metrics::validate(&a).expect("report JSON must parse");
-        assert!(a.starts_with("{\"policy\":\"test\","));
-        assert!(a.contains("\"alpha_measured\":0.75"));
-        assert!(a.contains("\"user_ns\":100"));
-    }
-
-    #[test]
     fn pressure_counters_appear_only_under_pressure() {
-        let mut r = RunReport {
-            policy: "test",
-            cpu_times: vec![CpuTime { user: Ns(100), system: Ns(10) }],
-            refs: RefCounters { local: 3, global: 1, remote: 0 },
-            numa: NumaStats::default(),
-            bus: BusStats::default(),
-            faults: FaultStats::default(),
-            serving: None,
-            degraded: None,
-        };
-        let idle = r.to_json().to_string_flat();
-        assert!(!idle.contains("reclaims"), "idle reports stay byte-identical");
-        assert!(!idle.contains("pressure_ticks"));
+        let mut r = report("test");
         assert!(!format!("{r}").contains("pressure:"));
         r.numa.reclaims = 2;
         r.numa.degradations = 1;
         r.numa.pressure_ticks = 3;
         r.numa.local_peak_frames = 8;
-        let busy = r.to_json().to_string_flat();
-        assert!(busy.contains("\"reclaims\":2"));
-        assert!(busy.contains("\"degradations\":1"));
-        assert!(busy.contains("\"pressure_ticks\":3"));
-        assert!(!busy.contains("local_peak_frames"), "peak is display-only");
-        numa_metrics::validate(&busy).unwrap();
         let shown = format!("{r}");
-        assert!(shown.contains("pressure: 2 reclaims, 1 degradations"));
+        assert!(shown.contains("pressure: 2 reclaims, 1 degradations, 3 pressure ticks, peak 8"));
     }
 
     #[test]
     fn flush_pin_counters_appear_only_when_a_flush_policy_pinned() {
-        let mut r = RunReport {
-            policy: "flush-limit",
-            cpu_times: vec![CpuTime { user: Ns(100), system: Ns(10) }],
-            refs: RefCounters { local: 3, global: 1, remote: 0 },
-            numa: NumaStats::default(),
-            bus: BusStats::default(),
-            faults: FaultStats::default(),
-            serving: None,
-            degraded: None,
-        };
-        // Invalidations happen under every policy; without a flush pin
-        // the report must keep its exact pre-flush-policy bytes.
+        let mut r = report("flush-limit");
+        // Invalidations happen under every policy; only a flush pin
+        // shows them.
         r.numa.coherence_invalidations = 40;
-        let unpinned = r.to_json().to_string_flat();
-        assert!(!unpinned.contains("flush_pins"), "pin-free reports stay byte-identical");
-        assert!(!unpinned.contains("coherence_invalidations"));
         assert!(!format!("{r}").contains("flush-pins:"));
         r.numa.flush_pins = 3;
-        let pinned = r.to_json().to_string_flat();
-        assert!(pinned.contains("\"flush_pins\":3"));
-        assert!(pinned.contains("\"coherence_invalidations\":40"));
-        numa_metrics::validate(&pinned).unwrap();
         assert!(format!("{r}")
             .contains("flush-pins: 3 pages pinned after 40 coherence invalidations"));
     }
@@ -364,19 +236,9 @@ mod tests {
         let mut latency = numa_metrics::LatencyHistogram::new();
         latency.record(1_000);
         latency.record(900_000);
-        let mut r = RunReport {
-            policy: "test",
-            cpu_times: vec![CpuTime { user: Ns(100), system: Ns(10) }],
-            refs: RefCounters { local: 3, global: 1, remote: 0 },
-            numa: NumaStats::default(),
-            bus: BusStats::default(),
-            faults: FaultStats::default(),
-            serving: Some(ServingReport::unlimited(2, 1, 1, latency)),
-            degraded: None,
-        };
-        let unlimited = r.to_json().to_string_flat();
-        assert!(!unlimited.contains("admitted"), "unlimited serving stays byte-identical");
-        assert!(!unlimited.contains("goodput"));
+        let mut r = report("test");
+        r.serving = Some(ServingReport::unlimited(2, 1, 1, latency));
+        assert!(format!("{r}").contains("serving: 2 requests (1 gets / 1 puts)"));
         assert!(!format!("{r}").contains("admission:"));
         {
             let s = r.serving.as_mut().expect("attached above");
@@ -386,11 +248,6 @@ mod tests {
             s.shed(numa_metrics::ShedReason::QueueFull, 1);
             s.shed(numa_metrics::ShedReason::DeadlineExpired, 2);
         }
-        let limited = r.to_json().to_string_flat();
-        assert!(limited.contains("\"admitted\":2"));
-        assert!(limited.contains("\"shed_queue_full\":1"));
-        assert!(limited.contains("\"goodput_buckets\":[["));
-        numa_metrics::validate(&limited).unwrap();
         let shown = format!("{r}");
         assert!(shown
             .contains("admission: 2 admitted, shed 1 queue-full / 2 deadline / 0 quota"));
@@ -398,31 +255,13 @@ mod tests {
 
     #[test]
     fn hard_failure_counters_appear_only_after_component_loss() {
-        let mut r = RunReport {
-            policy: "test",
-            cpu_times: vec![CpuTime { user: Ns(100), system: Ns(10) }],
-            refs: RefCounters { local: 3, global: 1, remote: 0 },
-            numa: NumaStats::default(),
-            bus: BusStats::default(),
-            faults: FaultStats::default(),
-            serving: None,
-            degraded: None,
-        };
-        let healthy = r.to_json().to_string_flat();
-        assert!(!healthy.contains("nodes_offlined"), "healthy reports stay byte-identical");
+        let mut r = report("test");
         assert!(!format!("{r}").contains("degraded:"));
         r.numa.nodes_offlined = 1;
         r.numa.pages_rehomed = 4;
         r.numa.pages_lost = 2;
         r.numa.threads_drained = 3;
         r.numa.dead_node_fallbacks = 5;
-        let degraded = r.to_json().to_string_flat();
-        assert!(degraded.contains("\"nodes_offlined\":1"));
-        assert!(degraded.contains("\"pages_rehomed\":4"));
-        assert!(degraded.contains("\"pages_lost\":2"));
-        assert!(degraded.contains("\"threads_drained\":3"));
-        assert!(degraded.contains("\"dead_node_fallbacks\":5"));
-        numa_metrics::validate(&degraded).unwrap();
         let shown = format!("{r}");
         assert!(shown.contains(
             "degraded: 1 nodes offlined, 4 pages rehomed, 2 pages lost, \

@@ -109,7 +109,7 @@ fn compute_charges_the_same_at_every_budget_boundary_on_both_paths() {
         let r = s.run();
         let clocks: Vec<Ns> = r.cpu_times.iter().map(|c| c.total()).collect();
         let seen = seen.lock().unwrap().clone();
-        (clocks, r.to_json().to_string_flat(), seen)
+        (clocks, r, seen)
     };
     for lookahead in [Ns::ZERO, Ns::from_us(500)] {
         let slow = run(false, lookahead);

@@ -8,8 +8,8 @@
 //! kernel, and (in the second test) deterministic fault injection with
 //! recovery. Equivalence is judged on everything a user can see:
 //!
-//! * the `RunReport`, compared as byte-identical JSON *and* as the
-//!   human rendering;
+//! * the `RunReport`, compared field by field *and* as the human
+//!   rendering;
 //! * the full event stream (bus traffic + protocol actions, in
 //!   virtual-time order);
 //! * the raw per-reference log — every address, access kind, distance,
@@ -25,15 +25,15 @@ use numa_repro::metrics::{Event, EventKind, VecSink};
 use numa_repro::numa::{
     CachePolicy, FlushLimitPolicy, MoveLimitPolicy, MoveOrFlushLimitPolicy, StateKind,
 };
-use numa_repro::sim::{RefEvent, SimConfig, Simulator};
+use numa_repro::sim::{RefEvent, RunReport, SimConfig, Simulator};
 use std::sync::{Arc, Mutex};
 
 const CPUS: usize = 3;
 
 /// Everything observable about one run.
 struct Observation {
-    /// `RunReport` as flat JSON (the form the lab serializes).
-    report_json: String,
+    /// The run's report.
+    report: RunReport,
     /// The report's human rendering.
     report_text: String,
     /// The structured event stream.
@@ -71,8 +71,8 @@ fn observe(app: &dyn App, fastpath: bool, faults: bool) -> Observation {
     let events = sink.lock().unwrap().events.clone();
     let refs = refs.lock().unwrap().clone();
     Observation {
-        report_json: report.to_json().to_string_flat(),
         report_text: format!("{report}"),
+        report,
         events,
         refs,
     }
@@ -81,10 +81,7 @@ fn observe(app: &dyn App, fastpath: bool, faults: bool) -> Observation {
 /// Asserts that two observations are indistinguishable, with failure
 /// messages that point at the first diverging element.
 fn assert_equivalent(app: &str, slow: &Observation, fast: &Observation) {
-    assert_eq!(
-        slow.report_json, fast.report_json,
-        "{app}: RunReport JSON diverged between paths"
-    );
+    assert_eq!(slow.report, fast.report, "{app}: RunReport diverged between paths");
     assert_eq!(
         slow.report_text, fast.report_text,
         "{app}: report rendering diverged between paths"
@@ -185,8 +182,8 @@ fn observe_hard_failure(fastpath: bool) -> Observation {
     let events = sink.lock().unwrap().events.clone();
     let refs = refs.lock().unwrap().clone();
     Observation {
-        report_json: report.to_json().to_string_flat(),
         report_text: format!("{report}"),
+        report,
         events,
         refs,
     }
@@ -196,15 +193,11 @@ fn observe_hard_failure(fastpath: bool) -> Observation {
 fn hard_failure_schedules_are_equivalent_across_paths() {
     let slow = observe_hard_failure(false);
     let fast = observe_hard_failure(true);
+    assert_eq!(slow.report.numa.nodes_offlined, 1, "the schedule must actually kill the node");
     assert!(
-        slow.report_json.contains("\"nodes_offlined\":1"),
-        "the schedule must actually kill the node: {}",
-        slow.report_json
-    );
-    assert!(
-        slow.report_json.contains("\"threads_drained\":"),
-        "the stopped processor must drain its thread: {}",
-        slow.report_json
+        slow.report.numa.threads_drained > 0,
+        "the stopped processor must drain its thread: {:?}",
+        slow.report.numa
     );
     assert!(!slow.refs.is_empty(), "instrumentation captured no references");
     assert_equivalent("hard-failure mix", &slow, &fast);
@@ -229,8 +222,8 @@ fn observe_kvserve(fastpath: bool, policy: Box<dyn CachePolicy>) -> Observation 
     let events = sink.lock().unwrap().events.clone();
     let refs = refs.lock().unwrap().clone();
     Observation {
-        report_json: report.to_json().to_string_flat(),
         report_text: format!("{report}"),
+        report,
         events,
         refs,
     }
@@ -259,9 +252,9 @@ fn kvserve_is_equivalent_across_paths_under_every_policy() {
     // otherwise the equivalence above proves nothing about it.
     let flush = observe_kvserve(true, Box::new(FlushLimitPolicy::default()));
     assert!(
-        flush.report_json.contains("\"flush_pins\":"),
-        "the flush budget never tripped on the serving workload: {}",
-        flush.report_json
+        flush.report.numa.flush_pins > 0,
+        "the flush budget never tripped on the serving workload: {:?}",
+        flush.report.numa
     );
 }
 
@@ -298,8 +291,8 @@ fn observe_kvserve_under(
     let events = sink.lock().unwrap().events.clone();
     let refs = refs.lock().unwrap().clone();
     let obs = Observation {
-        report_json: report.to_json().to_string_flat(),
         report_text: format!("{report}"),
+        report,
         events,
         refs,
     };
@@ -330,12 +323,8 @@ fn kvserve_overload_is_equivalent_across_paths() {
     let (fast, fv) = observe_kvserve_under(true, overload_params(), false);
     sv.as_ref().expect("overload without hard faults still verifies");
     assert_eq!(sv, fv, "run verdict diverged between paths");
-    assert!(
-        slow.report_json.contains("\"shed_queue_full\":"),
-        "the overload knobs never engaged: {}",
-        slow.report_json
-    );
-    assert!(slow.report_json.contains("\"goodput_p99_ns\":"));
+    let serving = slow.report.serving.as_ref().expect("the serving report attaches");
+    assert!(serving.limited, "the overload knobs never engaged: {serving:?}");
     assert!(slow.report_text.contains("admission:"), "report rendering lacks the admission line");
     assert_equivalent("KvServe/overload", &slow, &fast);
 }
@@ -349,25 +338,21 @@ fn kvserve_hard_failure_is_equivalent_across_paths() {
     let (slow, sv) = observe_kvserve_under(false, overload_params(), true);
     let (fast, fv) = observe_kvserve_under(true, overload_params(), true);
     assert_eq!(sv, fv, "run verdict diverged between paths");
+    assert_eq!(slow.report.numa.nodes_offlined, 1, "the schedule must actually kill the node");
     assert!(
-        slow.report_json.contains("\"nodes_offlined\":1"),
-        "the schedule must actually kill the node: {}",
-        slow.report_json
-    );
-    assert!(
-        slow.report_json.contains("\"threads_drained\":"),
-        "the stopped processor must drain its worker: {}",
-        slow.report_json
+        slow.report.numa.threads_drained > 0,
+        "the stopped processor must drain its worker: {:?}",
+        slow.report.numa
     );
     // The serving report still attaches with its deterministic ledger,
     // even when recovery could not save every shard.
-    assert!(slow.report_json.contains("\"admitted\":"));
+    assert!(slow.report.serving.as_ref().is_some_and(|s| s.limited));
     assert_equivalent("KvServe/hard-failure", &slow, &fast);
     // And the whole composition is deterministic, not merely
     // path-equivalent: a rerun reproduces the exact bytes.
     let (again, av) = observe_kvserve_under(true, overload_params(), true);
     assert_eq!(av, fv);
-    assert_eq!(again.report_json, fast.report_json, "rerun diverged");
+    assert_eq!(again.report, fast.report, "rerun diverged");
 }
 
 /// The policy-comparison serving sweep at several worker counts: the
@@ -507,8 +492,8 @@ fn observe_tlb_edges(fastpath: bool, scheduler: numa_repro::sim::SchedulerKind) 
     let events = sink.lock().unwrap().events.clone();
     let refs = refs.lock().unwrap().clone();
     let obs = Observation {
-        report_json: report.to_json().to_string_flat(),
         report_text: format!("{report}"),
+        report,
         events,
         refs,
     };
@@ -623,8 +608,8 @@ fn observe_cpu_swap(fastpath: bool) -> (Observation, CpusSeen) {
     let events = sink.lock().unwrap().events.clone();
     let refs = refs.lock().unwrap().clone();
     let obs = Observation {
-        report_json: report.to_json().to_string_flat(),
         report_text: format!("{report}"),
+        report,
         events,
         refs,
     };
@@ -709,8 +694,8 @@ fn observe_mesh_hops(fastpath: bool) -> (Observation, Vec<StateKind>) {
     let events = sink.lock().unwrap().events.clone();
     let refs = refs.lock().unwrap().clone();
     let obs = Observation {
-        report_json: report.to_json().to_string_flat(),
         report_text: format!("{report}"),
+        report,
         events,
         refs,
     };

@@ -662,13 +662,9 @@ fn shed_requests_never_mutate_state_with_and_without_faults() {
             if !limited {
                 assert_eq!(s.shed_total(), 0, "{tag}: unprotected runs never shed");
             }
-            // Byte-identical reproduction from the same seed and knobs.
+            // Exact reproduction from the same seed and knobs.
             let again = observe(params.clone());
-            assert_eq!(
-                report.to_json().to_string_flat(),
-                again.to_json().to_string_flat(),
-                "{tag}: rerun diverged"
-            );
+            assert_eq!(report, again, "{tag}: rerun diverged");
         }
     }
 }
@@ -1083,10 +1079,6 @@ fn insertion_history_cannot_reach_a_report() {
     assert!(report.numa.reclaims > 0 && report.numa.migrations > 0, "run too tame: {report}");
     assert_eq!(audit, Ok(()));
     assert_eq!(audit, audit2);
-    assert_eq!(
-        report.to_json().to_string_flat(),
-        report2.to_json().to_string_flat(),
-        "reports diverged with the insertion history"
-    );
+    assert_eq!(report, report2, "reports diverged with the insertion history");
     assert_eq!(events, events2, "event streams diverged with the insertion history");
 }

@@ -7,8 +7,8 @@
 //! can observe may move between two independently built descriptions
 //! of that machine, or between the simulator's two access paths:
 //!
-//! * the `RunReport`, compared as byte-identical JSON *and* as the
-//!   human rendering;
+//! * the `RunReport`, compared field by field *and* as the human
+//!   rendering;
 //! * the full event stream (bus traffic + protocol actions, in
 //!   virtual-time order);
 //! * the raw per-reference log — every address, access kind, distance,
@@ -25,15 +25,15 @@ use numa_repro::apps::{App, Gfetch, IMatMult, Scale};
 use numa_repro::machine::{MachineConfig, TopologyBuilder};
 use numa_repro::metrics::{Event, VecSink};
 use numa_repro::numa::MoveLimitPolicy;
-use numa_repro::sim::{RefEvent, SimConfig, Simulator};
+use numa_repro::sim::{RefEvent, RunReport, SimConfig, Simulator};
 use std::sync::{Arc, Mutex};
 
 const CPUS: usize = 3;
 
 /// Everything observable about one run.
 struct Observation {
-    /// `RunReport` as flat JSON (the form the lab serializes).
-    report_json: String,
+    /// The run's report.
+    report: RunReport,
     /// The report's human rendering.
     report_text: String,
     /// The structured event stream.
@@ -63,8 +63,8 @@ fn observe(app: &dyn App, machine: MachineConfig, fastpath: bool) -> Observation
     let events = sink.lock().unwrap().events.clone();
     let refs = refs.lock().unwrap().clone();
     Observation {
-        report_json: report.to_json().to_string_flat(),
         report_text: format!("{report}"),
+        report,
         events,
         refs,
     }
@@ -73,7 +73,7 @@ fn observe(app: &dyn App, machine: MachineConfig, fastpath: bool) -> Observation
 /// Asserts that two observations are indistinguishable, with failure
 /// messages that point at the first diverging element.
 fn assert_equivalent(tag: &str, a: &Observation, b: &Observation) {
-    assert_eq!(a.report_json, b.report_json, "{tag}: RunReport JSON diverged");
+    assert_eq!(a.report, b.report, "{tag}: RunReport diverged");
     assert_eq!(a.report_text, b.report_text, "{tag}: report rendering diverged");
     assert_eq!(a.events.len(), b.events.len(), "{tag}: event stream length diverged");
     if let Some(i) = (0..a.events.len()).find(|&i| a.events[i] != b.events[i]) {
@@ -105,25 +105,21 @@ fn flat_runs_are_identical_across_builds_and_paths() {
     }
 }
 
-/// A flat report must keep its exact pre-topology shape: the counters
-/// that only a hierarchical machine can produce never appear in its
-/// JSON, and the description itself knows it is degenerate.
+/// A flat report must keep its exact pre-topology shape: the counter
+/// that only a hierarchical machine can produce stays zero, and the
+/// description itself knows it is degenerate.
 #[test]
 fn flat_reports_keep_their_pre_topology_shape() {
     let cfg = TopologyBuilder::flat_ace(CPUS).config();
     assert!(cfg.topology.is_flat(), "flat_ace must be the degenerate shape");
     assert_eq!(cfg.topology.max_hops(), 1, "flat machines have sibling hops only");
     let o = observe(&Gfetch::new(Scale::Test), cfg, true);
-    assert!(
-        !o.report_json.contains("near_replications"),
-        "a flat report may never mention the hierarchical counter: {}",
-        o.report_json
-    );
+    assert_eq!(o.report.numa.near_replications, 0, "a flat machine has no sibling node");
 }
 
 /// The contrast run: the same app and policy on a 2x2 mesh must take
-/// the replicate-from-nearest path — visible both as the serialized
-/// counter and as cheaper copies — or the flat equivalence above would
+/// the replicate-from-nearest path — visible both as its counter and
+/// as cheaper copies — or the flat equivalence above would
 /// be vacuously checking a machine the redesign never varies.
 #[test]
 fn hierarchical_runs_are_observably_different() {
@@ -132,13 +128,13 @@ fn hierarchical_runs_are_observably_different() {
     assert!(mesh.topology.max_hops() >= 2, "a 2x2 mesh has a 2-hop diagonal");
     let o = observe(&Gfetch::new(Scale::Test), mesh, true);
     assert!(
-        o.report_json.contains("\"near_replications\":"),
-        "a mesh run must serialize the hierarchical counter: {}",
-        o.report_json
+        o.report.numa.near_replications > 0,
+        "a mesh run must replicate from a sibling node: {:?}",
+        o.report.numa
     );
     let flat = observe(&Gfetch::new(Scale::Test), TopologyBuilder::flat_ace(4).config(), true);
     assert_ne!(
-        o.report_json, flat.report_json,
+        o.report, flat.report,
         "a mesh machine must not report like the flat machine"
     );
 }
