@@ -69,7 +69,7 @@
 
 use crate::app::App;
 use crate::params::ParamError;
-use crate::zipf::{Rng, Zipf};
+use crate::zipf::{self, Rng, Zipf};
 use crate::Scale;
 use ace_machine::{Ns, Prot};
 use ace_sim::Simulator;
@@ -241,8 +241,7 @@ impl ServeParams {
                 bound: "one request per nanosecond",
             });
         }
-        // Exercises the exponent check too.
-        Zipf::new(self.keys, self.zipf_s).map(|_| ())
+        zipf::exponent_half_steps(self.zipf_s).map(|_| ())
     }
 }
 
@@ -280,14 +279,17 @@ struct Workload {
 fn generate(p: &ServeParams, workers: usize) -> Result<Workload, ParamError> {
     let mut rng = Rng::new(SERVE_SEED);
     let tenant_pick = Zipf::new(p.tenants, 1.0)?;
-    let range_of = |t: usize| {
-        let base = t * p.keys / p.tenants;
-        let end = (t + 1) * p.keys / p.tenants;
-        (base, end - base)
-    };
-    let tenant_keys: Vec<Zipf> = (0..p.tenants)
-        .map(|t| Zipf::new(range_of(t).1, p.zipf_s))
-        .collect::<Result<_, _>>()?;
+    // Each tenant's key range `(base, span)`.
+    let ranges: Vec<(usize, usize)> = (0..p.tenants)
+        .map(|t| {
+            let base = t * p.keys / p.tenants;
+            (base, (t + 1) * p.keys / p.tenants - base)
+        })
+        .collect();
+    let tenant_keys: Vec<Zipf> =
+        ranges.iter().map(|&(_, span)| Zipf::new(span, p.zipf_s)).collect::<Result<_, _>>()?;
+    // The worker that owns each key's puts.
+    let owner: Vec<usize> = (0..p.keys).map(|key| (key % p.shards) % workers).collect();
     let gap = 1_000_000_000 / p.rate;
     // Per-tenant admission: a token bucket in virtual time, judged at
     // arrival before routing, so a rejected request never reaches a
@@ -310,12 +312,17 @@ fn generate(p: &ServeParams, workers: usize) -> Result<Workload, ParamError> {
         // stream open-loop but aperiodic.
         at += gap / 2 + rng.next_below(gap.max(1));
         let tenant = tenant_pick.sample(&mut rng);
-        let (base, span) = range_of(tenant);
-        let rank = tenant_keys[tenant].sample(&mut rng);
+        let (base, span) = ranges[tenant];
+        let mut rank = tenant_keys[tenant].sample(&mut rng);
         // Phase change: halfway through the run every tenant's hot set
         // rotates to the far side of its range, so placement decisions
         // made for the first phase go stale.
-        let rank = if i >= p.requests / 2 { (rank + span / 2) % span } else { rank };
+        if i >= p.requests / 2 {
+            rank += span / 2;
+            if rank >= span {
+                rank -= span;
+            }
+        }
         let key = (base + rank) as u32;
         let put = rng.next_below(1000) < p.put_permille as u64;
         let word = if put {
@@ -348,10 +355,11 @@ fn generate(p: &ServeParams, workers: usize) -> Result<Workload, ParamError> {
         // Route: puts shard-affine (per-key arrival order preserved),
         // gets round-robin (hot pages become read-shared).
         let w = if put {
-            (key as usize % p.shards) % workers
+            owner[key as usize]
         } else {
-            rr += 1;
-            (rr - 1) % workers
+            let w = rr;
+            rr = if rr + 1 == workers { 0 } else { rr + 1 };
+            w
         };
         queues[w].push(Request { at, word, put });
     }
